@@ -47,7 +47,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "sampling RNG seed")
 	bias := flag.Float64("bias", 0.5, "per-variable true-probability (weighted mode)")
 	check := flag.Bool("check", false, "verify the count against the family's independent ground truth")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial reference engine, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

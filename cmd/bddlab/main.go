@@ -49,7 +49,7 @@ func main() {
 	cacheBits := flag.Uint("cache-bits", 0, "initial computed-table size = 1<<bits (0 = default)")
 	cacheMaxBits := flag.Uint("cache-max-bits", 0, "adaptive computed-table growth ceiling = 1<<bits (0 = default)")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics on exit")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial reference engine, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

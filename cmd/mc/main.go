@@ -37,7 +37,7 @@ func main() {
 	ctl := flag.String("ctl", "", "CTL formula (required)")
 	reachable := flag.Bool("reachable", false, "restrict to reachable states first")
 	budget := flag.Duration("budget", 2*time.Minute, "reachability budget with -reachable")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial reference engine, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

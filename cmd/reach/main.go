@@ -46,7 +46,7 @@ func run() int {
 	cluster := flag.Int("cluster", 2500, "transition-relation cluster threshold")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics after a successful run (stderr)")
 	profile := flag.Bool("profile", false, "emit per-iteration frontier/reached structural profiles as reach.profile trace events (needs -trace)")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial reference engine, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

@@ -48,7 +48,7 @@ func main() {
 	benchCmp := flag.String("bench-cmp", "", "compare the two most recent records of the benchmark history `file` and exit (no tables are run)")
 	benchAdvisory := flag.Bool("bench-advisory", false, "with -bench-cmp or -speedup: report findings but exit 0")
 	speedup := flag.String("speedup", "", "report the speedup curve (serial vs workers-tagged records) of the benchmark history `file` and exit")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial reference engine, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

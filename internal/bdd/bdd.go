@@ -122,12 +122,14 @@ type Config struct {
 	// MaxGrowth bounds how much the arena may grow between reorderings
 	// when automatic reordering is enabled.
 	MaxGrowth float64
-	// Workers sets how many OS threads operations may use. 1 runs the
-	// original serial engine (bit-identical behaviour, the differential
-	// oracle's reference); larger values enable the lock-striped parallel
-	// engine and work-stealing Apply/ITE. Zero selects the package default
-	// (see SetDefaultWorkers), which starts at 1; set it to
-	// runtime.GOMAXPROCS(0) to use every core.
+	// Workers sets how many OS threads operations may use. Both engines
+	// run the same kernel recursions over a worker context: 1 runs them
+	// with no worker (plain reference counts, no locks, no forks); larger
+	// values enable the lock-striped parallel engine and work-stealing
+	// kernels. Neither engine is the other's reference: both are checked
+	// against the truth-table oracle and the gauntlet's closed-form counts.
+	// Zero selects the package default (see SetDefaultWorkers), which
+	// starts at 1; set it to runtime.GOMAXPROCS(0) to use every core.
 	Workers int
 }
 
@@ -214,10 +216,11 @@ type Stats struct {
 
 	// Quiescence accounting on a parallel manager: write-lease /
 	// stop-the-world epochs (GC, reorder, cache resize, load, ...) and the
-	// total wall time the engine spent excluded (drain wait + exclusion);
-	// this is the serial fraction an Amdahl breakdown attributes speedup
-	// loss to. Always zero on a serial manager. Per-cause detail is in
-	// Manager.ParTelemetry.
+	// total wall time the engine stayed excluded, summed over their pauses
+	// (epochs never overlap, so it cannot exceed the wall time). This is
+	// the serial fraction an Amdahl breakdown attributes speedup loss to.
+	// Always zero on a serial manager. Per-cause pauses and drain waits
+	// are in Manager.ParTelemetry.
 	STWCount int64
 	STWTime  time.Duration
 }
@@ -380,7 +383,15 @@ func (m *Manager) Ref(f Ref) Ref {
 
 // refS is the serial Ref body; internal serial code (and exclusive sections
 // on a parallel manager) must use it instead of the public dispatcher.
-func (m *Manager) refS(f Ref) Ref {
+func (m *Manager) refS(f Ref) Ref { return m.refW(nil, f) }
+
+// refW adds one reference to f on behalf of worker w; a nil worker runs the
+// serial body.
+func (m *Manager) refW(w *parWorker, f Ref) Ref {
+	if w != nil {
+		m.refParIndex(f.index())
+		return f
+	}
 	n := &m.nodes[f.index()]
 	if n.ref == refSaturated {
 		return f
@@ -411,7 +422,15 @@ func (m *Manager) derefS(f Ref) {
 	m.derefIndex(f.index())
 }
 
-func (m *Manager) derefIndex(idx int32) {
+func (m *Manager) derefIndex(idx int32) { m.derefIndexW(nil, idx) }
+
+// derefIndexW drops one reference on behalf of worker w; a nil worker runs
+// the serial body.
+func (m *Manager) derefIndexW(w *parWorker, idx int32) {
+	if w != nil {
+		m.derefParIndex(idx)
+		return
+	}
 	n := &m.nodes[idx]
 	if n.ref == refSaturated {
 		return
@@ -436,8 +455,8 @@ func (m *Manager) derefIndex(idx int32) {
 		}
 		// Recursively release the internal references this node holds
 		// on its children.
-		m.derefIndex(n.hi.index())
-		m.derefIndex(n.lo.index())
+		m.derefIndexW(nil, n.hi.index())
+		m.derefIndexW(nil, n.lo.index())
 	}
 }
 

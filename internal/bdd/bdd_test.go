@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -76,9 +77,18 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
+// TestOpsAgainstBruteForce checks every connective, ITE and Leq against
+// truth tables on both engines.
 func TestOpsAgainstBruteForce(t *testing.T) {
-	const n = 5
-	m := New(n)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opsAgainstBruteForce(t, newPar(t, 5, workers))
+		})
+	}
+}
+
+func opsAgainstBruteForce(t *testing.T, m *Manager) {
+	n := m.NumVars()
 	rng := rand.New(rand.NewSource(42))
 	// Build 40 random functions via random expression trees and check
 	// every operator against truth tables.
@@ -109,31 +119,34 @@ func TestOpsAgainstBruteForce(t *testing.T) {
 		}
 		return rec(depth)
 	}
+	binary := []struct {
+		name string
+		op   func(f, g Ref) Ref
+		want func(a, b bool) bool
+	}{
+		{"AND", m.And, func(a, b bool) bool { return a && b }},
+		{"OR", m.Or, func(a, b bool) bool { return a || b }},
+		{"NAND", m.Nand, func(a, b bool) bool { return !(a && b) }},
+		{"NOR", m.Nor, func(a, b bool) bool { return !(a || b) }},
+		{"XOR", m.Xor, func(a, b bool) bool { return a != b }},
+		{"XNOR", m.Xnor, func(a, b bool) bool { return a == b }},
+		{"IMPLIES", m.Implies, func(a, b bool) bool { return !a || b }},
+		{"DIFF", m.Diff, func(a, b bool) bool { return a && !b }},
+	}
 	for i := 0; i < 40; i++ {
 		f := randFunc(3)
 		g := randFunc(3)
 		tf, tg := truthTable(m, f, n), truthTable(m, g, n)
-
-		and := m.And(f, g)
-		or := m.Or(f, g)
-		xor := m.Xor(f, g)
-		imp := m.Implies(f, g)
-		ta, to, tx, ti := truthTable(m, and, n), truthTable(m, or, n), truthTable(m, xor, n), truthTable(m, imp, n)
-		for x := range tf {
-			if ta[x] != (tf[x] && tg[x]) {
-				t.Fatalf("AND wrong at %d", x)
+		for _, op := range binary {
+			r := op.op(f, g)
+			tr := truthTable(m, r, n)
+			for x := range tf {
+				if tr[x] != op.want(tf[x], tg[x]) {
+					t.Fatalf("%s wrong at %d", op.name, x)
+				}
 			}
-			if to[x] != (tf[x] || tg[x]) {
-				t.Fatalf("OR wrong at %d", x)
-			}
-			if tx[x] != (tf[x] != tg[x]) {
-				t.Fatalf("XOR wrong at %d", x)
-			}
-			if ti[x] != (!tf[x] || tg[x]) {
-				t.Fatalf("IMPLIES wrong at %d", x)
-			}
+			m.Deref(r)
 		}
-		// ITE(f, g, ¬g) == XNOR? sanity via identity ITE(f,g,h).
 		h := randFunc(2)
 		th := truthTable(m, h, n)
 		ite := m.ITE(f, g, h)
@@ -158,7 +171,7 @@ func TestOpsAgainstBruteForce(t *testing.T) {
 		if m.Leq(f, g) != leq {
 			t.Fatal("Leq wrong")
 		}
-		for _, r := range []Ref{and, or, xor, imp, ite, f, g, h} {
+		for _, r := range []Ref{ite, f, g, h} {
 			m.Deref(r)
 		}
 	}
@@ -206,9 +219,18 @@ func TestMintermCount(t *testing.T) {
 	}
 }
 
+// TestQuantification checks Exists and ForAll against truth tables, and
+// AndExists against Exists∘And, on both engines.
 func TestQuantification(t *testing.T) {
-	const n = 5
-	m := New(n)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			quantification(t, newPar(t, 5, workers))
+		})
+	}
+}
+
+func quantification(t *testing.T, m *Manager) {
+	n := m.NumVars()
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 25; iter++ {
 		f := randomOnSet(m, rng, n, 0.4)

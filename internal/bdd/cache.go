@@ -135,9 +135,18 @@ func cacheHash(op uint32, a, b, cc Ref) uint32 {
 	return uint32(h)
 }
 
-// lookup probes the cache; ok reports a hit. The result Ref may be dead and
-// must be revived with Manager.Ref by the caller before any allocation.
+// cacheLookup probes the cache; ok reports a hit. The result Ref may be
+// dead and must be revived by the caller before any allocation.
 func (m *Manager) cacheLookup(op uint32, a, b, c Ref) (Ref, bool) {
+	return m.cacheLookupW(nil, op, a, b, c)
+}
+
+// cacheLookupW is cacheLookup on behalf of worker w; a nil worker runs the
+// serial body.
+func (m *Manager) cacheLookupW(w *parWorker, op uint32, a, b, c Ref) (Ref, bool) {
+	if w != nil {
+		return m.cacheLookupPar(w, op, a, b, c)
+	}
 	m.stats.CacheLookups++
 	cc := &m.cache
 	base := (cacheHash(op, a, b, c) & cc.setMask) * cacheWays
@@ -156,7 +165,15 @@ func (m *Manager) cacheLookup(op uint32, a, b, c Ref) (Ref, bool) {
 // cacheInsert records op(a,b,c) = res. Within the target set it overwrites
 // a same-key entry if present, else fills a free (or stale-generation) way,
 // else evicts the least recently touched entry.
-func (m *Manager) cacheInsert(op uint32, a, b, c Ref, res Ref) {
+func (m *Manager) cacheInsert(op uint32, a, b, c Ref, res Ref) { m.cacheInsertW(nil, op, a, b, c, res) }
+
+// cacheInsertW is cacheInsert on behalf of worker w; a nil worker runs the
+// serial body.
+func (m *Manager) cacheInsertW(w *parWorker, op uint32, a, b, c Ref, res Ref) {
+	if w != nil {
+		m.cacheInsertPar(w, op, a, b, c, res)
+		return
+	}
 	cc := &m.cache
 	base := (cacheHash(op, a, b, c) & cc.setMask) * cacheWays
 	var free, oldest *cacheEntry

@@ -79,7 +79,7 @@ func (m *Manager) restrictRec(f, c Ref) Ref {
 		// The top variable of c does not appear at the top of f:
 		// abstract it from the care set (c := c1 OR c0) and retry.
 		c1, c0 := m.cofs(c, lc)
-		cc := m.andRec(c1.Complement(), c0.Complement()).Complement()
+		cc := m.andRec(nil, c1.Complement(), c0.Complement(), 1).Complement()
 		r := m.restrictRec(f, cc)
 		m.derefS(cc)
 		return r
@@ -140,7 +140,7 @@ func (m *Manager) minimizeNow(l, u Ref) Ref {
 		bestSize = us
 	}
 	// care = l OR ¬u; don't-care region is u·¬l.
-	care := m.andRec(l.Complement(), u).Complement()
+	care := m.andRec(nil, l.Complement(), u, 1).Complement()
 	if care == One {
 		return best // no don't-cares: l == u
 	}
@@ -259,9 +259,9 @@ func (m *Manager) squeezeRec(l, u Ref) Ref {
 	var r Ref
 	// If the branch intervals intersect, drop the variable entirely:
 	// any g with l1+l0 ≤ g ≤ u1·u0 lies in both branch intervals.
-	meetL := m.andRec(l1.Complement(), l0.Complement()).Complement() // l1 OR l0
-	meetU := m.andRec(u1, u0)
-	if m.leqRec(meetL, meetU) {
+	meetL := m.andRec(nil, l1.Complement(), l0.Complement(), 1).Complement() // l1 OR l0
+	meetU := m.andRec(nil, u1, u0, 1)
+	if m.leqRec(nil, meetL, meetU) {
 		r = m.squeezeRec(meetL, meetU)
 	} else {
 		t := m.squeezeRec(l1, u1)

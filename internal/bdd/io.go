@@ -271,7 +271,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 			release()
 			return nil, err
 		}
-		byID = append(byID, m.iteRec(m.IthVar(v), hi, lo, 1))
+		byID = append(byID, m.iteRec(nil, m.IthVar(v), hi, lo, 1))
 		filled = i
 	}
 	var nroots int

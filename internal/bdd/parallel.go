@@ -1,11 +1,12 @@
 package bdd
 
 // Parallel engine: lock-striped shared tables plus a work-stealing fork/join
-// layer, gated by Config.Workers. With Workers <= 1 the manager runs the
-// original single-threaded code paths untouched (bit-identical behaviour,
-// which the differential oracle depends on). With Workers > 1 the manager
-// becomes safe for concurrent public operations and splits large recursions
-// across cores.
+// layer, gated by Config.Workers. The kernel recursions (ite.go, quant.go)
+// are written once over a worker context; this file holds what a non-nil
+// worker brings to them. With Workers <= 1 every operation runs with a nil
+// worker: plain reference counts, the unstriped cache, no checkpoint and no
+// fork. With Workers > 1 the manager becomes safe for concurrent public
+// operations and splits large recursions across cores.
 //
 // Concurrency architecture (see DESIGN.md "Parallel engine" for the long
 // form):
@@ -13,7 +14,7 @@ package bdd
 //   - opLease (RWMutex): every public operation holds the read side for its
 //     whole duration. Reordering, Save/Load, DebugCheck, and the other
 //     serial-only algorithms take the write side, so they observe a fully
-//     quiescent manager and can run the unmodified serial code.
+//     quiescent manager and run the kernels with a nil worker.
 //   - memBarrier: a cooperative stop-the-world latch *within* operations.
 //     Garbage collection, arena growth, and computed-cache resizing need
 //     every in-flight recursion parked at a safe point (not finished, just
@@ -99,7 +100,7 @@ const (
 	taskDone
 )
 
-// Task kinds (which parallel recursion a stolen task runs).
+// Task kinds (which kernel recursion a stolen task runs).
 const (
 	taskAnd uint8 = iota
 	taskXor
@@ -233,9 +234,9 @@ func (w *parWorker) yield() {
 }
 
 // checkpoint is the safe-point poll placed at recursion entries: one atomic
-// load in the common case.
+// load in the common case, nothing for a nil (serial) worker.
 func (w *parWorker) checkpoint() {
-	if w.e.mem.stwFlag.Load() {
+	if w != nil && w.e.mem.stwFlag.Load() {
 		w.yield()
 	}
 }
@@ -500,8 +501,11 @@ func (m *Manager) exclusiveCause(cause stwCause, fn func()) {
 		e.syncExit(m)
 		e.statsMu.Unlock()
 		e.leaseHeldSince.Store(0)
+		// Read the pause before unlocking: once the lease is free the
+		// next section's pause starts, and the two must not overlap.
+		pause := time.Since(held)
 		e.opLease.Unlock()
-		e.recordSTW(cause, wait, time.Since(held))
+		e.recordSTW(cause, wait, pause)
 	}()
 	fn()
 }
@@ -585,11 +589,6 @@ func (m *Manager) refParIndex(idx int32) {
 			return
 		}
 	}
-}
-
-func (m *Manager) refPar(f Ref) Ref {
-	m.refParIndex(f.index())
-	return f
 }
 
 // derefParIndex atomically drops one reference. A 1->0 transition records
@@ -825,15 +824,15 @@ func (e *parEngine) runStolen(w *parWorker, t *parTask, haveLease bool) {
 func (m *Manager) runTaskBody(w *parWorker, t *parTask) Ref {
 	switch t.kind {
 	case taskAnd:
-		return m.parAndRec(w, t.f, t.g, t.depth)
+		return m.andRec(w, t.f, t.g, t.depth)
 	case taskXor:
-		return m.parXorRec(w, t.f, t.g, t.depth)
+		return m.xorRec(w, t.f, t.g, t.depth)
 	case taskIte:
-		return m.parIteRec(w, t.f, t.g, t.h, t.depth)
+		return m.iteRec(w, t.f, t.g, t.h, t.depth)
 	case taskExists:
-		return m.parExistsRec(w, t.f, t.g, t.depth)
+		return m.existsRec(w, t.f, t.g, t.depth)
 	default: // taskAndExists
-		return m.parAndExistsRec(w, t.f, t.g, t.h, t.depth)
+		return m.andExistsRec(w, t.f, t.g, t.h, t.depth)
 	}
 }
 
@@ -855,9 +854,10 @@ func (w *parWorker) fork(kind uint8, f, g, h Ref, depth int32) *parTask {
 	return t
 }
 
-// shouldFork is the granularity test at a fork site.
+// shouldFork is the granularity test at a fork site; a nil (serial) worker
+// never forks.
 func (w *parWorker) shouldFork(depth int32) bool {
-	return depth < parForkDepth && !w.ctx.aborted.Load()
+	return w != nil && depth < parForkDepth && !w.ctx.aborted.Load()
 }
 
 // join retrieves a forked task's result, running it inline when it has not
@@ -1107,7 +1107,7 @@ func (w *parWorker) putBackSlot(idx int32) {
 // insertion race loser returns its slot to the private chunk).
 func (m *Manager) makeNodePar(w *parWorker, level int32, hi, lo Ref) Ref {
 	if hi == lo {
-		return m.refPar(hi)
+		return m.refW(w, hi)
 	}
 	complement := hi.IsComplement()
 	if complement {
@@ -1198,7 +1198,7 @@ func (e *parEngine) cacheStripe(set uint32) *padMutex {
 }
 
 // cacheLookupPar probes the computed table under the set's stripe lock. A
-// hit result may be dead; callers revive it (refPar) while still holding
+// hit result may be dead; callers revive it (refW) while still holding
 // the memory lease. w may be nil (workerless callers); stats then go to the
 // engine's atomic side counters.
 func (m *Manager) cacheLookupPar(w *parWorker, op uint32, a, b, c Ref) (Ref, bool) {

@@ -257,12 +257,14 @@ func (e *parEngine) recordSTW(cause stwCause, wait, pause time.Duration) {
 	}
 }
 
-// stwTotals sums the per-cause counters (for Stats snapshots).
-func (e *parEngine) stwTotals() (count int64, total time.Duration) {
+// stwTotals sums the per-cause counts and pauses (for Stats snapshots).
+// Waits are left out: concurrent initiators wait through each other's
+// pauses, so summing them would count the same wall time more than once.
+func (e *parEngine) stwTotals() (count int64, pause time.Duration) {
 	var ns int64
 	for i := range e.stw {
 		count += e.stw[i].count.Load()
-		ns += e.stw[i].waitNS.Load() + e.stw[i].pauseNS.Load()
+		ns += e.stw[i].pauseNS.Load()
 	}
 	return count, time.Duration(ns)
 }

@@ -191,7 +191,8 @@ func TestParTelemetrySerialManager(t *testing.T) {
 }
 
 // TestSTWAccounting checks that stop-the-world epochs land in the per-cause
-// totals, in Stats, and at a ParObserver.
+// totals, in Stats, and at a ParObserver, and that Stats.STWTime never
+// exceeds the wall time its epochs span.
 func TestSTWAccounting(t *testing.T) {
 	obs := &parTestObserver{}
 	withObserver(t, obs)
@@ -236,6 +237,30 @@ func TestSTWAccounting(t *testing.T) {
 	if !seen["gc"] || !seen["debug_check"] {
 		t.Errorf("ParObserver saw causes %v, want gc and debug_check", seen)
 	}
+
+	// Concurrent initiators wait through each other's pauses. Only the
+	// pauses are summed, and write-lease epochs never overlap, so the
+	// total stays within the wall time the initiators span.
+	m2 := newPar(t, 16, 2)
+	g := buildAdder(m2, 8)
+	base := m2.Stats().STWTime
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 3; j++ {
+				m2.Reorder(ReorderSift, SiftConfig{})
+			}
+		}()
+	}
+	wg.Wait()
+	wall := time.Since(start)
+	if got := m2.Stats().STWTime - base; got > wall {
+		t.Errorf("Stats().STWTime grew by %v over %v of wall time", got, wall)
+	}
+	m2.Deref(g)
 }
 
 // TestStallWatchdogFires wedges the write lease on purpose and checks the

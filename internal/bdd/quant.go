@@ -2,15 +2,19 @@ package bdd
 
 // Quantification and the relational product. Sets of variables to quantify
 // are passed as positive cubes: BDDs that are conjunctions of positive
-// literals, built with CubeFromVars.
+// literals, built with CubeFromVars. The recursions take the operation's
+// worker like the connectives in ite.go.
 
 // CubeFromVars returns the conjunction of the projection functions of the
 // given variable indices (a positive cube). An empty set yields One.
-func (m *Manager) CubeFromVars(vars []int) Ref {
-	if m.par != nil {
-		return m.parCubeFromVars(vars)
-	}
-	// Build bottom-up in level order so each makeNode is O(1).
+func (m *Manager) CubeFromVars(vars []int) (r Ref) {
+	m.run(opcCube, false, func(w *parWorker) { r = m.cube(w, vars) })
+	return r
+}
+
+// cube builds the positive cube of vars bottom-up in level order, so each
+// node creation is O(1).
+func (m *Manager) cube(w *parWorker, vars []int) Ref {
 	levels := make([]int32, 0, len(vars))
 	for _, v := range vars {
 		levels = append(levels, m.varToLev[v])
@@ -26,8 +30,8 @@ func (m *Manager) CubeFromVars(vars []int) Ref {
 		if i < len(levels)-1 && levels[i] == levels[i+1] {
 			continue // duplicate variable
 		}
-		nr := m.makeNode(levels[i], r, Zero)
-		m.derefS(r)
+		nr := m.makeNodeW(w, levels[i], r, Zero)
+		m.derefIndexW(w, r.index())
 		r = nr
 	}
 	return r
@@ -43,12 +47,9 @@ func (m *Manager) Exists(f Ref, vars []int) Ref {
 
 // ExistsCube returns ∃cube. f where cube is a positive cube of the
 // variables to abstract.
-func (m *Manager) ExistsCube(f, cube Ref) Ref {
-	if m.par != nil {
-		return m.parExistsCube(f, cube)
-	}
-	m.maybeReorder()
-	return m.existsRec(f, cube)
+func (m *Manager) ExistsCube(f, cube Ref) (r Ref) {
+	m.run(opcExists, true, func(w *parWorker) { r = m.existsRec(w, f, cube, 1) })
+	return r
 }
 
 // ForAll returns ∀vars. f.
@@ -59,23 +60,14 @@ func (m *Manager) ForAll(f Ref, vars []int) Ref {
 	return r
 }
 
-// ForAllCube returns ∀cube. f.
-func (m *Manager) ForAllCube(f, cube Ref) Ref {
-	if m.par != nil {
-		return m.parExistsCube(f.Complement(), cube).Complement()
-	}
-	m.maybeReorder()
-	return m.existsRec(f.Complement(), cube).Complement()
-}
+// ForAllCube returns ∀cube. f, computed as ¬∃cube. ¬f.
+func (m *Manager) ForAllCube(f, cube Ref) Ref { return m.ExistsCube(f.Complement(), cube).Complement() }
 
 // AndExists returns ∃cube. (f AND g) without building f AND g first — the
 // relational-product operation at the heart of image computation.
-func (m *Manager) AndExists(f, g, cube Ref) Ref {
-	if m.par != nil {
-		return m.parAndExists(f, g, cube)
-	}
-	m.maybeReorder()
-	return m.andExistsRec(f, g, cube)
+func (m *Manager) AndExists(f, g, cube Ref) (r Ref) {
+	m.run(opcAndExists, true, func(w *parWorker) { r = m.andExistsRec(w, f, g, cube, 1) })
+	return r
 }
 
 // skipCube advances cube past quantified variables that sit above level
@@ -87,89 +79,97 @@ func (m *Manager) skipCube(cube Ref, lev int32) Ref {
 	return cube
 }
 
-func (m *Manager) existsRec(f, cube Ref) Ref {
+func (m *Manager) existsRec(w *parWorker, f, cube Ref, depth int32) Ref {
 	if f.IsConstant() || cube == One {
-		return m.refS(f)
+		return m.refW(w, f)
 	}
 	lev := m.nodes[f.index()].level
 	cube = m.skipCube(cube, lev)
 	if cube == One {
-		return m.refS(f)
+		return m.refW(w, f)
 	}
-	if r, ok := m.cacheLookup(opExists, f, cube, 0); ok {
-		return m.refS(r)
+	w.checkpoint()
+	if r, ok := m.cacheLookupW(w, opExists, f, cube, 0); ok {
+		return m.refW(w, r)
 	}
 	f1, f0 := m.cofs(f, lev)
-	var r Ref
-	if m.nodes[cube.index()].level == lev {
-		rest := m.nodes[cube.index()].hi
-		t := m.existsRec(f1, rest)
-		if t == One {
-			r = One
-		} else {
-			e := m.existsRec(f0, rest)
-			r = m.andRec(t.Complement(), e.Complement()).Complement() // t OR e
-			m.derefS(t)
-			m.derefS(e)
-		}
-	} else {
-		t := m.existsRec(f1, cube)
-		e := m.existsRec(f0, cube)
-		r = m.makeNode(lev, t, e)
-		m.derefS(t)
-		m.derefS(e)
+	quantified := m.nodes[cube.index()].level == lev
+	next := cube
+	if quantified {
+		next = m.nodes[cube.index()].hi
 	}
-	m.cacheInsert(opExists, f, cube, 0, r)
+	var t Ref
+	e := One // kept only when t == One already decides the OR
+	if w.shouldFork(depth) && !f0.IsConstant() {
+		task := w.fork(taskExists, f0, next, 0, depth+1)
+		t = m.existsRec(w, f1, next, depth+1)
+		e = m.join(w, task)
+	} else if t = m.existsRec(w, f1, next, depth+1); !quantified || t != One {
+		e = m.existsRec(w, f0, next, depth+1)
+	}
+	var r Ref
+	if quantified {
+		r = m.andRec(w, t.Complement(), e.Complement(), depth+1).Complement() // t OR e
+	} else {
+		r = m.makeNodeW(w, lev, t, e)
+	}
+	m.derefIndexW(w, t.index())
+	m.derefIndexW(w, e.index())
+	m.cacheInsertW(w, opExists, f, cube, 0, r)
 	return r
 }
 
-func (m *Manager) andExistsRec(f, g, cube Ref) Ref {
+func (m *Manager) andExistsRec(w *parWorker, f, g, cube Ref, depth int32) Ref {
 	// Terminal cases.
 	if f == Zero || g == Zero || f == g.Complement() {
 		return Zero
 	}
 	if f == g {
-		return m.existsRec(f, cube)
+		return m.existsRec(w, f, cube, depth)
 	}
 	if f == One {
-		return m.existsRec(g, cube)
+		return m.existsRec(w, g, cube, depth)
 	}
 	if g == One {
-		return m.existsRec(f, cube)
+		return m.existsRec(w, f, cube, depth)
 	}
 	lev := m.top2(f, g)
 	cube = m.skipCube(cube, lev)
 	if cube == One {
-		return m.andRec(f, g)
+		return m.andRec(w, f, g, depth)
 	}
 	if f > g {
 		f, g = g, f
 	}
-	if r, ok := m.cacheLookup(opAndExists, f, g, cube); ok {
-		return m.refS(r)
+	w.checkpoint()
+	if r, ok := m.cacheLookupW(w, opAndExists, f, g, cube); ok {
+		return m.refW(w, r)
 	}
 	f1, f0 := m.cofs(f, lev)
 	g1, g0 := m.cofs(g, lev)
-	var r Ref
-	if m.nodes[cube.index()].level == lev {
-		rest := m.nodes[cube.index()].hi
-		t := m.andExistsRec(f1, g1, rest)
-		if t == One {
-			r = One
-		} else {
-			e := m.andExistsRec(f0, g0, rest)
-			r = m.andRec(t.Complement(), e.Complement()).Complement()
-			m.derefS(t)
-			m.derefS(e)
-		}
-	} else {
-		t := m.andExistsRec(f1, g1, cube)
-		e := m.andExistsRec(f0, g0, cube)
-		r = m.makeNode(lev, t, e)
-		m.derefS(t)
-		m.derefS(e)
+	quantified := m.nodes[cube.index()].level == lev
+	next := cube
+	if quantified {
+		next = m.nodes[cube.index()].hi
 	}
-	m.cacheInsert(opAndExists, f, g, cube, r)
+	var t Ref
+	e := One // kept only when t == One already decides the OR
+	if w.shouldFork(depth) && !f0.IsConstant() && !g0.IsConstant() {
+		task := w.fork(taskAndExists, f0, g0, next, depth+1)
+		t = m.andExistsRec(w, f1, g1, next, depth+1)
+		e = m.join(w, task)
+	} else if t = m.andExistsRec(w, f1, g1, next, depth+1); !quantified || t != One {
+		e = m.andExistsRec(w, f0, g0, next, depth+1)
+	}
+	var r Ref
+	if quantified {
+		r = m.andRec(w, t.Complement(), e.Complement(), depth+1).Complement() // t OR e
+	} else {
+		r = m.makeNodeW(w, lev, t, e)
+	}
+	m.derefIndexW(w, t.index())
+	m.derefIndexW(w, e.index())
+	m.cacheInsertW(w, opAndExists, f, g, cube, r)
 	return r
 }
 
@@ -177,69 +177,68 @@ func (m *Manager) andExistsRec(f, g, cube Ref) Ref {
 // perm must be a permutation of 0..NumVars-1 (entries for variables outside
 // f's support are ignored). A per-call memo table is used because the cache
 // key would otherwise have to identify perm.
-func (m *Manager) Permute(f Ref, perm []int) Ref {
-	if m.par != nil {
-		return m.parPermute(f, perm)
-	}
-	memo := make(map[Ref]Ref)
-	r := m.permuteRec(f, perm, memo)
-	// The memo owns one reference per entry; the result picked up an
-	// extra one to survive the release below.
-	m.refS(r)
-	for _, v := range memo {
-		m.derefS(v)
-	}
+func (m *Manager) Permute(f Ref, perm []int) (r Ref) {
+	m.run(opcPermute, false, func(w *parWorker) {
+		memo := make(map[Ref]Ref)
+		r = m.permuteRec(w, f, perm, memo)
+		// The memo owns one reference per entry; the result picked up an
+		// extra one to survive the release below.
+		m.refW(w, r)
+		for _, v := range memo {
+			m.derefIndexW(w, v.index())
+		}
+	})
 	return r
 }
 
-func (m *Manager) permuteRec(f Ref, perm []int, memo map[Ref]Ref) Ref {
+func (m *Manager) permuteRec(w *parWorker, f Ref, perm []int, memo map[Ref]Ref) Ref {
 	if f.IsConstant() {
 		return f
 	}
 	if r, ok := memo[f]; ok {
 		return r
 	}
+	w.checkpoint()
 	v := m.Var(f)
-	t := m.permuteRec(m.Hi(f), perm, memo)
-	e := m.permuteRec(m.Lo(f), perm, memo)
+	t := m.permuteRec(w, m.Hi(f), perm, memo)
+	e := m.permuteRec(w, m.Lo(f), perm, memo)
 	// The new variable may sit anywhere in the order, so compose with ITE
 	// rather than makeNode.
-	r := m.iteRec(m.vars[perm[v]], t, e, 1)
+	r := m.iteRec(w, m.vars[perm[v]], t, e, 1)
 	memo[f] = r
 	return r
 }
 
 // Compose returns f with variable v substituted by function g.
-func (m *Manager) Compose(f Ref, v int, g Ref) Ref {
-	if m.par != nil {
-		return m.parCompose(f, v, g)
-	}
-	return m.composeRec(f, m.varToLev[v], g)
+func (m *Manager) Compose(f Ref, v int, g Ref) (r Ref) {
+	m.run(opcCompose, false, func(w *parWorker) { r = m.composeRec(w, f, m.varToLev[v], g) })
+	return r
 }
 
-func (m *Manager) composeRec(f Ref, lev int32, g Ref) Ref {
+func (m *Manager) composeRec(w *parWorker, f Ref, lev int32, g Ref) Ref {
 	fl := m.nodes[f.index()].level
 	if fl > lev {
-		return m.refS(f) // v not in f's remaining support
+		return m.refW(w, f) // v not in f's remaining support
 	}
-	if r, ok := m.cacheLookup(opCompose, f, g, Ref(lev)); ok {
-		return m.refS(r)
+	w.checkpoint()
+	if r, ok := m.cacheLookupW(w, opCompose, f, g, Ref(lev)); ok {
+		return m.refW(w, r)
 	}
 	var r Ref
 	if fl == lev {
 		f1, f0 := m.cofs(f, lev)
-		r = m.iteRec(g, f1, f0, 1)
+		r = m.iteRec(w, g, f1, f0, 1)
 	} else {
 		f1, f0 := m.cofs(f, fl)
-		t := m.composeRec(f1, lev, g)
-		e := m.composeRec(f0, lev, g)
+		t := m.composeRec(w, f1, lev, g)
+		e := m.composeRec(w, f0, lev, g)
 		// The top variable of f stays in place; g may contain
 		// variables above it, in which case ITE is required.
 		v := m.vars[m.levToVar[fl]]
-		r = m.iteRec(v, t, e, 1)
-		m.derefS(t)
-		m.derefS(e)
+		r = m.iteRec(w, v, t, e, 1)
+		m.derefIndexW(w, t.index())
+		m.derefIndexW(w, e.index())
 	}
-	m.cacheInsert(opCompose, f, g, Ref(lev), r)
+	m.cacheInsertW(w, opCompose, f, g, Ref(lev), r)
 	return r
 }

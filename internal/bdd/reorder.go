@@ -14,8 +14,10 @@ import (
 //
 // The Table 1 experiments of the paper run with dynamic reordering always
 // on; clients get the same effect by enabling auto-reordering, which
-// triggers at the entry of node-creating operations once the live node
-// count crosses a threshold.
+// triggers at the entry of an operation once the live node count crosses a
+// threshold. One rule covers both engines: every binary Boolean
+// connective, ITE and quantifier takes the hook; Not (a free complement),
+// Leq, Compose, Permute and CubeFromVars do not.
 
 // ReorderMethod selects a reordering algorithm.
 type ReorderMethod int
@@ -38,9 +40,11 @@ type SiftConfig struct {
 	MaxGrowth float64
 }
 
-// EnableAutoReorder arms automatic sifting: whenever a node-creating
-// operation starts and the live node count exceeds threshold, the manager
-// sifts and doubles the threshold. Refs held by callers stay valid.
+// EnableAutoReorder arms automatic sifting: whenever a hooked operation
+// starts and the live node count exceeds threshold, the manager sifts and
+// doubles the threshold. Refs held by callers stay valid. At any worker
+// count the hooked operations are every binary Boolean connective, ITE and
+// quantifier; Not, Leq, Compose, Permute and CubeFromVars never reorder.
 func (m *Manager) EnableAutoReorder(threshold int) {
 	m.exclusive(func() {
 		if threshold > 0 {
@@ -94,9 +98,27 @@ func (m *Manager) syncReorderMirrors() {
 // saves (CUDD bounds automatic sifting the same way).
 const autoSiftMaxVars = 64
 
-// maybeReorder is called at the entry of public node-creating operations
-// (serial path; parallel operations use parMaybeReorder).
+// maybeReorder is the auto-reorder hook run at the entry of the hooked
+// operations (see EnableAutoReorder). On a parallel manager the fast path
+// reads two atomics; arming takes the write lease and re-checks, then sifts
+// the quiescent manager. That epoch is attributed to the reorder cause even
+// when the re-check declines: the exclusion really happened and operations
+// really waited.
 func (m *Manager) maybeReorder() {
+	e := m.par
+	if e == nil {
+		m.autoSift()
+		return
+	}
+	if !e.autoReorderA.Load() || e.liveApprox() <= e.reorderThresholdA.Load() {
+		return
+	}
+	m.exclusiveCause(stwReorder, m.autoSift)
+}
+
+// autoSift sifts once and doubles the threshold when automatic reordering
+// is armed and the live count exceeds it. Callers own a quiescent manager.
+func (m *Manager) autoSift() {
 	if m.autoReorder && m.liveCount > m.reorderThreshold {
 		m.reorderNow(ReorderSift, SiftConfig{MaxVars: autoSiftMaxVars})
 		next := 2 * m.liveCount

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -208,46 +209,66 @@ func randFromTrees(m *Manager, rng *rand.Rand, n, d int) Ref {
 	return r
 }
 
-// TestForAllCubeTriggersAutoReorder is the regression test for the missing
-// maybeReorder entry hook: a loop doing nothing but ForAllCube on an
-// over-threshold manager must still trip automatic sifting, like every
-// other public node-creating operation.
+// TestForAllCubeTriggersAutoReorder is the regression test for operations
+// that skipped the maybeReorder entry hook: ForAllCube on both engines, and
+// Nand, Nor, Xnor, Implies and Diff on a Workers=1 manager. A loop doing
+// nothing but one of them on an over-threshold manager must trip automatic
+// sifting at every worker count, like every other hooked operation.
 func TestForAllCubeTriggersAutoReorder(t *testing.T) {
-	const k = 6
-	m := New(2 * k)
-	// Build a function whose live count exceeds the threshold while auto
-	// reordering is still off, plus the cubes to quantify, so the only
-	// operation that can possibly trigger a reorder below is ForAllCube.
-	f := Zero
-	for i := 0; i < k; i++ {
-		p := m.And(m.IthVar(i), m.IthVar(k+i))
-		nf := m.Or(f, p)
-		m.Deref(p)
-		m.Deref(f)
-		f = nf
+	ops := []struct {
+		name string
+		op   func(m *Manager, f, g Ref) Ref
+	}{
+		{"ForAllCube", (*Manager).ForAllCube},
+		{"Nand", (*Manager).Nand},
+		{"Nor", (*Manager).Nor},
+		{"Xnor", (*Manager).Xnor},
+		{"Implies", (*Manager).Implies},
+		{"Diff", (*Manager).Diff},
 	}
-	cubes := make([]Ref, k)
-	for i := range cubes {
-		cubes[i] = m.CubeFromVars([]int{i, k + i})
-	}
-	m.EnableAutoReorder(1) // live count is already far above this
-	before := m.Stats().Reorderings
-	for _, cube := range cubes {
-		m.Deref(m.ForAllCube(f, cube))
-	}
-	if m.Stats().Reorderings == before {
-		t.Fatal("ForAllCube never entered maybeReorder on an over-threshold manager")
-	}
-	// The quantification results must be unaffected by the sifting.
-	m.DisableAutoReorder()
-	g := m.ForAllCube(f, cubes[0])
-	want := m.ForAll(f, []int{0, k})
-	if g != want {
-		t.Fatal("ForAllCube result diverges from ForAll over the same variables")
-	}
-	m.Deref(g)
-	m.Deref(want)
-	if err := m.DebugCheck(); err != nil {
-		t.Fatal(err)
+	for _, tc := range ops {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				const k = 6
+				m := newPar(t, 2*k, workers)
+				// Build a function whose live count exceeds the threshold
+				// while auto reordering is still off, plus the cubes used
+				// as second operands, so the only operation that can
+				// possibly trigger a reorder below is tc.op.
+				f := Zero
+				for i := 0; i < k; i++ {
+					p := m.And(m.IthVar(i), m.IthVar(k+i))
+					nf := m.Or(f, p)
+					m.Deref(p)
+					m.Deref(f)
+					f = nf
+				}
+				cubes := make([]Ref, k)
+				for i := range cubes {
+					cubes[i] = m.CubeFromVars([]int{i, k + i})
+				}
+				want := tc.op(m, f, cubes[0])
+				m.EnableAutoReorder(1) // live count is already far above this
+				before := m.Stats().Reorderings
+				for _, cube := range cubes {
+					m.Deref(tc.op(m, f, cube))
+				}
+				if m.Stats().Reorderings == before {
+					t.Fatalf("%s never entered maybeReorder on an over-threshold manager", tc.name)
+				}
+				// Refs survive sifting and stay canonical, so recomputing
+				// the first result must land on the same Ref.
+				m.DisableAutoReorder()
+				got := tc.op(m, f, cubes[0])
+				if got != want {
+					t.Fatalf("%s result changed across sifting", tc.name)
+				}
+				m.Deref(got)
+				m.Deref(want)
+				if err := m.DebugCheck(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

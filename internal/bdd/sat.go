@@ -131,7 +131,7 @@ func (m *Manager) CubeToRef(cube []int8) Ref {
 			if cube[v] == LitNeg {
 				lit = lit.Complement()
 			}
-			nr := m.andRec(r, lit)
+			nr := m.andRec(nil, r, lit, 1)
 			m.derefS(r)
 			r = nr
 		}

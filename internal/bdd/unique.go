@@ -60,7 +60,14 @@ func hash3(level int32, hi, lo Ref) uint32 {
 // Contract: hi and lo must be alive (the caller owns references on them, or
 // they are permanent). The returned Ref carries one reference owned by the
 // caller.
-func (m *Manager) makeNode(level int32, hi, lo Ref) Ref {
+func (m *Manager) makeNode(level int32, hi, lo Ref) Ref { return m.makeNodeW(nil, level, hi, lo) }
+
+// makeNodeW is makeNode on behalf of worker w; a nil worker (serial manager
+// or exclusive section) runs the serial body.
+func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
+	if w != nil {
+		return m.makeNodePar(w, level, hi, lo)
+	}
 	if hi == lo {
 		return m.refS(hi)
 	}

@@ -139,125 +139,131 @@ func FuzzITESequence(f *testing.F) {
 }
 
 // iteSequenceBody is the FuzzITESequence harness, split out so ordinary
-// tests can drive it with chosen inputs.
+// tests can drive it with chosen inputs. Each input runs on a Workers=1
+// manager and then on a Workers=2 one, so fuzzing reaches the atomic,
+// striped and forking primitives the kernel recursions call on a worker.
 func iteSequenceBody(t testing.TB, data []byte) {
-	{
-		const nv = 6
-		if len(data) > 512 {
-			data = data[:512]
+	if len(data) > 512 {
+		data = data[:512]
+	}
+	for _, workers := range []int{1, 2} {
+		iteSequenceRun(t, data, workers)
+	}
+}
+
+func iteSequenceRun(t testing.TB, data []byte, workers int) {
+	const nv = 6
+	// A tiny pinned computed table keeps each exec fast: DebugCheck
+	// scans the whole cache, and at the default 2^18 entries that scan
+	// would dominate the harness and starve the fuzzer of throughput.
+	m := bdd.NewWithConfig(nv, bdd.Config{CacheBits: 8, CacheMaxBits: 8, Workers: workers})
+	m.EnableAutoReorder(64)
+	vars := make([]int, nv)
+	for i := range vars {
+		vars[i] = i
+	}
+	pool := make([]poolEntry, 0, 16)
+	for v := 0; v < nv; v++ {
+		tab := NewTable(vars)
+		for i := 0; i < tab.Len(); i++ {
+			tab.Set(i, i>>uint(v)&1 == 1)
 		}
-		// A tiny pinned computed table keeps each exec fast: DebugCheck
-		// scans the whole cache, and at the default 2^18 entries that scan
-		// would dominate the harness and starve the fuzzer of throughput.
-		m := bdd.NewWithConfig(nv, bdd.Config{CacheBits: 8, CacheMaxBits: 8})
-		m.EnableAutoReorder(64)
-		vars := make([]int, nv)
-		for i := range vars {
-			vars[i] = i
-		}
-		pool := make([]poolEntry, 0, 16)
-		for v := 0; v < nv; v++ {
-			tab := NewTable(vars)
-			for i := 0; i < tab.Len(); i++ {
-				tab.Set(i, i>>uint(v)&1 == 1)
+		pool = append(pool, poolEntry{ref: m.Ref(m.IthVar(v)), table: tab})
+	}
+	verify := func(r bdd.Ref, want Table) {
+		a := make([]bool, nv)
+		for i := 0; i < want.Len(); i++ {
+			for j := 0; j < nv; j++ {
+				a[j] = i>>uint(j)&1 == 1
 			}
-			pool = append(pool, poolEntry{ref: m.Ref(m.IthVar(v)), table: tab})
-		}
-		verify := func(r bdd.Ref, want Table) {
-			a := make([]bool, nv)
-			for i := 0; i < want.Len(); i++ {
-				for j := 0; j < nv; j++ {
-					a[j] = i>>uint(j)&1 == 1
-				}
-				if Eval(m, r, a) != want.Get(i) {
-					t.Fatalf("operation diverges from shadow semantics at %s", formatAssignment(a, vars))
-				}
-			}
-		}
-		pos := 0
-		next := func() int {
-			if pos >= len(data) {
-				return 0
-			}
-			b := data[pos]
-			pos++
-			return int(b)
-		}
-		for pos < len(data) {
-			op := next()
-			var (
-				r        bdd.Ref
-				want     Table
-				produced bool
-			)
-			switch op % 8 {
-			case 0:
-				x, y, z := pool[next()%len(pool)], pool[next()%len(pool)], pool[next()%len(pool)]
-				r = m.ITE(x.ref, y.ref, z.ref)
-				want = x.table.Ite(y.table, z.table)
-				produced = true
-			case 1:
-				x, y := pool[next()%len(pool)], pool[next()%len(pool)]
-				r = m.And(x.ref, y.ref)
-				want = x.table.And(y.table)
-				produced = true
-			case 2:
-				x, y := pool[next()%len(pool)], pool[next()%len(pool)]
-				r = m.Xor(x.ref, y.ref)
-				want = x.table.Xor(y.table)
-				produced = true
-			case 3:
-				x := pool[next()%len(pool)]
-				r = m.Ref(x.ref.Complement())
-				want = x.table.Not()
-				produced = true
-			case 4:
-				x := pool[next()%len(pool)]
-				v := next() % nv
-				if op>>3&1 == 0 {
-					r = m.Exists(x.ref, []int{v})
-					want = x.table.Quant(v, false)
-				} else {
-					r = m.ForAll(x.ref, []int{v})
-					want = x.table.Quant(v, true)
-				}
-				produced = true
-			case 5:
-				x, y := pool[next()%len(pool)], pool[next()%len(pool)]
-				v := next() % nv
-				r = m.Compose(x.ref, v, y.ref)
-				want = x.table.Compose(v, y.table)
-				produced = true
-			case 6:
-				m.GarbageCollect()
-			default:
-				m.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
-			}
-			if produced {
-				verify(r, want)
-				if len(pool) < cap(pool) {
-					pool = append(pool, poolEntry{ref: r, table: want})
-				} else {
-					slot := &pool[next()%len(pool)]
-					m.Deref(slot.ref)
-					slot.ref, slot.table = r, want
-				}
-			}
-			if pos&7 == 0 {
-				if err := m.DebugCheck(); err != nil {
-					t.Fatalf("DebugCheck after byte %d: %v", pos, err)
-				}
+			if Eval(m, r, a) != want.Get(i) {
+				t.Fatalf("workers=%d: operation diverges from shadow semantics at %s", workers, formatAssignment(a, vars))
 			}
 		}
-		for i := range pool {
-			m.Deref(pool[i].ref)
+	}
+	pos := 0
+	next := func() int {
+		if pos >= len(data) {
+			return 0
 		}
-		m.GarbageCollect()
-		if got := m.ReferencedNodeCount(); got != nv {
-			t.Fatalf("%d nodes stay referenced after release, want %d", got, nv)
+		b := data[pos]
+		pos++
+		return int(b)
+	}
+	for pos < len(data) {
+		op := next()
+		var (
+			r        bdd.Ref
+			want     Table
+			produced bool
+		)
+		switch op % 8 {
+		case 0:
+			x, y, z := pool[next()%len(pool)], pool[next()%len(pool)], pool[next()%len(pool)]
+			r = m.ITE(x.ref, y.ref, z.ref)
+			want = x.table.Ite(y.table, z.table)
+			produced = true
+		case 1:
+			x, y := pool[next()%len(pool)], pool[next()%len(pool)]
+			r = m.And(x.ref, y.ref)
+			want = x.table.And(y.table)
+			produced = true
+		case 2:
+			x, y := pool[next()%len(pool)], pool[next()%len(pool)]
+			r = m.Xor(x.ref, y.ref)
+			want = x.table.Xor(y.table)
+			produced = true
+		case 3:
+			x := pool[next()%len(pool)]
+			r = m.Ref(x.ref.Complement())
+			want = x.table.Not()
+			produced = true
+		case 4:
+			x := pool[next()%len(pool)]
+			v := next() % nv
+			if op>>3&1 == 0 {
+				r = m.Exists(x.ref, []int{v})
+				want = x.table.Quant(v, false)
+			} else {
+				r = m.ForAll(x.ref, []int{v})
+				want = x.table.Quant(v, true)
+			}
+			produced = true
+		case 5:
+			x, y := pool[next()%len(pool)], pool[next()%len(pool)]
+			v := next() % nv
+			r = m.Compose(x.ref, v, y.ref)
+			want = x.table.Compose(v, y.table)
+			produced = true
+		case 6:
+			m.GarbageCollect()
+		default:
+			m.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
 		}
-		if err := m.DebugCheck(); err != nil {
-			t.Fatal(err)
+		if produced {
+			verify(r, want)
+			if len(pool) < cap(pool) {
+				pool = append(pool, poolEntry{ref: r, table: want})
+			} else {
+				slot := &pool[next()%len(pool)]
+				m.Deref(slot.ref)
+				slot.ref, slot.table = r, want
+			}
 		}
+		if pos&7 == 0 {
+			if err := m.DebugCheck(); err != nil {
+				t.Fatalf("workers=%d: DebugCheck after byte %d: %v", workers, pos, err)
+			}
+		}
+	}
+	for i := range pool {
+		m.Deref(pool[i].ref)
+	}
+	m.GarbageCollect()
+	if got := m.ReferencedNodeCount(); got != nv {
+		t.Fatalf("workers=%d: %d nodes stay referenced after release, want %d", workers, got, nv)
+	}
+	if err := m.DebugCheck(); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 }

@@ -44,7 +44,7 @@ func TestSerialStressOnParallelManager(t *testing.T) {
 }
 
 // TestWorkersDeterminism: the parallel engine must compute the same
-// functions as the serial reference engine across the expression corpus,
+// functions as a Workers=1 manager across the expression corpus,
 // and rebuilding a function on the same parallel manager must return the
 // identical Ref (canonicity is scheduling-independent).
 func TestWorkersDeterminism(t *testing.T) {

@@ -35,10 +35,10 @@ type StressConfig struct {
 	// (default 256, low enough to fire many times per run).
 	ReorderThreshold int
 	// Workers configures the manager's parallel engine (default 0: the
-	// serial reference engine). The driver itself stays single-threaded,
-	// so with Workers > 1 it exercises the parallel entry points and the
-	// quiescence interop of GC/reorder/save-load without scheduling
-	// nondeterminism.
+	// package default, serial unless changed). The driver itself stays
+	// single-threaded, so with Workers > 1 it exercises the kernels on a
+	// parallel worker and the quiescence interop of GC/reorder/save-load
+	// without scheduling nondeterminism.
 	Workers int
 }
 

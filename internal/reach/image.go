@@ -66,7 +66,7 @@ type ImageStats struct {
 	// on the serial engine): the serial sections that bound the run's
 	// attainable speedup under Amdahl's law.
 	STWCount int64         // write-lease / stop-the-world epochs
-	STWTime  time.Duration // wait + pause summed over those epochs
+	STWTime  time.Duration // pauses summed over those epochs (waits excluded)
 
 	// Per-phase wall-time breakdown of the traversal, accumulated by the
 	// traversal loops and Image: where a Table 1 timing column actually

@@ -7,7 +7,7 @@ OBS_QUALITY_ADDR ?= 127.0.0.1:6172
 
 SERVE_ADDR ?= 127.0.0.1:6173
 
-.PHONY: check test vet build race fuzz-smoke gauntlet-smoke bench bench-save bench-cmp obs-smoke obs-par-smoke obs-quality-smoke profile-smoke serve-smoke
+.PHONY: check test vet build race fuzz-smoke gauntlet-smoke bench-save bench-cmp obs-smoke obs-par-smoke obs-quality-smoke profile-smoke serve-smoke
 
 ## check: vet, build, test everything, race-test the BDD core and the
 ## oracle stress driver, smoke the fuzz targets and the generator
@@ -23,9 +23,12 @@ check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke obs-par-smoke obs
 
 ## vet: static analysis plus race-testing the obs registry/tracer, whose
 ## lock-free fast paths no other target race-tests (`race` covers the BDD
-## core).
+## core). The benchmark in perfbench/ is a nested module that the root
+## `./...` never compiles, so it is vetted (and, in `test`, tested) on its
+## own: it calls the count, reach, approx and decomp APIs directly.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) test -race -count=1 ./internal/obs/...
 
 build:
@@ -33,6 +36,7 @@ build:
 
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test -short ./...
 
 ## race: the memory-model half of the parallel-engine checks — the BDD
 ## core's own tests, the oracle differential + concurrent stress drivers
@@ -70,20 +74,6 @@ gauntlet-smoke:
 	/tmp/bddkit-bddcount -family life -rows 3 -cols 3 -mode weighted -bias 0.25 >/dev/null
 	$(GO) run ./cmd/tables -table gauntlet >/dev/null
 	@echo "gauntlet-smoke OK"
-
-## bench: run the memory-subsystem benchmarks plus the two paper-level
-## benchmarks the cache overhaul is measured by; raw output lands in
-## BENCH_cache.txt and a parsed summary in BENCH_cache.json.
-bench:
-	$(GO) test ./internal/bdd -run XXX -bench 'BenchmarkCacheChurn|BenchmarkUniqueTable' -benchmem | tee BENCH_cache.txt
-	$(GO) test . -run XXX -bench 'BenchmarkITEMultiplier|BenchmarkTable1Reachability' | tee -a BENCH_cache.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}", $$1, $$2, $$3 \
-	  } \
-	  END { print "\n]" }' BENCH_cache.txt > BENCH_cache.json
-	@echo "wrote BENCH_cache.txt and BENCH_cache.json"
 
 ## bench-save: run Table 1 (small scale) and append a schema-versioned
 ## record to the benchmark trajectory file. Run twice (or on two commits)

@@ -20,12 +20,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"bddkit/internal/approx"
 	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
 	"bddkit/internal/cliutil"
+	"bddkit/internal/count"
 	"bddkit/internal/decomp"
 	"bddkit/internal/obs"
 	"bddkit/internal/prof"
@@ -109,7 +111,7 @@ func main() {
 
 	report := func(label string, g bdd.Ref) {
 		fmt.Printf("%-24s |f| = %-8d ||f|| = %-14.6g density = %.6g\n",
-			label, m.DagSize(g), m.CountMinterm(g, m.NumVars()), approx.Density(m, g))
+			label, m.DagSize(g), math.Ldexp(count.Fraction(m, g), m.NumVars()), approx.Density(m, g))
 	}
 
 	if *profile != "" && *profile != "text" && *profile != "json" {

@@ -79,12 +79,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	version := "v1 legacy"
-	if sum.Version > 0 {
-		version = fmt.Sprintf("schema v%d", sum.Version)
-	}
-	fmt.Printf("%s: %d lines OK (%d spans, %d events, %s)\n",
-		path, sum.Lines, sum.Spans, sum.Events, version)
+	fmt.Printf("%s: %d lines OK (%d spans, %d events, schema v%d)\n",
+		path, sum.Lines, sum.Spans, sum.Events, sum.Version)
 	if *quiet {
 		return
 	}

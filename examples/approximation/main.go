@@ -10,6 +10,7 @@ import (
 	"bddkit/internal/approx"
 	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
+	"bddkit/internal/count"
 	"bddkit/internal/model"
 )
 
@@ -27,8 +28,9 @@ func main() {
 
 	n := m.NumVars()
 	show := func(name string, g bdd.Ref) {
-		fmt.Printf("%-14s |g| = %-6d ||g|| = %-12.6g δ = %-10.4f g⇒f: %v\n",
-			name, m.DagSize(g), m.CountMinterm(g, n), approx.Density(m, g), m.Leq(g, f))
+		minterms, _ := count.Minterms(m, g, n)
+		fmt.Printf("%-14s |g| = %-6d ||g|| = %-12v δ = %-10.4f g⇒f: %v\n",
+			name, m.DagSize(g), minterms, approx.Density(m, g), m.Leq(g, f))
 	}
 	show("F (original)", f)
 

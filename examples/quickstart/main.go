@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 
+	"bddkit/internal/approx"
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 )
 
 func main() {
@@ -24,8 +26,9 @@ func main() {
 	m.Deref(xor)
 
 	fmt.Printf("|f|      = %d nodes\n", m.DagSize(f))
-	fmt.Printf("||f||    = %.0f of %d minterms\n", m.CountMinterm(f, 4), 1<<4)
-	fmt.Printf("density  = %.3f\n", m.Density(f, 4))
+	nf, _ := count.Minterms(m, f, 4) // exact, as a big.Int
+	fmt.Printf("||f||    = %v of %d minterms\n", nf, 1<<4)
+	fmt.Printf("density  = %.3f\n", approx.Density(m, f))
 	fmt.Printf("support  = %v\n", m.SupportVars(f))
 
 	// Evaluate under an assignment.
@@ -40,8 +43,8 @@ func main() {
 
 	// Quantification: ∃x3. f and the relational product.
 	ex := m.Exists(f, []int{3})
-	fmt.Printf("|∃x3.f| = %d nodes, ||∃x3.f|| = %.0f minterms\n",
-		m.DagSize(ex), m.CountMinterm(ex, 4))
+	nex, _ := count.Minterms(m, ex, 4)
+	fmt.Printf("|∃x3.f| = %d nodes, ||∃x3.f|| = %v minterms\n", m.DagSize(ex), nex)
 	m.Deref(ex)
 
 	// Generalized cofactor: restrict f to the care set x0.

@@ -1,6 +1,9 @@
 package approx
 
-import "bddkit/internal/bdd"
+import (
+	"bddkit/internal/bdd"
+	"bddkit/internal/count"
+)
 
 // BiasedUnderApprox is the bias-directed variant of remapUnderApprox
 // (CUDD's Cudd_BiasedUnderApprox, a descendant of the paper's algorithm):
@@ -42,6 +45,7 @@ func BiasedUnderApprox(m *bdd.Manager, f, bias bdd.Ref, threshold int, quality, 
 // portion of the bias set that can still reach it.
 func computeBiasFractions(in *info, f, bias bdd.Ref) map[uint32]float64 {
 	m := in.m
+	biasFr := count.NewFractions(m, bias)
 	out := make(map[uint32]float64)
 	type key struct {
 		f, b bdd.Ref
@@ -53,7 +57,7 @@ func computeBiasFractions(in *info, f, bias bdd.Ref) map[uint32]float64 {
 			return 0
 		}
 		if g == bdd.One {
-			return m.MintermFraction(b)
+			return biasFr.Of(b)
 		}
 		k := key{g, b}
 		if v, ok := memo[k]; ok {

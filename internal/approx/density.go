@@ -17,20 +17,24 @@
 // caller.
 package approx
 
-import "bddkit/internal/bdd"
+import (
+	"math"
+
+	"bddkit/internal/bdd"
+	"bddkit/internal/count"
+)
 
 // Density returns δ(f) = ‖f‖/|f| over the manager's variable count — the
 // figure of merit the paper ranks approximations by.
 func Density(m *bdd.Manager, f bdd.Ref) float64 {
-	return m.Density(f, m.NumVars())
+	return math.Ldexp(count.Fraction(m, f), m.NumVars()) / float64(m.DagSize(f))
 }
 
 // nodeData is the per-node record of the analysis pass ("info" in Figure 2
 // of the paper).
 type nodeData struct {
-	frac    float64 // minterm fraction of the regular node's function
-	funcRef int32   // arcs within f pointing at this node (root counts 1)
-	parity  uint8   // 1 = reached with even parity, 2 = odd, 3 = both
+	funcRef int32 // arcs within f pointing at this node (root counts 1)
+	parity  uint8 // 1 = reached with even parity, 2 = odd, 3 = both
 	// Fields below are used by markNodes.
 	weightE float64 // fraction of assignments whose path reaches the node uncomplemented
 	weightO float64 // same, through an odd number of complement arcs
@@ -61,6 +65,9 @@ type info struct {
 	m     *bdd.Manager
 	cfg   RemapConfig
 	nodes map[uint32]*nodeData
+	// fr holds the minterm fraction of every function reachable from f,
+	// either polarity.
+	fr *count.Fractions
 	// buildOp is the per-invocation computed-table code under which the
 	// rebuild pass memoizes its results in the manager's shared cache
 	// (see buildResult).
@@ -83,28 +90,28 @@ func (in *info) lossScale(node bdd.Ref) float64 {
 	if in.biasWeight <= 1 || in.biasFrac == nil {
 		return 1
 	}
-	d := in.at(node)
-	if d == nil || d.frac <= 0 {
+	p := in.fr.Of(node.Regular())
+	if p <= 0 {
 		return 1
 	}
-	share := in.biasFrac[node.ID()] / d.frac
+	share := in.biasFrac[node.ID()] / p
 	if share > 1 {
 		share = 1
 	}
 	return 1 + (in.biasWeight-1)*share
 }
 
-// analyze performs the first pass of remapUnderApprox (Figure 2): a
-// depth-first traversal computing, for every node, the minterm fraction of
-// its function, the number of arcs pointing to it, and the parities it is
-// reached with.
+// analyze performs the first pass of remapUnderApprox (Figure 2): one
+// count.Fractions sweep for the minterm fraction of every function below
+// f, then a depth-first traversal counting, for every node, the arcs
+// pointing to it and the parities it is reached with.
 func analyze(m *bdd.Manager, f bdd.Ref) *info {
-	in := &info{m: m, nodes: make(map[uint32]*nodeData)}
+	in := &info{m: m, nodes: make(map[uint32]*nodeData), fr: count.NewFractions(m, f)}
 	in.collect(f)
 	root := in.at(f)
 	root.funcRef = 1
 	in.markParity(f)
-	in.rootFrac = fracOf(in, f)
+	in.rootFrac = in.fr.Of(f)
 	in.rootSize = m.DagSize(f)
 	in.resultSize = in.rootSize
 	in.resultFrac = in.rootFrac
@@ -114,29 +121,17 @@ func analyze(m *bdd.Manager, f bdd.Ref) *info {
 // at returns the record of f's node (by regular id).
 func (in *info) at(f bdd.Ref) *nodeData { return in.nodes[f.ID()] }
 
-// collect fills frac and funcRef for every node reachable from f.
+// collect fills funcRef for every node reachable from f.
 func (in *info) collect(f bdd.Ref) *nodeData {
 	if d, ok := in.nodes[f.ID()]; ok {
 		return d
 	}
 	d := &nodeData{}
 	in.nodes[f.ID()] = d
-	if f.IsConstant() {
-		d.frac = 1 // regular constant is One
-		return d
+	if !f.IsConstant() {
+		in.collect(in.m.StructHi(f)).funcRef++
+		in.collect(in.m.StructLo(f)).funcRef++
 	}
-	hi := in.m.StructHi(f)
-	lo := in.m.StructLo(f)
-	dh := in.collect(hi)
-	dl := in.collect(lo)
-	dh.funcRef++
-	dl.funcRef++
-	ph := dh.frac // hi edge is regular
-	pl := dl.frac
-	if lo.IsComplement() {
-		pl = 1 - pl
-	}
-	d.frac = 0.5*ph + 0.5*pl
 	return d
 }
 
@@ -161,16 +156,6 @@ func (in *info) markParity(f bdd.Ref) {
 	}
 	in.markParity(in.m.StructHi(f) ^ c)
 	in.markParity(in.m.StructLo(f) ^ c)
-}
-
-// fracOf returns the minterm fraction of the function denoted by f (parity
-// applied).
-func fracOf(in *info, f bdd.Ref) float64 {
-	p := in.at(f).frac
-	if f.IsComplement() {
-		return 1 - p
-	}
-	return p
 }
 
 // levelQueue is the priority queue of Figures 3 and 4: nodes are dequeued

@@ -5,6 +5,7 @@ import (
 
 	"bddkit/internal/approx"
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 )
 
 // RemapUnderApprox extracts a dense subset: fewer nodes per minterm than
@@ -46,9 +47,10 @@ func ExampleCompound1() {
 	g := m.And(f, m.IthVar(5))
 	rua := approx.RemapUnderApprox(m, g, 0, 1.0)
 	c1 := approx.Compound1(m, g, 0, 1.0)
+	nc1, _ := count.Minterms(m, c1, 6)
+	nrua, _ := count.Minterms(m, rua, 6)
 	fmt.Println("C1 nodes ≤ RUA nodes:", m.DagSize(c1) <= m.DagSize(rua))
-	fmt.Println("C1 minterms ≥ RUA minterms:",
-		m.CountMinterm(c1, 6) >= m.CountMinterm(rua, 6))
+	fmt.Println("C1 minterms ≥ RUA minterms:", nc1.Cmp(nrua) >= 0)
 	m.Deref(f)
 	m.Deref(g)
 	m.Deref(rua)

@@ -2,6 +2,7 @@ package approx
 
 import (
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 	"bddkit/internal/obs"
 )
 
@@ -32,10 +33,11 @@ func HeavyBranch(m *bdd.Manager, f bdd.Ref, threshold int) bdd.Ref {
 		takeHi bool
 	}
 	var chain []step
+	fr := count.NewFractions(m, f)
 	cur := f
 	for !cur.IsConstant() && m.DagSize(cur)+len(chain) > threshold {
 		hi, lo := m.Hi(cur), m.Lo(cur)
-		if m.MintermFraction(hi) >= m.MintermFraction(lo) {
+		if fr.Of(hi) >= fr.Of(lo) {
 			chain = append(chain, step{m.Var(cur), true})
 			cur = hi
 		} else {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 	"bddkit/internal/obs"
 )
 
@@ -11,7 +12,7 @@ import (
 // beginLedger snapshots the input side (DAG size, minterm mass, GC/STW
 // time already accrued) and done files the obs.OpRecord. The nil receiver
 // is the disabled path: when the ledger is disarmed beginLedger returns
-// nil and neither the DagSize sweep nor the MintermFraction sweep runs,
+// nil and neither the DagSize sweep nor the count.Fraction sweep runs,
 // so un-observed workloads pay one atomic load per operator call.
 
 type opLedger struct {
@@ -38,7 +39,7 @@ func beginLedger(m *bdd.Manager, op string, f bdd.Ref, threshold int) *opLedger 
 		threshold: threshold,
 		start:     time.Now(),
 		sizeIn:    m.DagSize(f),
-		massIn:    m.MintermFraction(f),
+		massIn:    count.Fraction(m, f),
 		gc0:       st.GCTime,
 		stw0:      st.STWTime,
 	}
@@ -57,7 +58,7 @@ func (lg *opLedger) done(r bdd.Ref) {
 		SizeIn:      lg.sizeIn,
 		SizeOut:     m.DagSize(r),
 		MassIn:      lg.massIn,
-		MassOut:     m.MintermFraction(r),
+		MassOut:     count.Fraction(m, r),
 		Threshold:   lg.threshold,
 		BudgetLimit: m.NodeLimit(),
 		BudgetLive:  m.NodeCount(),

@@ -122,7 +122,7 @@ func markNodes(in *info, f bdd.Ref, threshold int, quality float64) {
 func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 	m := in.m
 	w := d.weightE + d.weightO // single parity: one term is zero
-	pSeen := fracOf(in, seen)
+	pSeen := in.fr.Of(seen)
 	ft := m.Hi(seen)
 	fe := m.Lo(seen)
 
@@ -132,7 +132,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 		rep := replacement{
 			status:  statusRemap,
 			sel:     fe,
-			lost:    w * (fracOf(in, ft) - fracOf(in, fe)) / 2,
+			lost:    w * (in.fr.Of(ft) - in.fr.Of(fe)) / 2,
 			exclude: fe,
 		}
 		rep.saved = nodesSaved(in, seen, rep)
@@ -142,7 +142,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 		rep := replacement{
 			status:  statusRemap,
 			sel:     ft,
-			lost:    w * (fracOf(in, fe) - fracOf(in, ft)) / 2,
+			lost:    w * (in.fr.Of(fe) - in.fr.Of(ft)) / 2,
 			exclude: ft,
 		}
 		rep.saved = nodesSaved(in, seen, rep)
@@ -162,7 +162,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 				sel:     ftt,
 				selVar:  y,
 				selThen: true,
-				lost:    w * (pSeen - fracOf(in, ftt)/2),
+				lost:    w * (pSeen - in.fr.Of(ftt)/2),
 				exclude: ftt,
 			}
 			rep.saved = nodesSaved(in, seen, rep) - 1 // one new node
@@ -174,7 +174,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 				sel:     fte,
 				selVar:  y,
 				selThen: false,
-				lost:    w * (pSeen - fracOf(in, fte)/2),
+				lost:    w * (pSeen - in.fr.Of(fte)/2),
 				exclude: fte,
 			}
 			rep.saved = nodesSaved(in, seen, rep) - 1

@@ -73,7 +73,13 @@ func uaMark(in *info, f bdd.Ref, threshold int, alpha float64) {
 			// Minterms lost: paths reaching the node with even parity
 			// lose its on-set; paths with odd parity lose the on-set
 			// of the complement (each phase reads Zero).
-			lost := d.weightE*d.frac + d.weightO*(1-d.frac)
+			lost := 0.0
+			if d.weightE > 0 {
+				lost += d.weightE * in.fr.Of(v)
+			}
+			if d.weightO > 0 {
+				lost += d.weightO * in.fr.Of(v.Complement())
+			}
 			rep := replacement{status: statusZero, exclude: bdd.One, lost: lost}
 			rep.saved = nodesSaved(in, v, rep)
 			if rootM > 0 &&

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 )
 
 // The basic workflow: build functions, combine, count, release.
@@ -15,8 +16,9 @@ func Example() {
 	f := m.Or(xy, z)
 	m.Deref(xy)
 
+	n, _ := count.Minterms(m, f, 3)
 	fmt.Println("size:", m.DagSize(f))
-	fmt.Println("minterms:", m.CountMinterm(f, 3))
+	fmt.Println("minterms:", n)
 	fmt.Println("f(1,1,0):", m.Eval(f, []bool{true, true, false}))
 	m.Deref(f)
 	// Output:
@@ -31,7 +33,9 @@ func ExampleRef_Complement() {
 	f := m.And(m.IthVar(0), m.IthVar(1))
 	g := f.Complement()
 	fmt.Println("same node:", f.Regular() == g.Regular())
-	fmt.Println("minterms f:", m.CountMinterm(f, 2), "g:", m.CountMinterm(g, 2))
+	nf, _ := count.Minterms(m, f, 2)
+	ng, _ := count.Minterms(m, g, 2)
+	fmt.Println("minterms f:", nf, "g:", ng)
 	m.Deref(f)
 	// Output:
 	// same node: true

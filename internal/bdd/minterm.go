@@ -1,7 +1,8 @@
 package bdd
 
-// Counting: DAG sizes, minterm counts, and the density measure δ(g) =
-// ‖g‖/|g| that Section 2 of the paper ranks approximations by.
+// Sizes: DAG and shared-forest node counts, and the path count. Minterm
+// counts and the density δ(g) = ‖g‖/|g| that Section 2 of the paper ranks
+// approximations by live in internal/count and approx.Density.
 
 // DagSize returns |f|: the number of distinct nodes in the BDD rooted at f,
 // including the constant node (the CUDD convention).
@@ -44,59 +45,6 @@ func (m *Manager) SharingSize(fs []Ref) int {
 	return len(seen)
 }
 
-// CountMinterm returns ‖f‖: the number of minterms of f over nVars
-// variables, as a float64 (exact for counts below 2^53, the CUDD
-// convention).
-func (m *Manager) CountMinterm(f Ref, nVars int) float64 {
-	return m.MintermFraction(f) * pow2(nVars)
-}
-
-// MintermFraction returns ‖f‖ / 2^n: the fraction of the full variable
-// space on which f is 1. It is independent of the number of variables.
-func (m *Manager) MintermFraction(f Ref) float64 {
-	var p float64
-	m.readLocked(func() {
-		memo := make(map[int32]float64)
-		p = m.fracOf(f, memo)
-	})
-	return p
-}
-
-// fracOf returns the minterm fraction of the function denoted by ref,
-// memoizing on regular node indices (the fraction of the complemented
-// function is 1 - p).
-func (m *Manager) fracOf(f Ref, memo map[int32]float64) float64 {
-	p := m.fracRec(f.index(), memo)
-	if f.IsComplement() {
-		return 1 - p
-	}
-	return p
-}
-
-func (m *Manager) fracRec(idx int32, memo map[int32]float64) float64 {
-	n := &m.nodes[idx]
-	if n.level == terminalLevel {
-		return 1 // the regular constant is One
-	}
-	if p, ok := memo[idx]; ok {
-		return p
-	}
-	ph := m.fracRec(n.hi.index(), memo) // hi edge is regular by canonicity
-	pl := m.fracRec(n.lo.index(), memo)
-	if n.lo.IsComplement() {
-		pl = 1 - pl
-	}
-	p := 0.5*ph + 0.5*pl
-	memo[idx] = p
-	return p
-}
-
-// Density returns δ(f) = ‖f‖ / |f| over nVars variables (Definition in
-// Section 2 of the paper, after Ravi–Somenzi ICCAD'95).
-func (m *Manager) Density(f Ref, nVars int) float64 {
-	return m.CountMinterm(f, nVars) / float64(m.DagSize(f))
-}
-
 // CountPath returns the number of paths from f's root to the constant One
 // (the number of cubes an AllSat enumeration would produce), as float64.
 func (m *Manager) CountPath(f Ref) float64 {
@@ -126,14 +74,4 @@ func (m *Manager) CountPath(f Ref) float64 {
 	var out float64
 	m.readLocked(func() { out = rec(f) })
 	return out
-}
-
-// pow2 returns 2^n as a float64 (n may exceed 63).
-func pow2(n int) float64 {
-	p := 1.0
-	for n >= 60 {
-		p *= float64(uint64(1) << 60)
-		n -= 60
-	}
-	return p * float64(uint64(1)<<uint(n))
 }

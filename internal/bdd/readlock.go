@@ -2,10 +2,10 @@ package bdd
 
 // ReadLocked runs fn under the engine's read lease plus the memory lease:
 // the same protection the manager's own read-only traversals
-// (DagSize, MintermFraction, Save, ...) take, exported for sibling
-// packages that sweep the arena through the structural accessors
-// (Level/Var/Hi/Lo/StructHi/StructLo) — internal/count's exact counting
-// sweeps are the canonical caller. On a serial manager (Workers <= 1) it
+// (DagSize, Save, ...) take, exported for sibling packages that sweep
+// the arena through the structural accessors
+// (Level/Var/Hi/Lo/StructHi/StructLo) — internal/count's counting sweeps
+// are the canonical caller. On a serial manager (Workers <= 1) it
 // is free.
 //
 // fn must only read: it must not allocate nodes or change reference

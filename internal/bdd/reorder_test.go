@@ -138,16 +138,18 @@ func TestReorderKeepsMintermCounts(t *testing.T) {
 	m := New(n)
 	rng := rand.New(rand.NewSource(123))
 	var fs []Ref
-	var counts []float64
+	var tables [][]bool
 	for i := 0; i < 6; i++ {
 		f := randFromTrees(m, rng, n, 5)
 		fs = append(fs, f)
-		counts = append(counts, m.CountMinterm(f, n))
+		tables = append(tables, truthTable(m, f, n))
 	}
 	m.Reorder(ReorderSift, SiftConfig{})
 	for i, f := range fs {
-		if got := m.CountMinterm(f, n); got != counts[i] {
-			t.Fatalf("minterm count changed: %v -> %v", counts[i], got)
+		for x, b := range truthTable(m, f, n) {
+			if b != tables[i][x] {
+				t.Fatalf("function %d changed at minterm %d: %v -> %v", i, x, tables[i][x], b)
+			}
 		}
 		m.Deref(f)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"time"
 
@@ -89,7 +90,7 @@ func approxTable(fns []Fn, methods []string, run func(*bdd.Manager, bdd.Ref) []b
 		nVars := m.NumVars()
 		for i, g := range results {
 			nodes[i][c] = float64(m.DagSize(g))
-			minterms[i][c] = m.CountMinterm(g, nVars)
+			minterms[i][c] = math.Ldexp(count.Fraction(m, g), nVars)
 			density[i][c] = minterms[i][c] / nodes[i][c]
 			m.Deref(g)
 		}

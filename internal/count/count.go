@@ -1,10 +1,23 @@
-// Package count implements exact model counting over the shared BDD
-// arena: #SAT as a big.Int (safe beyond 63 variables, where the float64
-// counting in internal/bdd stops being exact), weighted counting under
-// independent per-variable probabilities, and uniform satisfying-
-// assignment sampling that walks the diagram drawing branch choices from
-// the exact subtree counts (after Clément's iterative ROBDD counting;
-// see PAPERS.md).
+// Package count is bddkit's one counting engine. It counts minterms
+// over the shared arena two ways and nowhere else:
+//
+//   - exactly, as a big.Int (#SAT safe beyond 63 variables), for
+//     Minterms, MintermsOver and the uniform satisfying-assignment
+//     Sampler, which walks the diagram drawing branch choices from the
+//     exact subtree counts (after Clément's iterative ROBDD counting;
+//     see PAPERS.md);
+//   - in float64, as the probability that a function is satisfied when
+//     each variable is independently true with some weight: Weighted,
+//     and with every weight 1/2 the minterm fraction ‖f‖/2^n (Fraction,
+//     and Fractions, its per-node form for the approximation operators
+//     that rank sub-functions by density).
+//
+// The float sweep gives each polarity of a node its own entry,
+// w·p(hi) + (1−w)·p(lo) over the complement-folded children. It never
+// forms 1 − p, so a complemented function with a tiny fraction is not
+// rounded to zero. Every term is non-negative, so a fraction is within
+// n·2^-53 relative of the exact one over n variables, and exact while
+// ‖f‖ < 2^53 and n ≤ 1022 (no fraction is then a subnormal float).
 //
 // Every entry point does one iterative post-order sweep over the DAG —
 // no recursion, so chain-shaped BDDs of 10^5+ levels cannot overflow the
@@ -21,6 +34,7 @@ package count
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"bddkit/internal/bdd"
@@ -143,66 +157,97 @@ func MintermsOver(m *bdd.Manager, f bdd.Ref, vars []int) (*big.Int, error) {
 	return c.Rsh(c, uint(n-len(vars))), nil
 }
 
-// Fraction returns ‖f‖/2^n as a float64 computed from the exact count —
-// the big.Int analogue of bdd.Manager.MintermFraction, immune to the
-// float64 rounding of deep recursions.
-func Fraction(m *bdd.Manager, f bdd.Ref) float64 {
-	n := m.NumVars()
-	c, err := Minterms(m, f, n)
-	if err != nil { // unreachable: nVars == NumVars never fails
-		return 0
+// fsweep fills memo with the probability that each function reachable
+// from f is satisfied when every variable v is independently true with
+// probability weight(v), or 1/2 when weight is nil (the minterm
+// fraction). Keys are function refs with the complement bit folded in,
+// as in sweep: the two polarities of a shared node are two entries, each
+// summed from its own children, never one entry and its complement
+// 1 − p. Variables skipped between a node and a child integrate out
+// (w·p + (1−w)·p = p), so no level correction is needed. Must run under
+// the manager's read lease.
+func fsweep(m *bdd.Manager, f bdd.Ref, weight func(v int) float64, memo map[bdd.Ref]float64) {
+	if _, ok := memo[bdd.One]; !ok {
+		memo[bdd.One] = 1
+		memo[bdd.Zero] = 0
 	}
-	num := new(big.Float).SetInt(c)
-	den := new(big.Float).SetMantExp(big.NewFloat(1), n)
-	out, _ := new(big.Float).Quo(num, den).Float64()
-	return out
+	if _, ok := memo[f]; ok {
+		return
+	}
+	stack := []bdd.Ref{f}
+	for len(stack) > 0 {
+		r := stack[len(stack)-1]
+		if _, ok := memo[r]; ok {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		hi, lo := m.Hi(r), m.Lo(r)
+		ph, okH := memo[hi]
+		pl, okL := memo[lo]
+		if !okH {
+			stack = append(stack, hi)
+		}
+		if !okL {
+			stack = append(stack, lo)
+		}
+		if !okH || !okL {
+			continue
+		}
+		stack = stack[:len(stack)-1]
+		w := 0.5
+		if weight != nil {
+			w = weight(m.Var(r))
+		}
+		memo[r] = w*ph + (1-w)*pl
+	}
+}
+
+// Fraction returns ‖f‖/2^n, the fraction of the manager's variable space
+// on which f is 1.
+func Fraction(m *bdd.Manager, f bdd.Ref) float64 {
+	return NewFractions(m, f).Of(f)
+}
+
+// Fractions is the per-node form of Fraction: the minterm fraction of
+// every function reachable from a root, filled by one sweep so that an
+// operator which ranks sub-functions (the approximations' analysis pass,
+// heavy-branch subsetting) reads each one by lookup. Of extends the
+// table by a further sweep when asked about a function outside it.
+//
+// Entries are keyed by node identity, so a table must be discarded after
+// the order changes, and it describes only functions kept alive while it
+// is in use. It is not safe for concurrent use.
+type Fractions struct {
+	m    *bdd.Manager
+	memo map[bdd.Ref]float64
+}
+
+// NewFractions sweeps each root once.
+func NewFractions(m *bdd.Manager, roots ...bdd.Ref) *Fractions {
+	t := &Fractions{m: m, memo: make(map[bdd.Ref]float64)}
+	for _, f := range roots {
+		t.Of(f)
+	}
+	return t
+}
+
+// Of returns ‖g‖/2^n.
+func (t *Fractions) Of(g bdd.Ref) float64 {
+	if p, ok := t.memo[g]; ok {
+		return p
+	}
+	t.m.ReadLocked(func() { fsweep(t.m, g, nil, t.memo) })
+	return t.memo[g]
 }
 
 // Weighted returns the probability that f is satisfied when each variable
 // v is independently true with probability weight(v). Weights are clamped
 // to [0,1]. With all weights 1/2 this equals the minterm fraction.
-// Variables outside f's support integrate out (w·p + (1−w)·p = p), so no
-// level-skip correction is needed.
 func Weighted(m *bdd.Manager, f bdd.Ref, weight func(v int) float64) float64 {
-	w := func(v int) float64 {
-		p := weight(v)
-		if p < 0 {
-			return 0
-		}
-		if p > 1 {
-			return 1
-		}
-		return p
+	clamped := func(v int) float64 {
+		return math.Min(1, math.Max(0, weight(v)))
 	}
-	var out float64
-	m.ReadLocked(func() {
-		memo := map[bdd.Ref]float64{bdd.One: 1, bdd.Zero: 0}
-		if _, ok := memo[f]; !ok {
-			stack := []bdd.Ref{f}
-			for len(stack) > 0 {
-				r := stack[len(stack)-1]
-				if _, ok := memo[r]; ok {
-					stack = stack[:len(stack)-1]
-					continue
-				}
-				hi, lo := m.Hi(r), m.Lo(r)
-				ph, okH := memo[hi]
-				pl, okL := memo[lo]
-				if !okH {
-					stack = append(stack, hi)
-				}
-				if !okL {
-					stack = append(stack, lo)
-				}
-				if !okH || !okL {
-					continue
-				}
-				stack = stack[:len(stack)-1]
-				p := w(m.Var(r))
-				memo[r] = p*ph + (1-p)*pl
-			}
-		}
-		out = memo[f]
-	})
-	return out
+	memo := make(map[bdd.Ref]float64)
+	m.ReadLocked(func() { fsweep(m, f, clamped, memo) })
+	return memo[f]
 }

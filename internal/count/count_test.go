@@ -85,9 +85,9 @@ func TestMintermsAgainstBruteForce(t *testing.T) {
 		if got.Cmp(want) != 0 {
 			t.Fatalf("fn %d: Minterms = %v, brute force = %v", i, got, want)
 		}
-		// The float64 counter in internal/bdd must agree at this size.
-		if fc := m.CountMinterm(f, nVars); fc != float64(want.Int64()) {
-			t.Fatalf("fn %d: CountMinterm = %v, brute force = %v", i, fc, want)
+		// The float sweep is exact below 2^53 minterms.
+		if fc := math.Ldexp(count.Fraction(m, f), nVars); fc != float64(want.Int64()) {
+			t.Fatalf("fn %d: Fraction·2^n = %v, brute force = %v", i, fc, want)
 		}
 		m.Deref(f)
 	}
@@ -173,6 +173,84 @@ func TestFractionAndWeightedHalf(t *testing.T) {
 			t.Fatalf("fn %d: Weighted(1/2) = %v, want fraction %v", i, got, want)
 		}
 		m.Deref(f)
+	}
+}
+
+// exactFraction returns ‖g‖/2^n from the exact count, rounded once.
+func exactFraction(t *testing.T, m *bdd.Manager, g bdd.Ref) float64 {
+	t.Helper()
+	c, err := count.Minterms(m, g, m.NumVars())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := new(big.Float).SetMantExp(new(big.Float).SetInt(c), -m.NumVars()).Float64()
+	return p
+}
+
+// TestFloatSweepOnSparseFunctions: the float sweep (Fraction, Weighted at
+// 1/2, and the per-node Fractions table on every function below the root,
+// both polarities) agrees with the exact count on functions whose
+// fraction lies far below 2^-53. ¬x0∧…∧¬x53 is the complement of a node
+// whose own fraction, 1 − 2^-54, rounds to 1 in float64, so any sweep
+// that forms a complement as 1 − p counts it as 0.
+func TestFloatSweepOnSparseFunctions(t *testing.T) {
+	type instance struct {
+		name string
+		m    *bdd.Manager
+		f    bdd.Ref
+	}
+	const n = 54
+	m := bdd.New(n)
+	allZero := m.Ref(bdd.One)
+	for v := 0; v < n; v++ {
+		c2 := m.And(allZero, m.IthVar(v).Complement())
+		m.Deref(allZero)
+		allZero = c2
+	}
+	cases := []instance{{"¬x0∧…∧¬x53", m, allZero}}
+	for _, p := range []gauntlet.Params{
+		{Family: gauntlet.FamilyQueens, N: 8},
+		{Family: gauntlet.FamilyHamiltonKnight, Rows: 3, Cols: 4},
+	} {
+		gm, f, err := gauntlet.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{p.Name(), gm, f})
+	}
+	half := func(int) float64 { return 0.5 }
+	agree := func(got, want float64) bool {
+		return got == want || math.Abs(got-want) <= 1e-12*math.Abs(want)
+	}
+	for _, c := range cases {
+		want := exactFraction(t, c.m, c.f)
+		if c.f != bdd.Zero && want == 0 {
+			t.Fatalf("%s: exact fraction rounds to 0", c.name)
+		}
+		if got := count.Fraction(c.m, c.f); !agree(got, want) {
+			t.Errorf("%s: Fraction = %v, Minterms/2^n = %v", c.name, got, want)
+		}
+		if got := count.Weighted(c.m, c.f, half); !agree(got, want) {
+			t.Errorf("%s: Weighted(1/2) = %v, Minterms/2^n = %v", c.name, got, want)
+		}
+		fr := count.NewFractions(c.m, c.f)
+		seen := map[bdd.Ref]bool{}
+		stack := []bdd.Ref{c.f, c.f.Complement()}
+		for len(stack) > 0 {
+			g := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[g] {
+				continue
+			}
+			seen[g] = true
+			if got, want := fr.Of(g), exactFraction(t, c.m, g); !agree(got, want) {
+				t.Fatalf("%s: Fractions.Of(%v) = %v, Minterms/2^n = %v", c.name, g, got, want)
+			}
+			if !g.IsConstant() {
+				stack = append(stack, c.m.Hi(g), c.m.Lo(g))
+			}
+		}
+		c.m.Deref(c.f)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 	"bddkit/internal/obs"
 )
 
@@ -114,7 +115,7 @@ func beginLedger(m *bdd.Manager, op string, f bdd.Ref) *decompLedger {
 	st := m.Stats()
 	return &decompLedger{
 		m: m, op: op, start: time.Now(),
-		sizeIn: m.DagSize(f), massIn: m.MintermFraction(f),
+		sizeIn: m.DagSize(f), massIn: count.Fraction(m, f),
 		gc0: st.GCTime, stw0: st.STWTime,
 	}
 }

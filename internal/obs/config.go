@@ -14,9 +14,10 @@ import (
 // Config carries the observability flags shared by every cmd binary:
 //
 //	-trace FILE        structured JSONL span trace ("-" = stderr)
-//	-metrics           print a metrics-registry snapshot to stderr on exit
-//	-obs ADDR          live endpoint serving pprof, expvar, /metrics,
-//	                   /flight, /parallel
+//	-metrics           print the metrics registry (Prometheus text
+//	                   exposition) to stderr on exit
+//	-obs ADDR          live endpoint serving pprof, /metrics, /flight,
+//	                   /quality, /timeseries, /parallel
 //	-par-sample N      1-in-N fine-grained parallel-engine sampling
 //	-obs-sample D      time-series sampler interval for /timeseries
 //	-stall-deadline D  stall-watchdog deadline (also BDDKIT_STALL_DEADLINE)
@@ -65,8 +66,8 @@ const DefaultShutdownDrain = 5 * time.Second
 // AddFlags registers the observability flags on fs.
 func (c *Config) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Trace, "trace", "", "write a JSONL span trace to this `file` (\"-\" = stderr)")
-	fs.BoolVar(&c.Metrics, "metrics", false, "print a metrics-registry snapshot to stderr on exit")
-	fs.StringVar(&c.Addr, "obs", "", "serve pprof/expvar/metrics on this `address` (e.g. :6060)")
+	fs.BoolVar(&c.Metrics, "metrics", false, "print the metrics registry (Prometheus text) to stderr on exit")
+	fs.StringVar(&c.Addr, "obs", "", "serve pprof/metrics on this `address` (e.g. :6060)")
 	fs.IntVar(&c.ParSample, "par-sample", bdd.DefaultParSampleRate,
 		"sample 1-in-`N` parallel lock waits and steals when obs is enabled (0 = off)")
 	fs.DurationVar(&c.SampleInterval, "obs-sample", DefaultSampleInterval,
@@ -407,7 +408,7 @@ func (s *Session) Close() {
 	}
 	if s.cfg.Metrics {
 		fmt.Fprintln(os.Stderr, "--- metrics snapshot ---")
-		s.Registry.WriteText(os.Stderr)
+		s.Registry.WritePrometheus(os.Stderr)
 		if snap := L.Snapshot(); snap.Ops > 0 {
 			fmt.Fprintln(os.Stderr, "--- quality ledger ---")
 			snap.WriteReport(os.Stderr)

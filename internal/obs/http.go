@@ -3,20 +3,16 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Live profiling endpoint: -obs :6060 serves
 //
 //	/debug/pprof/...   net/http/pprof (CPU, heap, goroutine, trace, ...)
-//	/debug/vars        expvar, including the registry under "bddkit"
 //	/metrics           registry snapshot in Prometheus text exposition
 //	/flight            current flight-recorder contents as JSONL
 //	/quality           operation-ledger snapshot (per-operator loss) as JSON
@@ -29,38 +25,16 @@ import (
 // /metrics is additionally a production surface — standard Prometheus
 // scrapers consume it directly, and `obscheck -prom` lints it.
 
-// expvar.Publish panics on duplicate names, and tests may start several
-// sessions in one process, so the "bddkit" var is published once and
-// re-pointed at the current session's registry.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-func publishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("bddkit", expvar.Func(func() any {
-			if reg := expvarReg.Load(); reg != nil {
-				return reg.Snapshot()
-			}
-			return nil
-		}))
-	})
-}
-
 // serve starts the endpoint on addr and returns a shutdown function that
 // drains in-flight requests before closing (hard-close past the drain
 // deadline) and reports how the teardown went.
 func (s *Session) serve(addr string) (func() error, error) {
-	publishExpvar(s.Registry)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
 		s.Registry.WritePrometheus(w)
@@ -120,7 +94,6 @@ func (s *Session) serve(addr string) (func() error, error) {
 		}
 		fmt.Fprint(w, "bddkit observability endpoint\n\n"+
 			"  /metrics      Prometheus text exposition (scrape me)\n"+
-			"  /debug/vars   expvar JSON (registry under \"bddkit\")\n"+
 			"  /debug/pprof  live profiling\n"+
 			"  /flight       flight-recorder contents (JSONL)\n"+
 			"  /quality      approximation-loss ledger snapshot (JSON)\n"+

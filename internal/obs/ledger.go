@@ -29,7 +29,7 @@ import (
 // operators live in library packages where threading a handle through
 // every call would be invasive. A disarmed ledger costs one atomic load
 // per Enabled() check and instrumentation sites gate all attribute
-// computation (DagSize, MintermFraction sweeps) behind it.
+// computation (DagSize and count.Fraction sweeps) behind it.
 
 // OpRecord is one ledger entry. Masses are minterm fractions of the
 // operation's ambient space (the full variable space for combinational

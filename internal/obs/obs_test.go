@@ -103,9 +103,16 @@ func TestHistogramSnapshotExportsP95(t *testing.T) {
 		t.Fatalf("snapshot JSON missing p95: %s", b)
 	}
 	var buf strings.Builder
-	r.WriteText(&buf)
-	if !strings.Contains(buf.String(), "lat_p95 ") {
-		t.Fatalf("WriteText missing p95 line:\n%s", buf.String())
+	r.WritePrometheus(&buf)
+	scrape, err := ParsePrometheus(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := scrape.Family("lat"); f == nil || f.Type != "histogram" {
+		t.Fatalf("exposition lacks the lat histogram:\n%s", buf.String())
+	}
+	if v, ok := scrape.Value("lat_count"); !ok || v != 100 {
+		t.Fatalf("lat_count = %v (present %v), want 100:\n%s", v, ok, buf.String())
 	}
 }
 
@@ -121,9 +128,16 @@ func TestRegistrySnapshotSanitizesGaugeFuncs(t *testing.T) {
 		t.Fatalf("snapshot not JSON-encodable: %v", err)
 	}
 	var b strings.Builder
-	r.WriteText(&b)
-	if !strings.Contains(b.String(), "good 0.5") {
-		t.Fatalf("WriteText output missing gauge:\n%s", b.String())
+	r.WritePrometheus(&b)
+	scrape, err := ParsePrometheus(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := scrape.Value("good"); !ok || v != 0.5 {
+		t.Fatalf("exposition gauge good = %v (present %v), want 0.5:\n%s", v, ok, b.String())
+	}
+	if v, ok := scrape.Value("bad_rate"); !ok || v != 0 {
+		t.Fatalf("NaN gauge func exposed as %v (present %v), want 0:\n%s", v, ok, b.String())
 	}
 }
 

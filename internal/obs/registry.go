@@ -2,7 +2,7 @@
 // (counters, gauges, histograms with atomic fast paths), a structured span
 // tracer writing JSON lines, a flight recorder keeping the most recent
 // trace events for post-mortem dumps, and a live HTTP endpoint serving
-// pprof, expvar, and plaintext metric snapshots.
+// pprof and the registry in Prometheus text exposition.
 //
 // The package is engineered so that a fully disabled configuration (no
 // -trace, no -metrics, no -obs) costs essentially nothing: tracer calls
@@ -12,11 +12,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -275,32 +272,4 @@ func (r *Registry) Snapshot() map[string]any {
 		out[n] = v
 	}
 	return out
-}
-
-// WriteText writes the snapshot as sorted "name value" lines, the format
-// served by the live endpoint's /metrics page.
-func (r *Registry) WriteText(w io.Writer) {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		switch v := snap[n].(type) {
-		case HistogramSnapshot:
-			fmt.Fprintf(w, "%s_count %d\n", n, v.Count)
-			fmt.Fprintf(w, "%s_sum %d\n", n, v.Sum)
-			fmt.Fprintf(w, "%s_mean %.6g\n", n, v.Mean)
-			fmt.Fprintf(w, "%s_max %d\n", n, v.Max)
-			fmt.Fprintf(w, "%s_p50 %d\n", n, v.P50)
-			fmt.Fprintf(w, "%s_p90 %d\n", n, v.P90)
-			fmt.Fprintf(w, "%s_p95 %d\n", n, v.P95)
-			fmt.Fprintf(w, "%s_p99 %d\n", n, v.P99)
-		case float64:
-			fmt.Fprintf(w, "%s %.6g\n", n, v)
-		default:
-			fmt.Fprintf(w, "%s %v\n", n, v)
-		}
-	}
 }

@@ -106,7 +106,7 @@ func TestAmdahlFromTrace(t *testing.T) {
 // notice, not a division by zero.
 func TestAmdahlEmptyTrace(t *testing.T) {
 	a, err := AnalyzeTrace(strings.NewReader(
-		`{"ts":"2026-08-08T12:00:00.010Z","kind":"span","name":"op","id":1,"dur_ns":10000000}` + "\n"))
+		`{"ts":"2026-08-08T12:00:00.010Z","v":3,"kind":"span","name":"op","id":1,"dur_ns":10000000}` + "\n"))
 	if err != nil {
 		t.Fatalf("AnalyzeTrace: %v", err)
 	}
@@ -121,8 +121,8 @@ func TestAmdahlEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestValidateSchemaVersions checks the v2 read path: legacy v1 lines (no
-// "v") pass, v2 lines pass, future versions are rejected, and the v2 event
+// TestValidateSchemaVersions checks the version gate: v2 lines pass,
+// unversioned v1 lines and future versions are rejected, and the v2 event
 // vocabulary is checked attribute-by-attribute.
 func TestValidateSchemaVersions(t *testing.T) {
 	sum, err := ValidateJSONL(strings.NewReader(parFixture))
@@ -137,11 +137,8 @@ func TestValidateSchemaVersions(t *testing.T) {
 	}
 
 	legacy := `{"ts":"2026-08-08T12:00:00Z","kind":"span","name":"op","id":1,"dur_ns":5}` + "\n"
-	if sum, err = ValidateJSONL(strings.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy v1 line rejected: %v", err)
-	}
-	if sum.Version != 0 {
-		t.Errorf("legacy Version = %d, want 0", sum.Version)
+	if _, err = ValidateJSONL(strings.NewReader(legacy)); err == nil {
+		t.Fatal("unversioned v1 line accepted")
 	}
 
 	future := `{"ts":"2026-08-08T12:00:00Z","v":99,"kind":"span","name":"op","id":1,"dur_ns":5}` + "\n"

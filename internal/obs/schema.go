@@ -14,7 +14,8 @@ import (
 // TraceSchemaVersion is the version stamped into every emitted event's "v"
 // field. History:
 //
-//	v1 (unversioned; "v" absent) — the original span/event record.
+//	v1 (unversioned; "v" absent) — the original span/event record, no
+//	     longer read.
 //	v2 — adds the "v" field itself and the parallel-engine event
 //	     vocabulary: "bdd.stw" (write-lease / stop-the-world epochs with
 //	     cause, wait_ns, pause_ns, workers attrs), "bdd.stall" (watchdog
@@ -27,8 +28,8 @@ import (
 //	     densities, threshold, budget limit/live/headroom, attributed
 //	     dur/gc/stw cost, abort cause).
 //
-// Readers accept any version up to their own: v1 files (v absent / 0)
-// remain valid, files from a future writer are rejected.
+// Readers accept versions 2 up to their own: a line without "v" (v1) or
+// from a future writer is rejected.
 const TraceSchemaVersion = 3
 
 // TraceSummary reports what a validated trace contains.
@@ -37,7 +38,7 @@ type TraceSummary struct {
 	Spans   int            // kind == "span"
 	Events  int            // kind == "event"
 	ByName  map[string]int // per-name emission counts
-	Version int            // highest schema version seen (0 = legacy v1)
+	Version int            // highest schema version seen
 }
 
 // ValidateJSONL reads a JSONL trace and verifies the schema of every line:
@@ -46,8 +47,8 @@ type TraceSummary struct {
 // ids (spans are emitted at End, so a parent precedes its children's End
 // records only when it closed first — parents may therefore also appear
 // later, and only self-parenting is rejected); spans carry a non-negative
-// duration. It returns a summary or the first violation, tagged with its
-// line number.
+// duration; "v" is at least 2 and at most TraceSchemaVersion. It
+// returns a summary or the first violation, tagged with its line number.
 func ValidateJSONL(r io.Reader) (TraceSummary, error) {
 	sum := TraceSummary{ByName: make(map[string]int)}
 	seen := make(map[uint64]bool)
@@ -85,6 +86,9 @@ func ValidateJSONL(r io.Reader) (TraceSummary, error) {
 		}
 		if ev.Parent == ev.ID {
 			return sum, fmt.Errorf("line %d: event %d is its own parent", sum.Lines, ev.ID)
+		}
+		if ev.V < 2 {
+			return sum, fmt.Errorf("line %d: schema version %d: v1 traces (no \"v\") are not read", sum.Lines, ev.V)
 		}
 		if ev.V > TraceSchemaVersion {
 			return sum, fmt.Errorf("line %d: schema version %d is newer than this reader (max %d)",

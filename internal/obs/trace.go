@@ -41,7 +41,7 @@ func Dur(k string, v time.Duration) Attr { return Attr{k, v.Nanoseconds()} }
 // Event is the JSONL record written for every span end and instant event.
 type Event struct {
 	TS     string         `json:"ts"`                    // RFC3339Nano wall time of emission
-	V      int            `json:"v,omitempty"`           // schema version; 0 = legacy v1
+	V      int            `json:"v,omitempty"`           // schema version (TraceSchemaVersion)
 	Kind   string         `json:"kind"`                  // "span" or "event"
 	Name   string         `json:"name"`                  // dotted phase name, e.g. "reach.iteration"
 	ID     uint64         `json:"id"`                    // unique per tracer

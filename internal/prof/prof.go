@@ -15,8 +15,8 @@
 // machinery in internal/approx/density.go: path mass flows from each root
 // (1.0 per root, split in half at every node, tracking complement parity),
 // and a node's mass is the fraction of the root functions' minterms whose
-// paths traverse it — mass·frac for even-parity arrivals plus
-// mass·(1−frac) for odd ones.
+// paths traverse it — mass·frac(v) for even-parity arrivals plus
+// mass·frac(¬v) for odd ones, the fractions read from count.Fractions.
 package prof
 
 import (
@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 )
 
 // Options tunes Compute.
@@ -86,46 +87,38 @@ func For(m *bdd.Manager, f bdd.Ref) *Profile {
 func Compute(m *bdd.Manager, roots []bdd.Ref, opts Options) *Profile {
 	p := &Profile{Roots: len(roots), Vars: m.NumVars()}
 
-	// Pass 1: collect distinct nodes, minterm fractions, and in-degrees.
-	frac := make(map[uint32]float64)  // regular node id -> minterm fraction
+	// Pass 1: collect distinct nodes and in-degrees; one count sweep
+	// gives the minterm fractions.
+	seen := make(map[uint32]bool)
 	indeg := make(map[uint32]int)     // node id -> arcs arriving (roots count 1)
 	byLevel := make(map[int][]uint32) // level -> inner node ids
-	var collect func(f bdd.Ref) float64
-	collect = func(f bdd.Ref) float64 {
+	var collect func(f bdd.Ref)
+	collect = func(f bdd.Ref) {
 		id := f.ID()
-		if p, ok := frac[id]; ok {
-			return p
+		if seen[id] {
+			return
 		}
+		seen[id] = true
 		if f.IsConstant() {
-			frac[id] = 1 // the regular constant is One
-			return 1
+			return
 		}
 		lev := m.Level(f)
 		byLevel[lev] = append(byLevel[lev], id)
 		hi, lo := m.StructHi(f), m.StructLo(f)
-		ph := collect(hi)
-		pl := collect(lo)
+		collect(hi)
+		collect(lo)
 		indeg[hi.ID()]++
 		indeg[lo.ID()]++
-		if lo.IsComplement() {
-			pl = 1 - pl
-		}
-		pf := 0.5*ph + 0.5*pl
-		frac[id] = pf
-		return pf
 	}
+	fr := count.NewFractions(m, roots...)
 	for _, r := range roots {
 		collect(r)
 		indeg[r.ID()]++
-		pf := frac[r.ID()]
-		if r.IsComplement() {
-			pf = 1 - pf
-		}
-		p.RootFracs = append(p.RootFracs, pf)
+		p.RootFracs = append(p.RootFracs, fr.Of(r))
 	}
-	p.Nodes = len(frac)
+	p.Nodes = len(seen)
 	p.Inner = p.Nodes
-	if _, hasTerminal := frac[bdd.One.ID()]; hasTerminal {
+	if seen[bdd.One.ID()] {
 		p.Inner--
 	}
 
@@ -163,17 +156,19 @@ func Compute(m *bdd.Manager, roots []bdd.Ref, opts Options) *Profile {
 	for _, lev := range levels {
 		for _, id := range byLevel[lev] {
 			v := bdd.Ref(id << 1) // regular ref for this node
-			we, wo := weightE[id], weightO[id]
-			p.NodeMass[id] = we*frac[id] + wo*(1-frac[id])
-			if we > 0 {
+			var mass float64
+			if we := weightE[id]; we > 0 {
+				mass += we * fr.Of(v)
 				deposit(m.Hi(v), we/2)
 				deposit(m.Lo(v), we/2)
 			}
-			if wo > 0 {
+			if wo := weightO[id]; wo > 0 {
 				vc := v.Complement()
+				mass += wo * fr.Of(vc)
 				deposit(m.Hi(vc), wo/2)
 				deposit(m.Lo(vc), wo/2)
 			}
+			p.NodeMass[id] = mass
 		}
 	}
 

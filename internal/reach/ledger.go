@@ -1,11 +1,10 @@
 package reach
 
 import (
-	"math"
-	"math/big"
 	"time"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/count"
 	"bddkit/internal/obs"
 )
 
@@ -19,24 +18,14 @@ import (
 // result side. Everything is gated on obs.L.Enabled(), so un-observed
 // traversals pay one atomic load per iteration.
 
-// stateFraction maps a state set to its fraction of the full state space.
-// Computed from the exact big.Int count (internal/count) rather than the
-// float64 MintermFraction recursion, so per-iteration ledger masses stay
-// meaningful past 2^53 states; only armed traversals pay the sweep.
+// stateFraction maps a state set to its fraction of the full state space,
+// which is its minterm fraction: the set ranges over the present-state
+// variables alone. Only armed traversals pay the sweep.
 func (tr *TR) stateFraction(set bdd.Ref) float64 {
-	bits := tr.NumStateBits()
-	if bits == 0 {
+	if tr.NumStateBits() == 0 {
 		return 0
 	}
-	c, err := tr.StateCountExact(set)
-	if err != nil {
-		return tr.StateCount(set) / math.Exp2(float64(bits))
-	}
-	f, _ := new(big.Float).Quo(
-		new(big.Float).SetInt(c),
-		new(big.Float).SetMantExp(big.NewFloat(1), bits),
-	).Float64()
-	return f
+	return count.Fraction(tr.M, set)
 }
 
 type iterLedger struct {

@@ -8,6 +8,7 @@ package reach
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"bddkit/internal/bdd"
@@ -238,21 +239,15 @@ func (tr *TR) Release() {
 func (tr *TR) NumStateBits() int { return len(tr.StateVars) }
 
 // StateCount returns the number of states in a predicate over the
-// present-state variables.
+// present-state variables: its minterm fraction (count.Fraction) scaled
+// to the state space, exact below 2^53 states.
 func (tr *TR) StateCount(set bdd.Ref) float64 {
-	frac := tr.M.MintermFraction(set)
-	p := 1.0
-	for range tr.StateVars {
-		p *= 2
-	}
-	return frac * p
+	return math.Ldexp(count.Fraction(tr.M, set), tr.NumStateBits())
 }
 
 // StateCountExact returns the exact number of states in a predicate over
-// the present-state variables. StateCount's float64 stops being exact at
-// 2^53 states (and accumulates rounding in deep recursions well before
-// that); this is the big.Int-safe form, errored when set depends on
-// variables outside the present-state set.
+// the present-state variables: the big.Int form of StateCount, errored
+// when set depends on variables outside the present-state set.
 func (tr *TR) StateCountExact(set bdd.Ref) (*big.Int, error) {
 	return count.MintermsOver(tr.M, set, tr.StateVars)
 }

@@ -77,8 +77,11 @@ func run() int {
 	defer sess.Close()
 	defer sess.DumpOnPanic()
 
+	// The manager reports to the session from its first node on: building
+	// the instance is where the garbage collections happen.
 	start := time.Now()
-	m, f, err := gauntlet.New(p)
+	m := bdd.NewWithConfig(p.Vars(), bdd.Config{Observer: sess.Observer()})
+	f, err := gauntlet.Build(m, p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bddcount:", err)
 		return 1
@@ -96,7 +99,7 @@ func run() int {
 	}
 	countDur := time.Since(countStart)
 	fmt.Printf("count: %s solutions (%v)\n", total, countDur.Round(time.Microsecond))
-	recordCount(p, nodes, total, countDur)
+	recordCount(obs.Of(m).Ledger(), p, nodes, total, countDur)
 
 	if *check {
 		want, ok := oracle.ExpectedCount(p)
@@ -147,7 +150,7 @@ func runSampling(m *bdd.Manager, f bdd.Ref, p gauntlet.Params, total *big.Int, s
 		distinct[string(b)] = true
 	}
 	fmt.Printf("sampled %d assignments, %d distinct, seed %d\n", samples, len(distinct), seed)
-	if obs.L.Enabled() {
+	if ledger := obs.Of(m).Ledger(); ledger != nil {
 		// Mass-in: the solution fraction of the space. Mass-out: the
 		// fraction of distinct solutions this run actually covered.
 		frac := count.Fraction(m, f)
@@ -155,7 +158,7 @@ func runSampling(m *bdd.Manager, f bdd.Ref, p gauntlet.Params, total *big.Int, s
 		if total.IsInt64() && total.Int64() > 0 {
 			coverage = float64(len(distinct)) / float64(total.Int64())
 		}
-		obs.L.Record(obs.OpRecord{
+		ledger.Record(obs.OpRecord{
 			Kind:    "count",
 			Op:      "sample",
 			SizeIn:  m.DagSize(f),
@@ -170,15 +173,15 @@ func runSampling(m *bdd.Manager, f bdd.Ref, p gauntlet.Params, total *big.Int, s
 
 // recordCount files the counting ledger record: a lossless operation
 // (mass retained 1) whose duration and size document the sweep.
-func recordCount(p gauntlet.Params, nodes int, total *big.Int, dur time.Duration) {
-	if !obs.L.Enabled() {
+func recordCount(ledger *obs.Ledger, p gauntlet.Params, nodes int, total *big.Int, dur time.Duration) {
+	if ledger == nil {
 		return
 	}
 	frac, _ := new(big.Float).Quo(
 		new(big.Float).SetInt(total),
 		new(big.Float).SetMantExp(big.NewFloat(1), p.Vars()),
 	).Float64()
-	obs.L.Record(obs.OpRecord{
+	ledger.Record(obs.OpRecord{
 		Kind:    "count",
 		Op:      "minterms",
 		SizeIn:  nodes,

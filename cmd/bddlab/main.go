@@ -82,21 +82,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := circuit.CompileOptions{
+	c, err := circuit.Compile(nl, circuit.CompileOptions{
 		SkipNextVars: len(nl.Latches) == 0,
 		StaticOrder:  *static,
-	}
-	if *cacheBits != 0 || *cacheMaxBits != 0 {
-		cfg := bdd.DefaultConfig()
-		if *cacheBits != 0 {
-			cfg.CacheBits = *cacheBits
-		}
-		if *cacheMaxBits != 0 {
-			cfg.CacheMaxBits = *cacheMaxBits
-		}
-		opts.BDDConfig = &cfg
-	}
-	c, err := circuit.Compile(nl, opts)
+		BDDConfig: &bdd.Config{
+			CacheBits:    *cacheBits,
+			CacheMaxBits: *cacheMaxBits,
+			Observer:     sess.Observer(),
+		},
+	})
 	if err != nil {
 		fatal(err)
 	}

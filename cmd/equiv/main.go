@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ok, mm, err := circuit.Equivalent(a, b)
+	ok, mm, err := circuit.Equivalent(a, b, bdd.Config{Observer: sess.Observer()})
 	if err != nil {
 		fatal(err)
 	}

@@ -67,7 +67,10 @@ func main() {
 	}
 	fmt.Printf("circuit %s (%d FFs), formula %s\n", nl.Name, len(nl.Latches), f)
 
-	c, err := circuit.Compile(nl, circuit.CompileOptions{AutoReorder: true})
+	c, err := circuit.Compile(nl, circuit.CompileOptions{
+		AutoReorder: true,
+		BDDConfig:   &bdd.Config{Observer: sess.Observer()},
+	})
 	if err != nil {
 		fatal(err)
 	}

@@ -7,8 +7,7 @@
 // ledger (quality.op), whose known attributes are checked field-by-field.
 // It prints a one-line summary and exits nonzero on the first malformed
 // line (reported with its 1-based line number), which makes it usable as a
-// smoke check in CI (see `make obs-smoke`, `make obs-par-smoke`,
-// `make obs-quality-smoke`, and `make check`).
+// smoke check in CI (see `make obs-smoke` and `make check`).
 //
 // With -prom it instead lints a Prometheus text-exposition page, such as a
 // snapshot of the -obs endpoint's /metrics: duplicate series, samples with

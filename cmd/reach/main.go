@@ -91,7 +91,10 @@ func run() int {
 	fmt.Printf("circuit %s: %d inputs, %d flip-flops, %d gates\n",
 		nl.Name, len(nl.Inputs), len(nl.Latches), nl.NumGates())
 
-	c, err := circuit.Compile(nl, circuit.CompileOptions{AutoReorder: true})
+	c, err := circuit.Compile(nl, circuit.CompileOptions{
+		AutoReorder: true,
+		BDDConfig:   &bdd.Config{Observer: sess.Observer()},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		return 1

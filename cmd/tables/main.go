@@ -19,9 +19,9 @@
 //
 // With -obs the run serves the observability endpoint (/metrics in
 // Prometheus exposition, /quality, /timeseries, /parallel) for scrapers
-// and for `bddtop`; Table 1 method rows additionally capture the quality
-// ledger's per-method delta (operation count, aborts, mean/min mass
-// retained) into the JSON benchmark records.
+// and for `bddtop`. Every manager the tables build reports to the
+// session, so -metrics and -trace cover the corpus build and each
+// traversal's compilation as well as the approximation operators.
 //
 // See EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package main
@@ -89,6 +89,7 @@ func main() {
 		if *paper {
 			cfg = bench.PaperCorpus()
 		}
+		cfg.Observe = sess
 		fmt.Fprintf(os.Stderr, "building corpus (min %d nodes)...\n", cfg.MinNodes)
 		start := time.Now()
 		var err error
@@ -106,7 +107,7 @@ func main() {
 		if *paper {
 			cfg = bench.Table1Paper(*budget)
 		}
-		cfg.Observe = sess.ObserveManager
+		cfg.Observe = sess
 		rows, err := bench.RunTable1(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -147,7 +148,7 @@ func main() {
 	}
 	if *table == "gauntlet" || *table == "all" {
 		gcfg := bench.DefaultGauntletConfig()
-		gcfg.Observe = sess.ObserveManager
+		gcfg.Observe = sess
 		rows, err := bench.RunGauntlet(gcfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -192,7 +193,7 @@ func main() {
 		fmt.Println()
 		fmt.Println("Ablation C: transition-relation cluster threshold (s5378 model, 12 BFS iterations).")
 		cfgC := model.S5378(model.S5378Config{Units: 5, UnitWidth: 4})
-		rows, err := bench.AblationClusterSize(cfgC, []int{1, 500, 2500, 10000, 1 << 20}, 12)
+		rows, err := bench.AblationClusterSize(cfgC, []int{1, 500, 2500, 10000, 1 << 20}, 12, sess)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

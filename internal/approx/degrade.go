@@ -13,8 +13,8 @@ import "bddkit/internal/bdd"
 // ToBudget allocates intermediate nodes while it shrinks, so callers must
 // invoke it with the manager's node limit disarmed — typically right
 // after RunLimited returned a budget abort, which restores the previous
-// (unarmed) limits on exit. The operation is filed in the quality ledger
-// under op "degrade" when the ledger is armed.
+// (unarmed) limits on exit. The operation is filed under op "degrade" in
+// the quality ledger of the manager's sink, if it has one.
 //
 // The returned reference is owned by the caller. maxNodes <= 0 means "no
 // budget" and returns f itself (re-referenced).

@@ -22,8 +22,8 @@ func HeavyBranch(m *bdd.Manager, f bdd.Ref, threshold int) bdd.Ref {
 		threshold = 1
 	}
 	var sp *obs.Span
-	if obs.T.Enabled() {
-		sp = obs.T.Begin("approx.hb",
+	if t := obs.Of(m).Tracer(); t.Enabled() {
+		sp = t.Begin("approx.hb",
 			obs.Int("size_in", m.DagSize(f)),
 			obs.Int("threshold", threshold))
 	}

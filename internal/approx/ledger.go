@@ -10,12 +10,14 @@ import (
 
 // Quality-ledger instrumentation shared by every approximation operator.
 // beginLedger snapshots the input side (DAG size, minterm mass, GC/STW
-// time already accrued) and done files the obs.OpRecord. The nil receiver
-// is the disabled path: when the ledger is disarmed beginLedger returns
-// nil and neither the DagSize sweep nor the count.Fraction sweep runs,
-// so un-observed workloads pay one atomic load per operator call.
+// time already accrued) and done files the obs.OpRecord in the ledger of
+// the manager's sink. The nil receiver is the disabled path: when the
+// manager has no ledger beginLedger returns nil and neither the DagSize
+// sweep nor the count.Fraction sweep runs, so un-observed workloads pay
+// one sink lookup per operator call.
 
 type opLedger struct {
+	ledger    *obs.Ledger
 	m         *bdd.Manager
 	op        string
 	threshold int
@@ -29,11 +31,13 @@ type opLedger struct {
 // beginLedger opens a ledger record for op applied to f. threshold is the
 // operator's node target (0 = none).
 func beginLedger(m *bdd.Manager, op string, f bdd.Ref, threshold int) *opLedger {
-	if !obs.L.Enabled() {
+	ledger := obs.Of(m).Ledger()
+	if ledger == nil {
 		return nil
 	}
 	st := m.Stats()
 	return &opLedger{
+		ledger:    ledger,
 		m:         m,
 		op:        op,
 		threshold: threshold,
@@ -72,5 +76,5 @@ func (lg *opLedger) done(r bdd.Ref) {
 	if rec.SizeOut > 0 {
 		rec.DensityOut = rec.MassOut / float64(rec.SizeOut)
 	}
-	obs.L.Record(rec)
+	lg.ledger.Record(rec)
 }

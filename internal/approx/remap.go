@@ -41,8 +41,8 @@ func RemapUnderApproxConfig(m *bdd.Manager, f bdd.Ref, threshold int, quality fl
 		return m.Ref(f)
 	}
 	var sp *obs.Span
-	if obs.T.Enabled() { // gate so the disabled path never pays for DagSize
-		sp = obs.T.Begin("approx.rua",
+	if t := obs.Of(m).Tracer(); t.Enabled() { // gate so the disabled path never pays for DagSize
+		sp = t.Begin("approx.rua",
 			obs.Int("size_in", m.DagSize(f)),
 			obs.Int("threshold", threshold),
 			obs.F64("quality", quality))

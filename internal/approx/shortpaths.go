@@ -24,8 +24,8 @@ func ShortPaths(m *bdd.Manager, f bdd.Ref, threshold int) bdd.Ref {
 		return m.Ref(f)
 	}
 	var span *obs.Span
-	if obs.T.Enabled() {
-		span = obs.T.Begin("approx.sp",
+	if t := obs.Of(m).Tracer(); t.Enabled() {
+		span = t.Begin("approx.sp",
 			obs.Int("size_in", m.DagSize(f)),
 			obs.Int("threshold", threshold))
 	}

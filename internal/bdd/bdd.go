@@ -131,6 +131,9 @@ type Config struct {
 	// Zero selects the package default (see SetDefaultWorkers), which
 	// starts at 1; set it to runtime.GOMAXPROCS(0) to use every core.
 	Workers int
+	// Observer receives the manager's GC, reorder, abort, invariant and
+	// parallel-engine events for its whole lifetime (nil = none).
+	Observer Observer
 }
 
 // DefaultConfig returns the default Manager configuration.
@@ -175,6 +178,8 @@ type Manager struct {
 	deadline  time.Time // operation deadline (zero = none)
 	allocTick int       // allocations since the last deadline check
 	nodeLimit int       // live-node ceiling (0 = none)
+
+	observer Observer // Config.Observer, fixed at construction
 
 	stats Stats
 }
@@ -260,6 +265,7 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 		gcFraction:       cfg.GCFraction,
 		maxGrowth:        cfg.MaxGrowth,
 		reorderThreshold: 4096,
+		observer:         cfg.Observer,
 	}
 	// Node 0 is the terminal. It is permanently referenced.
 	m.nodes[0] = node{level: terminalLevel, hi: One, lo: One, next: nilIndex, ref: refSaturated}

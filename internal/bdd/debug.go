@@ -6,13 +6,13 @@ import "fmt"
 // form of every stored node, consistency of the unique table, and sanity of
 // the reference counts. It returns the first violation found, or nil. It is
 // meant for tests; it takes time linear in the arena. A violation is also
-// reported to the installed Observer, which lets the flight recorder dump
+// reported to the manager's Observer, which lets the flight recorder dump
 // the trace events leading up to the corruption.
 func (m *Manager) DebugCheck() error {
 	var err error
 	m.exclusiveCause(stwDebug, func() { err = m.debugCheck() })
-	if err != nil && observer != nil {
-		observer.DebugFailure(err)
+	if err != nil && m.observer != nil {
+		m.observer.DebugFailure(err)
 	}
 	return err
 }

@@ -3,16 +3,19 @@ package bdd
 import "time"
 
 // Observability hooks. The package deliberately does not import the obs
-// layer: instead an Observer is installed process-wide (by obs.Session, or
-// by tests) and receives the rare structural events — garbage collections,
-// reorderings, limit aborts, invariant failures — that metrics and the
-// flight recorder want attributed. Hot paths never call the observer; the
+// layer: instead a Manager is built with an Observer (Config.Observer; an
+// obs sink, or a test double) and reports to it the rare structural
+// events — garbage collections, reorderings, limit aborts, invariant
+// failures — that metrics and the flight recorder want attributed. The
+// observer is fixed for the manager's lifetime, so managers in one
+// process (a server's tenants, a benchmark's fresh per-run managers)
+// report to their own sinks. Hot paths never call the observer; the
 // per-operation counters stay in Stats and are published by snapshot-time
-// gauges, so an absent observer costs a single nil check at each rare
-// event site.
+// gauges, so an absent observer costs a single nil check of a manager
+// field at each rare event site.
 
-// Observer receives structural lifecycle events from every Manager in the
-// process. Implementations must be cheap and must not call back into the
+// Observer receives structural lifecycle events from the managers built
+// with it. Implementations must be cheap and must not call back into the
 // reporting Manager (the table may be mid-surgery).
 type Observer interface {
 	// GC reports a completed garbage collection: nodes reclaimed, nodes
@@ -22,15 +25,17 @@ type Observer interface {
 	// counts before and after and the pass duration.
 	Reorder(before, after int, dur time.Duration)
 	// Abort reports that a live-node budget was exhausted; the OpAborted
-	// panic is raised immediately after this hook returns. Deadline
-	// aborts are routine under budgeted traversal and are not reported.
+	// panic is raised immediately after this hook returns. It is called
+	// once per aborted operation, also when several parallel workers trip
+	// the budget together. Deadline aborts are routine under budgeted
+	// traversal and are not reported.
 	Abort(reason string)
 	// DebugFailure reports a DebugCheck invariant violation.
 	DebugFailure(err error)
 }
 
 // ParObserver is an optional extension of Observer for parallel-engine
-// events. The engine type-asserts the installed Observer at each event
+// events. The engine type-asserts the manager's Observer at each event
 // site, so serial-only observers need not implement it.
 type ParObserver interface {
 	// STW reports one completed write-lease / stop-the-world epoch on a
@@ -50,15 +55,5 @@ type ParObserver interface {
 	Stall(report string, stuck time.Duration)
 }
 
-// observer is process-wide: one observability session watches every
-// manager, which keeps wiring trivial for the cmd binaries (managers are
-// created deep inside circuit compilation).
-var observer Observer
-
-// SetObserver installs the process-wide observer (nil uninstalls). Not
-// safe for concurrent use with running BDD operations; install before
-// starting work.
-func SetObserver(o Observer) { observer = o }
-
-// CurrentObserver returns the installed observer, if any.
-func CurrentObserver() Observer { return observer }
+// Observer returns the observer the manager was built with (nil = none).
+func (m *Manager) Observer() Observer { return m.observer }

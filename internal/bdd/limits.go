@@ -67,11 +67,11 @@ func (m *Manager) checkLimits() {
 	}
 	if m.nodeLimit > 0 && m.liveCount > m.nodeLimit {
 		reason := fmt.Sprintf("live nodes %d exceed limit %d", m.liveCount, m.nodeLimit)
-		if observer != nil {
+		if m.observer != nil {
 			// Node-budget exhaustion is a diagnosis-worthy event (unlike
 			// routine deadline aborts): give the flight recorder a chance
 			// to dump before the stack unwinds.
-			observer.Abort(reason)
+			m.observer.Abort(reason)
 		}
 		panic(OpAborted{Reason: reason})
 	}

@@ -118,16 +118,18 @@ type padMutex struct {
 // opCtx is the per-operation context shared by the operation's forked tasks.
 type opCtx struct {
 	outstanding atomic.Int64 // forked tasks not yet done
-	aborted     atomic.Bool  // an OpAborted unwound part of this operation
-	reason      string       // abort reason; written before aborted is set
+	// reason is the first abort reason, nil until an OpAborted unwinds
+	// part of the operation.
+	reason atomic.Pointer[string]
 }
 
-func (c *opCtx) abort(reason string) {
-	if !c.aborted.Load() {
-		c.reason = reason
-		c.aborted.Store(true)
-	}
-}
+// abort records reason as the operation's abort cause and reports whether
+// this call was the first: several workers can trip a limit in the same
+// operation, and only the first one may report it.
+func (c *opCtx) abort(reason string) bool { return c.reason.CompareAndSwap(nil, &reason) }
+
+// aborted reports whether part of the operation has unwound.
+func (c *opCtx) aborted() bool { return c.reason.Load() != nil }
 
 // parTask is one forked subproblem. The result carries one reference owned
 // by whoever joins the task.
@@ -468,7 +470,7 @@ func (e *parEngine) stopTheWorldSynced(m *Manager, haveLease bool, cause stwCaus
 		e.syncExit(m)
 	})
 	e.stwPendingSince.Store(0)
-	e.recordSTW(cause, wait, pause)
+	m.recordSTW(cause, wait, pause)
 }
 
 // exclusive runs fn with the manager fully quiescent: no operation in
@@ -505,7 +507,7 @@ func (m *Manager) exclusiveCause(cause stwCause, fn func()) {
 		// next section's pause starts, and the two must not overlap.
 		pause := time.Since(held)
 		e.opLease.Unlock()
-		e.recordSTW(cause, wait, pause)
+		m.recordSTW(cause, wait, pause)
 	}()
 	fn()
 }
@@ -813,7 +815,7 @@ func (e *parEngine) runStolen(w *parWorker, t *parTask, haveLease bool) {
 		t.state.Store(taskDone)
 		t.ctx.outstanding.Add(-1)
 	}()
-	if t.ctx.aborted.Load() {
+	if t.ctx.aborted() {
 		t.aborted = true
 		return
 	}
@@ -857,7 +859,7 @@ func (w *parWorker) fork(kind uint8, f, g, h Ref, depth int32) *parTask {
 // shouldFork is the granularity test at a fork site; a nil (serial) worker
 // never forks.
 func (w *parWorker) shouldFork(depth int32) bool {
-	return w != nil && depth < parForkDepth && !w.ctx.aborted.Load()
+	return w != nil && depth < parForkDepth && !w.ctx.aborted()
 }
 
 // join retrieves a forked task's result, running it inline when it has not
@@ -885,7 +887,7 @@ func (m *Manager) join(w *parWorker, t *parTask) Ref {
 				w.telem.joinWait.observe(time.Since(waitStart).Nanoseconds())
 			}
 			if t.aborted {
-				panic(OpAborted{Reason: t.ctx.reason})
+				panic(OpAborted{Reason: *t.ctx.reason.Load()})
 			}
 			return t.res
 		}
@@ -1012,10 +1014,9 @@ func (m *Manager) checkLimitsPar(w *parWorker) {
 	e := m.par
 	if m.nodeLimit > 0 && e.liveApprox() > int64(m.nodeLimit) {
 		reason := "live nodes exceed limit"
-		if observer != nil {
-			observer.Abort(reason)
+		if w.ctx.abort(reason) && m.observer != nil {
+			m.observer.Abort(reason)
 		}
-		w.ctx.abort(reason)
 		panic(OpAborted{Reason: reason})
 	}
 	if !m.deadline.IsZero() {

@@ -245,14 +245,15 @@ type stwCounter struct {
 }
 
 // recordSTW updates the per-cause totals and notifies a ParObserver, if the
-// installed observer implements the extension. Runs after the world is
+// manager's observer implements the extension. Runs after the world is
 // released, so the observer may take its time.
-func (e *parEngine) recordSTW(cause stwCause, wait, pause time.Duration) {
+func (m *Manager) recordSTW(cause stwCause, wait, pause time.Duration) {
+	e := m.par
 	c := &e.stw[cause]
 	c.count.Add(1)
 	c.waitNS.Add(wait.Nanoseconds())
 	c.pauseNS.Add(pause.Nanoseconds())
-	if po, ok := observer.(ParObserver); ok {
+	if po, ok := m.observer.(ParObserver); ok {
 		po.STW(cause.String(), e.workers, wait, pause)
 	}
 }
@@ -509,7 +510,7 @@ func (m *Manager) StartStallWatchdog(deadline time.Duration) (stop func()) {
 				continue
 			}
 			fired = true
-			if po, ok := observer.(ParObserver); ok {
+			if po, ok := m.observer.(ParObserver); ok {
 				po.Stall(m.parStallReport(desc, stuck), stuck)
 			}
 		}

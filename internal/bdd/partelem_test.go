@@ -14,12 +14,24 @@ type parTestObserver struct {
 	stw    []string // causes, in order
 	stalls []string // stall reports
 	stuck  []time.Duration
+	aborts int // budget-abort reports
 }
 
 func (o *parTestObserver) GC(reclaimed, live int, pause time.Duration) {}
 func (o *parTestObserver) Reorder(before, after int, d time.Duration)  {}
-func (o *parTestObserver) Abort(reason string)                         {}
 func (o *parTestObserver) DebugFailure(err error)                      {}
+
+func (o *parTestObserver) Abort(reason string) {
+	o.mu.Lock()
+	o.aborts++
+	o.mu.Unlock()
+}
+
+func (o *parTestObserver) abortCount() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.aborts
+}
 
 func (o *parTestObserver) STW(cause string, workers int, wait, pause time.Duration) {
 	o.mu.Lock()
@@ -49,11 +61,13 @@ func (o *parTestObserver) firstStall() string {
 	return o.stalls[0]
 }
 
-func withObserver(t *testing.T, o Observer) {
+// newParObserved is newPar with o as the manager's observer.
+func newParObserved(t *testing.T, vars, workers int, o Observer) *Manager {
 	t.Helper()
-	prev := CurrentObserver()
-	SetObserver(o)
-	t.Cleanup(func() { SetObserver(prev) })
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	cfg.Observer = o
+	return NewWithConfig(vars, cfg)
 }
 
 func withSampling(t *testing.T, rate int) {
@@ -195,8 +209,7 @@ func TestParTelemetrySerialManager(t *testing.T) {
 // exceeds the wall time its epochs span.
 func TestSTWAccounting(t *testing.T) {
 	obs := &parTestObserver{}
-	withObserver(t, obs)
-	m := newPar(t, 16, 2)
+	m := newParObserved(t, 16, 2, obs)
 
 	f := buildAdder(m, 8)
 	m.Deref(f)
@@ -263,13 +276,52 @@ func TestSTWAccounting(t *testing.T) {
 	m2.Deref(g)
 }
 
+// TestParallelAbortReportedOnce: when several workers of one operation trip
+// the node budget together, each of them unwinds, but the observer hears
+// about the abort once — one flight-recorder dump and one
+// bdd_budget_aborts_total increment per aborted operation.
+func TestParallelAbortReportedOnce(t *testing.T) {
+	const bits = 10
+	obs := &parTestObserver{}
+	m := newParObserved(t, 2*bits, 4, obs)
+	// Two carry chains over different variable pairings: their Xor is far
+	// larger than either, so the workers allocate fast and together.
+	f := buildAdder(m, bits)
+	g := Zero
+	for i := 0; i < bits; i++ {
+		ab := m.And(m.IthVar(i), m.IthVar(bits+i))
+		ng := m.Or(ab, g)
+		m.Deref(ab)
+		m.Deref(g)
+		g = ng
+	}
+	defer m.Deref(f)
+	defer m.Deref(g)
+
+	aborted := 0
+	for i := 0; i < 20; i++ {
+		err := m.RunLimited(time.Time{}, m.NodeCount()+64, func() error {
+			m.Deref(m.Xor(f, g))
+			return nil
+		})
+		if err != nil {
+			aborted++
+		}
+	}
+	if aborted == 0 {
+		t.Fatal("no Xor tripped a 64-node budget")
+	}
+	if got := obs.abortCount(); got != aborted {
+		t.Fatalf("observer saw %d abort reports for %d aborted operations", got, aborted)
+	}
+}
+
 // TestStallWatchdogFires wedges the write lease on purpose and checks the
 // watchdog reports it, exactly once per episode, with the parallel-state
 // dump naming the lease.
 func TestStallWatchdogFires(t *testing.T) {
 	obs := &parTestObserver{}
-	withObserver(t, obs)
-	m := newPar(t, 8, 2)
+	m := newParObserved(t, 8, 2, obs)
 
 	stop := m.StartStallWatchdog(20 * time.Millisecond)
 	defer stop()
@@ -322,8 +374,7 @@ func TestStallWatchdogFires(t *testing.T) {
 // ops are completing).
 func TestStallWatchdogQuietWhenHealthy(t *testing.T) {
 	obs := &parTestObserver{}
-	withObserver(t, obs)
-	m := newPar(t, 32, 4)
+	m := newParObserved(t, 32, 4, obs)
 
 	stop := m.StartStallWatchdog(250 * time.Millisecond)
 	defer stop()

@@ -185,8 +185,8 @@ func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
 	m.stats.Reorderings++
 	dur := time.Since(start)
 	m.stats.ReorderTime += dur
-	if observer != nil {
-		observer.Reorder(before, m.liveCount, dur)
+	if m.observer != nil {
+		m.observer.Reorder(before, m.liveCount, dur)
 	}
 	return m.liveCount
 }
@@ -237,8 +237,8 @@ func (m *Manager) setOrderNow(order []int) error {
 	m.stats.Reorderings++
 	dur := time.Since(start)
 	m.stats.ReorderTime += dur
-	if observer != nil {
-		observer.Reorder(before, m.liveCount, dur)
+	if m.observer != nil {
+		m.observer.Reorder(before, m.liveCount, dur)
 	}
 	return nil
 }

@@ -264,8 +264,8 @@ func (m *Manager) gc(sweepCache bool) int {
 	m.stats.GCs++
 	m.stats.GCNodes += int64(collected)
 	m.stats.GCTime += pause
-	if observer != nil {
-		observer.GC(collected, m.liveCount, pause)
+	if m.observer != nil {
+		m.observer.GC(collected, m.liveCount, pause)
 	}
 	return collected
 }

@@ -9,6 +9,7 @@ import (
 	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
 	"bddkit/internal/decomp"
+	"bddkit/internal/obs"
 	"bddkit/internal/reach"
 )
 
@@ -109,11 +110,11 @@ type ClusterRow struct {
 // transition-relation cluster thresholds on one model — the partitioned-TR
 // design choice of Burch–Clarke–Long that the reachability engine builds
 // on. The workload is a fixed number of BFS iterations from the initial
-// state.
-func AblationClusterSize(nl *circuit.Netlist, sizes []int, iterations int) ([]ClusterRow, error) {
+// state, on managers that report to sess (nil = unobserved).
+func AblationClusterSize(nl *circuit.Netlist, sizes []int, iterations int, sess *obs.Session) ([]ClusterRow, error) {
 	var rows []ClusterRow
 	for _, cs := range sizes {
-		c, err := circuit.Compile(nl, circuit.CompileOptions{})
+		c, err := circuit.Compile(nl, circuit.CompileOptions{BDDConfig: &bdd.Config{Observer: sess.Observer()}})
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"bddkit/internal/circuit"
 	"bddkit/internal/model"
 	"bddkit/internal/model/gauntlet"
+	"bddkit/internal/obs"
 )
 
 // Fn is one corpus function: a BDD together with the manager that owns it.
@@ -40,6 +41,11 @@ type CorpusConfig struct {
 	// gauntlet function carries an independent exact solution count that
 	// Tables 2–4 and the approximation-loss ledger are scored against).
 	Gauntlet []gauntlet.Params
+
+	// Observe, when non-nil, is the observability session every corpus
+	// manager is built reporting to, so Tables 2–4 file their events and
+	// quality-ledger records there.
+	Observe *obs.Session
 }
 
 // SmallCorpus is sized for unit tests and the testing.B benchmarks.
@@ -87,6 +93,7 @@ const BigCorpusThreshold = 20000
 // size threshold. Functions are deterministic across runs.
 func Build(cfg CorpusConfig) ([]Fn, error) {
 	var fns []Fn
+	bddCfg := &bdd.Config{Observer: cfg.Observe.Observer()}
 	keep := func(name string, m *bdd.Manager, f bdd.Ref) {
 		sz := m.DagSize(f)
 		if sz < cfg.MinNodes {
@@ -97,7 +104,7 @@ func Build(cfg CorpusConfig) ([]Fn, error) {
 		m.Deref(f)
 	}
 	fromNetlistOrdered := func(nl *circuit.Netlist, outputs, static bool) error {
-		c, err := circuit.Compile(nl, circuit.CompileOptions{SkipNextVars: !outputs, StaticOrder: static})
+		c, err := circuit.Compile(nl, circuit.CompileOptions{SkipNextVars: !outputs, StaticOrder: static, BDDConfig: bddCfg})
 		if err != nil {
 			return err
 		}
@@ -140,7 +147,7 @@ func Build(cfg CorpusConfig) ([]Fn, error) {
 		}
 	}
 	for _, n := range cfg.HWBSizes {
-		m := bdd.New(n)
+		m := bdd.NewWithConfig(n, *bddCfg)
 		vars := make([]int, n)
 		for i := range vars {
 			vars[i] = i
@@ -156,7 +163,7 @@ func Build(cfg CorpusConfig) ([]Fn, error) {
 		}
 	}
 	for _, p := range cfg.Gauntlet {
-		m, f, err := gauntlet.New(p)
+		m, f, err := newInstance(p, cfg.Observe)
 		if err != nil {
 			return nil, err
 		}

@@ -38,13 +38,6 @@ type GauntletRow struct {
 	MassRUA  float64 `json:"mass_rua"`
 	SPNodes  int     `json:"sp_nodes"`
 	MassSP   float64 `json:"mass_sp"`
-
-	// Quality-ledger delta over the two subset calls (zero when the
-	// ledger is disarmed).
-	QualityOps    int64   `json:"quality_ops,omitempty"`
-	QualityAborts int64   `json:"quality_aborts,omitempty"`
-	MassMean      float64 `json:"mass_retained_mean,omitempty"`
-	MassMin       float64 `json:"mass_retained_min,omitempty"`
 }
 
 // GauntletConfig sizes the per-family report run.
@@ -59,8 +52,8 @@ type GauntletConfig struct {
 	// Quality is the RUA quality factor (Table 2 uses 1.0).
 	Quality float64
 
-	// Observe follows each instance's manager, as in Table1Config.
-	Observe func(*bdd.Manager)
+	// Observe watches each instance's manager, as in Table1Config.
+	Observe *obs.Session
 }
 
 // DefaultGauntletConfig runs every small instance at derived thresholds.
@@ -70,19 +63,16 @@ func DefaultGauntletConfig() GauntletConfig {
 
 // RunGauntlet builds each instance on a fresh manager, counts it exactly,
 // applies RUA and SP at the configured threshold, and reports the exact
-// solution mass each approximation retains (plus the quality-ledger delta
-// when armed — the per-family view of the PR-8 loss ledger).
+// solution mass each approximation retains.
 func RunGauntlet(cfg GauntletConfig) ([]GauntletRow, error) {
 	var rows []GauntletRow
 	for _, p := range cfg.Instances {
 		start := time.Now()
-		m, f, err := gauntlet.New(p)
+		m, f, err := newInstance(p, cfg.Observe)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Observe != nil {
-			cfg.Observe(m)
-		}
+		cfg.Observe.ObserveManager(m)
 		row := GauntletRow{
 			Name:      p.Name(),
 			Vars:      p.Vars(),
@@ -102,12 +92,8 @@ func RunGauntlet(cfg GauntletConfig) ([]GauntletRow, error) {
 		if th == 0 {
 			th = row.Nodes / 2
 		}
-		before := obs.L.Snapshot()
 		rua := approx.RemapUnderApprox(m, f, th, cfg.Quality)
 		sp := approx.ShortPaths(m, f, th)
-		if ops, aborts, mean, min := qualityDelta(before, obs.L.Snapshot()); ops > 0 {
-			row.QualityOps, row.QualityAborts, row.MassMean, row.MassMin = ops, aborts, mean, min
-		}
 		row.RUANodes = m.DagSize(rua)
 		row.SPNodes = m.DagSize(sp)
 		if row.MassRUA, err = massRatio(m, rua, p.Vars(), total); err != nil {
@@ -122,6 +108,14 @@ func RunGauntlet(cfg GauntletConfig) ([]GauntletRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// newInstance builds p on a fresh manager that reports to sess (nil =
+// unobserved).
+func newInstance(p gauntlet.Params, sess *obs.Session) (*bdd.Manager, bdd.Ref, error) {
+	m := bdd.NewWithConfig(p.Vars(), bdd.Config{Observer: sess.Observer()})
+	f, err := gauntlet.Build(m, p)
+	return m, f, err
 }
 
 // massRatio returns ‖sub‖/total exactly (1 when the function was empty to

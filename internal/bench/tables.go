@@ -215,49 +215,6 @@ type MethodResult struct {
 	// Additive to the record layout, so HistorySchema stays at 1.
 	STWCount int64         `json:"stw_count,omitempty"`
 	STWTime  time.Duration `json:"stw_ns,omitempty"`
-
-	// Quality-ledger summary over the run (absent when the obs quality
-	// ledger is disarmed): how many ledger operations the traversal filed,
-	// how many aborted, and the mean/worst mass-retained ratio among them.
-	// Additive to the record layout, so HistorySchema stays at 1.
-	QualityOps    int64   `json:"quality_ops,omitempty"`
-	QualityAborts int64   `json:"quality_aborts,omitempty"`
-	MassMean      float64 `json:"mass_retained_mean,omitempty"`
-	MassMin       float64 `json:"mass_retained_min,omitempty"`
-}
-
-// qualityDelta summarizes what the quality ledger recorded between two
-// snapshots (taken around one traversal). The mean is exact over the
-// delta; the minimum is the worst per-operator minimum among operators
-// that recorded in the window, which can under-report if an earlier run
-// of the same operator was worse — per-method Table 1 runs are the only
-// caller, and their managers are fresh, so in practice the window owns
-// its operators.
-func qualityDelta(before, after obs.LedgerSnapshot) (ops, aborts int64, mean, min float64) {
-	prevCount := make(map[string]int64, len(before.PerOp))
-	prevSum := make(map[string]float64, len(before.PerOp))
-	for _, a := range before.PerOp {
-		prevCount[a.Key] = a.Count
-		prevSum[a.Key] = a.MassSum
-	}
-	var massSum float64
-	min = 1
-	for _, a := range after.PerOp {
-		dc := a.Count - prevCount[a.Key]
-		if dc <= 0 {
-			continue
-		}
-		ops += dc
-		massSum += a.MassSum - prevSum[a.Key]
-		if a.MassMin < min {
-			min = a.MassMin
-		}
-	}
-	aborts = after.Aborts - before.Aborts
-	if ops > 0 {
-		mean = massSum / float64(ops)
-	}
-	return ops, aborts, mean, min
 }
 
 // Table1Row mirrors one row of the paper's Table 1, extended with the
@@ -303,12 +260,13 @@ type Table1Circuit struct {
 type Table1Config struct {
 	Circuits []Table1Circuit
 
-	// Observe, when non-nil, is called with each freshly compiled manager
-	// before its traversal runs. cmd/tables wires this to the observability
-	// session's ObserveManager so the -obs endpoint's gauges and time
-	// sampler follow the manager actually doing the work (each method runs
-	// on a fresh manager).
-	Observe func(*bdd.Manager)
+	// Observe, when non-nil, is the observability session that watches
+	// every manager the table builds: each is built reporting to the
+	// session (so compilation's GCs and reorders count too), and
+	// ObserveManager points the -obs endpoint's gauges and time sampler at
+	// the manager actually doing the work (each method runs on a fresh
+	// manager).
+	Observe *obs.Session
 }
 
 // Table1Small is a fast configuration for tests and testing.B benchmarks.
@@ -420,14 +378,11 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 		row.SPTh = ckt.SPThreshold
 		row.SPPImg = pimgLabel(ckt.SPPImg)
 
-		// quality carries the ledger delta of the most recent run into
-		// toMethod; zero when the ledger is disarmed.
-		var quality struct {
-			ops, aborts int64
-			mean, min   float64
-		}
 		run := func(f func(tr *reach.TR, init bdd.Ref) reach.Result) (reach.Result, error) {
-			c, err := circuit.Compile(ckt.Netlist, circuit.CompileOptions{AutoReorder: true})
+			c, err := circuit.Compile(ckt.Netlist, circuit.CompileOptions{
+				AutoReorder: true,
+				BDDConfig:   &bdd.Config{Observer: cfg.Observe.Observer()},
+			})
 			if err != nil {
 				return reach.Result{}, err
 			}
@@ -435,13 +390,8 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 			if err != nil {
 				return reach.Result{}, err
 			}
-			if cfg.Observe != nil {
-				cfg.Observe(c.M)
-			}
-			before := obs.L.Snapshot()
+			cfg.Observe.ObserveManager(c.M)
 			res := f(tr, c.Init)
-			quality.ops, quality.aborts, quality.mean, quality.min =
-				qualityDelta(before, obs.L.Snapshot())
 			c.M.Deref(res.Reached)
 			tr.Release()
 			c.Release()
@@ -469,12 +419,6 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 			}
 			if r.Stats.CacheLookups > 0 {
 				mr.CacheHit = float64(r.Stats.CacheHits) / float64(r.Stats.CacheLookups)
-			}
-			if quality.ops > 0 {
-				mr.QualityOps = quality.ops
-				mr.QualityAborts = quality.aborts
-				mr.MassMean = quality.mean
-				mr.MassMin = quality.min
 			}
 			return mr
 		}
@@ -542,15 +486,16 @@ func runTable1Combinational(cfg Table1Config, ckt Table1Circuit) (Table1Row, err
 	}
 	run := func(subset func(m *bdd.Manager, f bdd.Ref) bdd.Ref) (MethodResult, error) {
 		start := time.Now()
-		c, err := circuit.Compile(ckt.Netlist, circuit.CompileOptions{SkipNextVars: true, AutoReorder: true})
+		c, err := circuit.Compile(ckt.Netlist, circuit.CompileOptions{
+			SkipNextVars: true,
+			AutoReorder:  true,
+			BDDConfig:    &bdd.Config{Observer: cfg.Observe.Observer()},
+		})
 		if err != nil {
 			return MethodResult{}, err
 		}
 		defer c.Release()
-		if cfg.Observe != nil {
-			cfg.Observe(c.M)
-		}
-		before := obs.L.Snapshot()
+		cfg.Observe.ObserveManager(c.M)
 		f := c.M.Ref(bdd.Zero)
 		for _, o := range c.Outputs {
 			g := c.M.Or(f, o)
@@ -573,9 +518,6 @@ func runTable1Combinational(cfg Table1Config, ckt Table1Circuit) (Table1Row, err
 			Nodes:      c.M.DagSize(sub),
 			PeakNodes:  c.M.NodeCount(),
 			Iterations: 0,
-		}
-		if ops, aborts, mean, min := qualityDelta(before, obs.L.Snapshot()); ops > 0 {
-			mr.QualityOps, mr.QualityAborts, mr.MassMean, mr.MassMin = ops, aborts, mean, min
 		}
 		if sub != f {
 			c.M.Deref(sub)

@@ -1,6 +1,10 @@
 package circuit
 
-import "testing"
+import (
+	"testing"
+
+	"bddkit/internal/bdd"
+)
 
 // shiftAddMultiplier builds an n-bit multiplier as unrolled shift-and-add
 // — a structurally different implementation of the array multiplier.
@@ -37,7 +41,7 @@ func arrayMultiplier(n int) *Netlist {
 }
 
 func TestEquivalentMultipliers(t *testing.T) {
-	ok, mm, err := Equivalent(arrayMultiplier(6), shiftAddMultiplier(6))
+	ok, mm, err := Equivalent(arrayMultiplier(6), shiftAddMultiplier(6), bdd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func TestEquivalenceCounterexample(t *testing.T) {
 	bad.OutputBus("s", s2)
 	bg := bad.MustBuild()
 
-	ok, mm, err := Equivalent(g, bg)
+	ok, mm, err := Equivalent(g, bg, bdd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +100,7 @@ func TestEquivalentErrors(t *testing.T) {
 	y := NewBuilder("x")
 	y.Output("y", y.Not(y.Input("different")))
 	ny := y.MustBuild()
-	if _, _, err := Equivalent(nx, ny); err == nil {
+	if _, _, err := Equivalent(nx, ny, bdd.Config{}); err == nil {
 		t.Fatal("mismatched input sets not rejected")
 	}
 	// Latches rejected.
@@ -105,7 +109,7 @@ func TestEquivalentErrors(t *testing.T) {
 	z.SetNext(q, q)
 	z.Output("y", q)
 	nz := z.MustBuild()
-	if _, _, err := Equivalent(nz, nz); err == nil {
+	if _, _, err := Equivalent(nz, nz, bdd.Config{}); err == nil {
 		t.Fatal("sequential circuit not rejected")
 	}
 }

@@ -99,6 +99,7 @@ func DecomposeDisjunctive(m *bdd.Manager, f bdd.Ref, pts Points) Pair {
 // interesting quality signal is structural: how many shared nodes the
 // factored form needs versus the monolithic input.
 type decompLedger struct {
+	ledger *obs.Ledger
 	m      *bdd.Manager
 	op     string
 	start  time.Time
@@ -109,12 +110,13 @@ type decompLedger struct {
 }
 
 func beginLedger(m *bdd.Manager, op string, f bdd.Ref) *decompLedger {
-	if !obs.L.Enabled() {
+	ledger := obs.Of(m).Ledger()
+	if ledger == nil {
 		return nil
 	}
 	st := m.Stats()
 	return &decompLedger{
-		m: m, op: op, start: time.Now(),
+		ledger: ledger, m: m, op: op, start: time.Now(),
 		sizeIn: m.DagSize(f), massIn: count.Fraction(m, f),
 		gc0: st.GCTime, stw0: st.STWTime,
 	}
@@ -147,7 +149,7 @@ func (lg *decompLedger) done(sizeOut int) {
 	if rec.SizeOut > 0 {
 		rec.DensityOut = rec.MassOut / float64(rec.SizeOut)
 	}
-	obs.L.Record(rec)
+	lg.ledger.Record(rec)
 }
 
 type entry struct {

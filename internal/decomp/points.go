@@ -29,8 +29,8 @@ func BandPoints(m *bdd.Manager, f bdd.Ref, cfg BandConfig) Points {
 		cfg = DefaultBandConfig()
 	}
 	var sp *obs.Span
-	if obs.T.Enabled() {
-		sp = obs.T.Begin("decomp.band_points",
+	if t := obs.Of(m).Tracer(); t.Enabled() {
+		sp = t.Begin("decomp.band_points",
 			obs.Int("size", m.DagSize(f)),
 			obs.F64("low", cfg.Low), obs.F64("high", cfg.High))
 	}
@@ -106,8 +106,8 @@ func DisjointPoints(m *bdd.Manager, f bdd.Ref, cfg DisjointConfig) Points {
 	}
 	total := m.DagSize(f)
 	var sp *obs.Span
-	if obs.T.Enabled() {
-		sp = obs.T.Begin("decomp.disjoint_points",
+	if t := obs.Of(m).Tracer(); t.Enabled() {
+		sp = t.Begin("decomp.disjoint_points",
 			obs.Int("size", total),
 			obs.Int("max_candidates", cfg.MaxCandidates))
 	}

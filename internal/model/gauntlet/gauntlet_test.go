@@ -147,7 +147,7 @@ func TestEquivAdder(t *testing.T) {
 		}
 	}
 	ra, cla := gauntlet.AdderPairNetlists(4, false)
-	eq, _, err := circuit.Equivalent(ra, cla)
+	eq, _, err := circuit.Equivalent(ra, cla, bdd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEquivAdder(t *testing.T) {
 		t.Fatal("circuit.Equivalent disagrees: fault-free adder pair reported inequivalent")
 	}
 	ra, cla = gauntlet.AdderPairNetlists(4, true)
-	eq, mis, err := circuit.Equivalent(ra, cla)
+	eq, mis, err := circuit.Equivalent(ra, cla, bdd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

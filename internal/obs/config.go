@@ -23,12 +23,14 @@ import (
 //	-stall-deadline D  stall-watchdog deadline (also BDDKIT_STALL_DEADLINE)
 //	-obs-linger D      keep the session open this long at Close
 //
-// Any one of the first three arms the flight recorder, so a panic or
-// node-budget exhaustion dumps the recent trace events to stderr, and
-// arms the quality ledger (obs.L), so approximation/decomposition/reach
-// operations record their loss. The parallel knobs only take effect when
-// the session is otherwise enabled and a multi-worker manager is
-// observed; the time-series sampler runs only with a live -obs endpoint.
+// Any one of the first three enables the session: it gets a flight
+// recorder, so a panic or node-budget exhaustion dumps the recent trace
+// events to stderr, and a Sink with a quality ledger, so the managers
+// built with the session's Observer record their events and their
+// approximation/decomposition/reach operations record their loss. The
+// parallel knobs only take effect when the session is otherwise enabled
+// and a multi-worker manager is observed; the time-series sampler runs
+// only with a live -obs endpoint.
 type Config struct {
 	Trace      string
 	Metrics    bool
@@ -49,8 +51,8 @@ type Config struct {
 	// BDDKIT_STALL_DEADLINE environment variable.
 	StallDeadline time.Duration
 	// Linger makes Close sleep before tearing the session down, keeping
-	// the -obs endpoint scrapeable after the workload finishes (smoke
-	// tests curl /parallel and /metrics in that window).
+	// the -obs endpoint scrapeable after the workload finishes (a scraper
+	// or bddtop can take its last reading in that window).
 	Linger time.Duration
 	// ShutdownDrain bounds how long Close waits for in-flight endpoint
 	// requests (scrapes, pprof profiles) to finish before hard-closing
@@ -119,10 +121,11 @@ func (c *Config) Validate() error {
 }
 
 // Session is a started observability configuration: the metrics registry,
-// the armed global tracer, the flight recorder, and (optionally) the live
-// HTTP endpoint. It also installs itself as the process-wide bdd.Observer
-// so GC pauses, reorder durations, budget aborts, and invariant failures
-// flow into the registry, the trace, and the flight recorder.
+// the session's tracer, the flight recorder, (optionally) the live HTTP
+// endpoint, and the Sink every manager the session watches is built with
+// (see Observer), so GC pauses, reorder durations, budget aborts,
+// invariant failures and quality-ledger records flow into the registry,
+// the trace, and the flight recorder.
 type Session struct {
 	Registry *Registry
 	Tracer   *Tracer
@@ -131,14 +134,10 @@ type Session struct {
 	// -obs requested port 0).
 	BoundAddr string
 
+	sink      *Sink // nil unless a flag enabled the session
 	cfg       Config
 	traceFile *os.File
 	stopHTTP  func() error
-
-	// dumpW receives flight-recorder dumps (budget aborts, invariant
-	// failures, stalls, panics); os.Stderr unless SetDumpWriter redirects
-	// it (tests capture dumps this way).
-	dumpW io.Writer
 
 	// mu guards the fields the /parallel and /timeseries handlers and
 	// Close read while the workload is still installing them (mgr,
@@ -150,82 +149,43 @@ type Session struct {
 	stopWatchdog func()
 	prevSample   int
 	sampleArmed  bool
-
-	gcPause    *Histogram
-	gcCount    *Counter
-	gcNodes    *Counter
-	reorderDur *Histogram
-	reorders   *Counter
-	aborts     *Counter
-	debugFails *Counter
-	stwPause   *Histogram
-	stwCount   *Counter
-	stalls     *Counter
 }
 
 // Start arms the observability layer described by c. With no flags set it
-// returns a Session whose tracer stays disabled, so callers can wire it
-// unconditionally. The session configures the process-global tracer T;
-// call Close when done.
+// returns a Session whose tracer stays disabled and whose Observer is nil,
+// so callers can wire it unconditionally. Call Close when done.
 func (c Config) Start() (*Session, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Session{
 		Registry: NewRegistry(),
-		Tracer:   T,
+		Tracer:   &Tracer{},
 		cfg:      c,
-		dumpW:    os.Stderr,
 	}
 	if !c.Enabled() {
 		return s, nil
 	}
 	s.Flight = NewFlightRecorder(c.FlightSize)
-	T.SetFlight(s.Flight)
+	s.Tracer.SetFlight(s.Flight)
 	switch c.Trace {
 	case "":
 	case "-":
-		T.SetSink(os.Stderr)
+		s.Tracer.SetSink(os.Stderr)
 	default:
 		f, err := os.Create(c.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("obs: -trace: %w", err)
 		}
 		s.traceFile = f
-		T.SetSink(f)
+		s.Tracer.SetSink(f)
 	}
-
-	s.gcPause = s.Registry.Histogram("bdd_gc_pause_ns")
-	s.gcCount = s.Registry.Counter("bdd_gc_total")
-	s.gcNodes = s.Registry.Counter("bdd_gc_reclaimed_nodes")
-	s.reorderDur = s.Registry.Histogram("bdd_reorder_ns")
-	s.reorders = s.Registry.Counter("bdd_reorder_total")
-	s.aborts = s.Registry.Counter("bdd_budget_aborts_total")
-	s.debugFails = s.Registry.Counter("bdd_debug_failures_total")
-	s.stwPause = s.Registry.Histogram("bdd_stw_pause_ns")
-	s.stwCount = s.Registry.Counter("bdd_stw_total")
-	s.stalls = s.Registry.Counter("bdd_stall_reports_total")
-	for name, text := range map[string]string{
-		"bdd_gc_pause_ns":          "garbage-collection pause durations",
-		"bdd_gc_total":             "garbage collections observed",
-		"bdd_gc_reclaimed_nodes":   "nodes reclaimed by garbage collection",
-		"bdd_reorder_ns":           "variable-reordering pass durations",
-		"bdd_reorder_total":        "variable-reordering passes observed",
-		"bdd_budget_aborts_total":  "node-budget aborts observed",
-		"bdd_debug_failures_total": "DebugCheck invariant failures observed",
-		"bdd_stw_pause_ns":         "write-lease stop-the-world pause durations",
-		"bdd_stw_total":            "write-lease stop-the-world epochs observed",
-		"bdd_stall_reports_total":  "parallel stall-watchdog reports",
-	} {
-		s.Registry.SetHelp(name, text)
-	}
-	L.arm(s.Registry, T)
+	s.sink = NewSink(s.Registry, s.Tracer)
 	s.prevSample = bdd.ParSampling()
 	if c.ParSample > 0 {
 		bdd.SetParSampling(c.ParSample)
 		s.sampleArmed = true
 	}
-	bdd.SetObserver(s)
 
 	if c.Addr != "" {
 		stop, err := s.serve(c.Addr)
@@ -248,24 +208,36 @@ func (c Config) MustStart() *Session {
 	return s
 }
 
+// Observer returns the bdd.Observer that managers watched by the session
+// are built with (bdd.Config.Observer): the session's Sink, or nil when
+// the session is nil or no flag enabled it.
+func (s *Session) Observer() bdd.Observer {
+	if s == nil || s.sink == nil {
+		return nil
+	}
+	return s.sink
+}
+
 // ObserveManager registers snapshot-time gauges over a live BDD manager:
 // live/dead/peak node counts, cache geometry and hit rate, unique-table
 // traffic, GC and reorder totals, and the peak ITE recursion depth. The
 // gauges read the manager without synchronization, so values served while
 // the manager is mutating are advisory. It also points the tracer's
-// node-delta attribution at this manager.
+// node-delta attribution at this manager. Events reach the session only
+// from managers built with its Observer. No-op on a nil session.
 func (s *Session) ObserveManager(m *bdd.Manager) {
-	RegisterManagerGauges(s.Registry, m)
-	if s.Tracer != nil {
-		s.Tracer.LiveNodes = m.NodeCount
+	if s == nil {
+		return
 	}
+	RegisterManagerGauges(s.Registry, m)
+	s.Tracer.LiveNodes = m.NodeCount
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr = m
 	if s.cfg.Addr != "" {
 		if s.timeSampler == nil {
-			s.timeSampler = newTimeSampler(m, L, s.cfg.SampleInterval)
+			s.timeSampler = newTimeSampler(m, s.sink.Ledger(), s.cfg.SampleInterval)
 		} else {
 			s.timeSampler.SetManager(m)
 		}
@@ -317,26 +289,12 @@ func RegisterManagerGauges(r *Registry, m *bdd.Manager) {
 	r.GaugeFunc("bdd_stw_time_ns", func() float64 { return float64(m.Stats().STWTime) })
 }
 
-// SetDumpWriter redirects flight-recorder dumps (budget aborts, invariant
-// failures, stalls, panics) away from os.Stderr — tests assert on dump
-// contents this way. A nil w restores stderr.
+// SetDumpWriter redirects the session's flight-recorder dumps; see
+// Sink.SetDumpWriter. No-op on a session no flag enabled.
 func (s *Session) SetDumpWriter(w io.Writer) {
-	if w == nil {
-		w = os.Stderr
+	if s.sink != nil {
+		s.sink.SetDumpWriter(w)
 	}
-	s.mu.Lock()
-	s.dumpW = w
-	s.mu.Unlock()
-}
-
-// dumpWriter returns the current dump destination.
-func (s *Session) dumpWriter() io.Writer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dumpW == nil {
-		return os.Stderr
-	}
-	return s.dumpW
 }
 
 // sampleInterval reports the effective /timeseries sampling period.
@@ -347,8 +305,8 @@ func (s *Session) sampleInterval() time.Duration {
 	return DefaultSampleInterval
 }
 
-// Close flushes the trace sink, stops the HTTP endpoint, uninstalls the
-// bdd observer, and prints the metrics snapshot when -metrics was given.
+// Close flushes the trace sink, stops the HTTP endpoint, and prints the
+// metrics snapshot and quality report when -metrics was given.
 // With -obs-linger it first sleeps, leaving the endpoint scrapeable; it
 // then stops the watchdog and sampler, emits the end-of-run per-subsystem
 // bdd.contention snapshot into the trace, and tears down.
@@ -375,9 +333,6 @@ func (s *Session) Close() {
 	mgr := s.mgr
 	s.mgr = nil
 	s.mu.Unlock()
-	if L.Enabled() {
-		L.disarm()
-	}
 	if mgr != nil && mgr.Workers() > 1 {
 		s.emitContention(mgr.ParTelemetry())
 	}
@@ -385,23 +340,18 @@ func (s *Session) Close() {
 		bdd.SetParSampling(s.prevSample)
 		s.sampleArmed = false
 	}
-	if bdd.CurrentObserver() == bdd.Observer(s) {
-		bdd.SetObserver(nil)
-	}
 	if s.stopHTTP != nil {
 		if err := s.stopHTTP(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 		s.stopHTTP = nil
 	}
-	if s.Tracer != nil {
-		if err := s.Tracer.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "obs: trace write error:", err)
-		}
-		s.Tracer.SetSink(nil)
-		s.Tracer.SetFlight(nil)
-		s.Tracer.LiveNodes = nil
+	if err := s.Tracer.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "obs: trace write error:", err)
 	}
+	s.Tracer.SetSink(nil)
+	s.Tracer.SetFlight(nil)
+	s.Tracer.LiveNodes = nil
 	if s.traceFile != nil {
 		s.traceFile.Close()
 		s.traceFile = nil
@@ -409,7 +359,7 @@ func (s *Session) Close() {
 	if s.cfg.Metrics {
 		fmt.Fprintln(os.Stderr, "--- metrics snapshot ---")
 		s.Registry.WritePrometheus(os.Stderr)
-		if snap := L.Snapshot(); snap.Ops > 0 {
+		if snap := s.sink.Ledger().Snapshot(); snap.Ops > 0 {
 			fmt.Fprintln(os.Stderr, "--- quality ledger ---")
 			snap.WriteReport(os.Stderr)
 		}
@@ -422,78 +372,10 @@ func (s *Session) Close() {
 //	defer sess.DumpOnPanic()
 func (s *Session) DumpOnPanic() {
 	if r := recover(); r != nil {
-		if s != nil && s.Flight != nil {
-			s.Flight.Dump(s.dumpWriter(), fmt.Sprintf("panic: %v", r))
+		if s != nil && s.sink != nil {
+			s.sink.dump(fmt.Sprintf("panic: %v", r))
 		}
 		panic(r)
-	}
-}
-
-// bdd.Observer implementation -------------------------------------------
-
-// GC records a garbage collection in the registry, the trace, and the
-// flight recorder.
-func (s *Session) GC(reclaimed, live int, pause time.Duration) {
-	s.gcPause.Observe(pause.Nanoseconds())
-	s.gcCount.Inc()
-	s.gcNodes.Add(int64(reclaimed))
-	s.Tracer.Event("bdd.gc",
-		Int("reclaimed", reclaimed), Int("live", live), Dur("pause_ns", pause))
-}
-
-// Reorder records a reordering pass.
-func (s *Session) Reorder(before, after int, dur time.Duration) {
-	s.reorderDur.Observe(dur.Nanoseconds())
-	s.reorders.Inc()
-	s.Tracer.Event("bdd.reorder",
-		Int("nodes_before", before), Int("nodes_after", after), Dur("dur_ns", dur))
-}
-
-// Abort dumps the flight recorder: node-budget exhaustion is exactly the
-// moment the recent trace history explains what grew. The emitted
-// bdd.abort event carries the open-span stack — open spans have not
-// written their own records yet, so without it the dump could not say
-// *where* the run died.
-func (s *Session) Abort(reason string) {
-	s.aborts.Inc()
-	s.Tracer.Event("bdd.abort",
-		Str("reason", reason), Str("stack", s.Tracer.StackString()))
-	if s.Flight != nil {
-		s.Flight.Dump(s.dumpWriter(), "node budget exhausted: "+reason)
-	}
-}
-
-// DebugFailure dumps the flight recorder on an invariant violation.
-func (s *Session) DebugFailure(err error) {
-	s.debugFails.Inc()
-	s.Tracer.Event("bdd.debug_failure", Str("error", err.Error()))
-	if s.Flight != nil {
-		s.Flight.Dump(s.dumpWriter(), "DebugCheck failure: "+err.Error())
-	}
-}
-
-// bdd.ParObserver implementation -----------------------------------------
-
-// STW records one write-lease / stop-the-world epoch: pause histogram,
-// total and per-cause counters, and a bdd.stw trace event carrying the
-// Amdahl attribution (cause, wait, pause, worker count).
-func (s *Session) STW(cause string, workers int, wait, pause time.Duration) {
-	s.stwPause.Observe(pause.Nanoseconds())
-	s.stwCount.Inc()
-	s.Registry.Counter("bdd_stw_" + cause + "_total").Inc()
-	s.Tracer.Event("bdd.stw",
-		Str("cause", cause), Int("workers", workers),
-		Dur("wait_ns", wait), Dur("pause_ns", pause))
-}
-
-// Stall records a stall-watchdog firing: the report goes into the trace
-// (and thereby the flight recorder), and the flight recorder dumps to
-// stderr immediately — a stuck engine may never reach a clean exit.
-func (s *Session) Stall(report string, stuck time.Duration) {
-	s.stalls.Inc()
-	s.Tracer.Event("bdd.stall", Str("report", report), Dur("stuck_ns", stuck))
-	if s.Flight != nil {
-		s.Flight.Dump(s.dumpWriter(), "parallel engine stalled for "+stuck.String()+":\n"+report)
 	}
 }
 
@@ -514,6 +396,3 @@ func (s *Session) emitContention(t bdd.ParTelemetry) {
 	emit("join", t.JoinWait)
 	emit("deque", t.DequeDepth)
 }
-
-var _ bdd.Observer = (*Session)(nil)
-var _ bdd.ParObserver = (*Session)(nil)

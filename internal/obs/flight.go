@@ -10,7 +10,7 @@ import (
 // It runs whenever any observability flag is set, even with the JSONL sink
 // off, so that a crash always has the last moments of the run on record.
 // Dumps are triggered by panics in the cmd mains, by DebugCheck failures,
-// and by node-budget exhaustion (see the bdd.Observer wiring in Session).
+// and by node-budget exhaustion (see the bdd.Observer methods of Sink).
 
 // DefaultFlightSize is the default ring capacity in events.
 const DefaultFlightSize = 4096

@@ -47,7 +47,7 @@ func (s *Session) serve(addr string) (func() error, error) {
 	})
 	mux.HandleFunc("/quality", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(L.Snapshot()) //nolint:errcheck // client went away
+		json.NewEncoder(w).Encode(s.sink.Ledger().Snapshot()) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -25,11 +24,12 @@ import (
 //   - into the metrics registry (quality_* counters/gauges/histograms),
 //     so the Prometheus endpoint exposes the same numbers to scrapers.
 //
-// Like the tracer, the ledger is process-global (obs.L) because the
-// operators live in library packages where threading a handle through
-// every call would be invasive. A disarmed ledger costs one atomic load
-// per Enabled() check and instrumentation sites gate all attribute
-// computation (DagSize and count.Fraction sweeps) behind it.
+// A ledger belongs to a Sink, and the operators reach it through the
+// manager they run on (Of(m).Ledger()), so each manager's records land
+// in its own sink. A manager without a sink has a nil ledger: the
+// instrumentation sites check for nil before any attribute computation
+// (DagSize and count.Fraction sweeps), so un-observed operators pay
+// nothing beyond that check.
 
 // OpRecord is one ledger entry. Masses are minterm fractions of the
 // operation's ambient space (the full variable space for combinational
@@ -99,45 +99,36 @@ type ledgerAgg struct {
 	count, aborts     int64
 	nodesIn, nodesOut int64
 	massSum, massMin  float64
-	retained          *Histogram // permille, registry-owned when armed
-	dur               *Histogram // ns, registry-owned when armed
+	retained          *Histogram // permille, registry-owned
+	dur               *Histogram // ns, registry-owned
 }
 
-// Ledger accumulates OpRecords. The zero value is a valid, disarmed
-// ledger; Session arms the process-global L.
+// Ledger accumulates OpRecords into a registry and a tracer. A nil
+// *Ledger drops every record.
 type Ledger struct {
-	enabled atomic.Bool
+	reg    *Registry
+	tracer *Tracer // receives quality.op events; nil drops them
+	ops    *Counter
+	aborts *Counter
 
 	mu      sync.Mutex
-	reg     *Registry
-	tracer  *Tracer
 	nextID  uint64
 	aggs    map[string]*ledgerAgg
 	last    OpRecord
 	hasLast bool
-	ops     *Counter
-	aborts  *Counter
 }
 
-// L is the process-global ledger, armed by obs.Config.Start alongside the
-// tracer. Library instrumentation calls obs.L.Enabled() / obs.L.Record.
-var L = &Ledger{}
-
-// Enabled reports whether records are being accepted; one atomic load, so
-// hot code can gate its attribute computation on it.
-func (l *Ledger) Enabled() bool { return l != nil && l.enabled.Load() }
-
-// arm points the ledger at a registry and tracer and starts accepting
-// records. Counter/gauge names are registered immediately so a scrape
-// before the first operation still sees the series.
-func (l *Ledger) arm(reg *Registry, tracer *Tracer) {
-	l.mu.Lock()
-	l.reg = reg
-	l.tracer = tracer
-	l.aggs = make(map[string]*ledgerAgg)
-	l.hasLast = false
-	l.ops = reg.Counter("quality_ops_total")
-	l.aborts = reg.Counter("quality_op_aborts_total")
+// NewLedger returns a ledger filing into reg and emitting to tracer. The
+// counter and gauge names are registered immediately so a scrape before
+// the first operation still sees the series.
+func NewLedger(reg *Registry, tracer *Tracer) *Ledger {
+	l := &Ledger{
+		reg:    reg,
+		tracer: tracer,
+		ops:    reg.Counter("quality_ops_total"),
+		aborts: reg.Counter("quality_op_aborts_total"),
+		aggs:   make(map[string]*ledgerAgg),
+	}
 	reg.SetHelp("quality_ops_total", "operations recorded by the quality ledger")
 	reg.SetHelp("quality_op_aborts_total", "ledger operations that ended in an abort")
 	reg.GaugeFunc("quality_last_mass_retained", func() float64 {
@@ -148,25 +139,15 @@ func (l *Ledger) arm(reg *Registry, tracer *Tracer) {
 		return rec.MassRetained
 	})
 	reg.SetHelp("quality_last_mass_retained", "mass-retained ratio of the most recent ledger operation")
-	l.mu.Unlock()
-	l.enabled.Store(true)
-}
-
-// disarm stops accepting records and drops the registry/tracer wiring.
-func (l *Ledger) disarm() {
-	l.enabled.Store(false)
-	l.mu.Lock()
-	l.reg = nil
-	l.tracer = nil
-	l.mu.Unlock()
+	return l
 }
 
 // Record files one operation. The ledger assigns OpID and TS, derives
 // MassRetained and BudgetHeadroom when the caller left them zero, updates
 // the per-operator aggregates and registry metrics, and emits the
-// quality.op trace event. No-op when disarmed.
+// quality.op trace event. No-op on a nil ledger.
 func (l *Ledger) Record(rec OpRecord) {
-	if !l.Enabled() {
+	if l == nil {
 		return
 	}
 	if rec.MassRetained == 0 {
@@ -182,21 +163,15 @@ func (l *Ledger) Record(rec OpRecord) {
 	rec.TS = time.Now().Format(time.RFC3339Nano)
 
 	l.mu.Lock()
-	if !l.enabled.Load() { // disarmed while we were formatting
-		l.mu.Unlock()
-		return
-	}
 	l.nextID++
 	rec.OpID = l.nextID
 	key := rec.Key()
 	agg, ok := l.aggs[key]
 	if !ok {
-		agg = &ledgerAgg{massMin: rec.MassRetained}
-		if l.reg != nil {
-			agg.retained = l.reg.Histogram("quality_" + rec.Kind + "_" + rec.Op + "_mass_permille")
-			agg.dur = l.reg.Histogram("quality_" + rec.Kind + "_" + rec.Op + "_dur_ns")
-		} else {
-			agg.retained, agg.dur = &Histogram{}, &Histogram{}
+		agg = &ledgerAgg{
+			massMin:  rec.MassRetained,
+			retained: l.reg.Histogram("quality_" + rec.Kind + "_" + rec.Op + "_mass_permille"),
+			dur:      l.reg.Histogram("quality_" + rec.Kind + "_" + rec.Op + "_dur_ns"),
 		}
 		l.aggs[key] = agg
 	}
@@ -216,10 +191,9 @@ func (l *Ledger) Record(rec OpRecord) {
 	l.ops.Inc()
 	l.last = rec
 	l.hasLast = true
-	tracer := l.tracer
 	l.mu.Unlock()
 
-	tracer.Event("quality.op",
+	l.tracer.Event("quality.op",
 		Str("op_kind", rec.Kind), Str("op", rec.Op),
 		I64("op_id", int64(rec.OpID)),
 		Int("iter", rec.Iter),
@@ -262,8 +236,7 @@ type LedgerSnapshot struct {
 	PerOp  []OpAgg   `json:"per_op"`
 }
 
-// Snapshot summarizes the ledger. Safe on a disarmed ledger (empty
-// snapshot).
+// Snapshot summarizes the ledger.
 func (l *Ledger) Snapshot() LedgerSnapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()

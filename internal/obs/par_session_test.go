@@ -61,6 +61,7 @@ func TestSessionParallelObservability(t *testing.T) {
 
 	mcfg := bdd.DefaultConfig()
 	mcfg.Workers = 4
+	mcfg.Observer = s.Observer()
 	m := bdd.NewWithConfig(32, mcfg)
 	s.ObserveManager(m)
 	buildParWork(m, 16)
@@ -74,12 +75,12 @@ func TestSessionParallelObservability(t *testing.T) {
 		m.Quiesce(func() { <-release })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.stalls.Value() == 0 && time.Now().Before(deadline) {
+	for s.sink.stalls.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(release)
 	wg.Wait()
-	if s.stalls.Value() == 0 {
+	if s.sink.stalls.Value() == 0 {
 		t.Fatal("watchdog never fired on a wedged write lease")
 	}
 

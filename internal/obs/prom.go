@@ -12,8 +12,8 @@ import (
 
 // Prometheus text exposition (format version 0.0.4) for the registry, plus
 // a parser and linter for it. The writer makes /metrics scrapeable by any
-// standard collector; the parser/linter back `obscheck -prom`, the gate
-// behind `make obs-quality-smoke`.
+// standard collector; the parser/linter back `obscheck -prom` and the
+// session tests' scrapes.
 //
 // Histograms translate exactly: the registry's power-of-two buckets count
 // observations v with 2^(i-1) <= v < 2^i, so for the integer values we

@@ -9,20 +9,16 @@ import (
 	"bddkit/internal/bdd"
 )
 
-// freshLedger arms a private ledger against a fresh registry and a tracer
-// writing into buf, and returns a disarm func. Tests use private ledgers so
-// they cannot race with the process-global L.
-func freshLedger(buf *bytes.Buffer) (*Ledger, *Registry, func()) {
-	l := &Ledger{}
+// freshLedger returns a ledger filing into a fresh registry and emitting
+// to a tracer writing into buf.
+func freshLedger(buf *bytes.Buffer) (*Ledger, *Registry) {
 	reg := NewRegistry()
-	tr := NewTracer(buf)
-	l.arm(reg, tr)
-	return l, reg, l.disarm
+	return NewLedger(reg, NewTracer(buf)), reg
 }
 
 func TestLedgerRecordDerivesAndAggregates(t *testing.T) {
 	var buf bytes.Buffer
-	l, reg, disarm := freshLedger(&buf)
+	l, reg := freshLedger(&buf)
 
 	// MassRetained and BudgetHeadroom left zero: Record must derive them.
 	l.Record(OpRecord{
@@ -93,13 +89,7 @@ func TestLedgerRecordDerivesAndAggregates(t *testing.T) {
 		t.Fatalf("quality.op events = %d, want 3", sum.ByName["quality.op"])
 	}
 
-	// Snapshot and report still work after disarm (end-of-run -metrics
-	// path); new records are dropped.
-	disarm()
-	l.Record(OpRecord{Kind: "approx", Op: "rua"})
-	if snap = l.Snapshot(); snap.Ops != 3 {
-		t.Fatalf("post-disarm snapshot ops = %d, want 3", snap.Ops)
-	}
+	// The end-of-run -metrics report renders every operator.
 	var report strings.Builder
 	snap.WriteReport(&report)
 	if !strings.Contains(report.String(), "approx.rua") || !strings.Contains(report.String(), "reach.hd") {
@@ -109,8 +99,7 @@ func TestLedgerRecordDerivesAndAggregates(t *testing.T) {
 
 func TestLedgerLastMassGauge(t *testing.T) {
 	var buf bytes.Buffer
-	l, reg, disarm := freshLedger(&buf)
-	defer disarm()
+	l, reg := freshLedger(&buf)
 	if v := reg.Snapshot()["quality_last_mass_retained"].(float64); v != 1 {
 		t.Fatalf("gauge before any record = %v, want 1", v)
 	}
@@ -284,8 +273,7 @@ func TestCheckCounterMonotonic(t *testing.T) {
 func TestTimeSamplerRingAndRetarget(t *testing.T) {
 	m := bdd.New(8)
 	var buf bytes.Buffer
-	l, _, disarm := freshLedger(&buf)
-	defer disarm()
+	l, _ := freshLedger(&buf)
 	l.Record(OpRecord{Kind: "approx", Op: "sp", MassIn: 1, MassOut: 0.5})
 
 	ts := newTimeSampler(m, l, time.Hour) // manual sampling only

@@ -110,7 +110,7 @@ func (ts *TimeSampler) Sample() TimePoint {
 	if wall := time.Since(ts.start); wall > 0 {
 		p.STWShare = float64(stats.STWTime) / float64(wall.Nanoseconds())
 	}
-	if ts.ledger.Enabled() {
+	if ts.ledger != nil {
 		snap := ts.ledger.Snapshot()
 		p.QualityOps = snap.Ops
 		p.QualityAborts = snap.Aborts

@@ -19,10 +19,13 @@ import (
 // tracer costs one atomic load per call: Begin returns nil and the nil
 // *Span methods are no-ops, so instrumented code needs no guards.
 //
-// A Tracer serializes its emissions with a mutex, but span nesting is
-// tracked in a single stack: the intended discipline is one tracer per
-// logical thread of work (the BDD engines are single-goroutine, so in
-// practice one per process).
+// A tracer belongs to a Sink (a cmd session's, for the cmd binaries), and
+// library code reaches it through the manager it runs on
+// (Of(m).Tracer()). Emissions are serialized with a mutex, so any number
+// of goroutines may emit events. Span nesting, though, is tracked in one
+// stack per tracer, so spans nest correctly only when one logical thread
+// of work opens them: the caller of a manager's operations. The parallel
+// engine's workers never open spans; they run inside the caller's.
 
 // Attr is one key/value attribute on a span or event.
 type Attr struct {
@@ -268,9 +271,3 @@ func (t *Tracer) emitLocked(ev *Event) {
 		}
 	}
 }
-
-// T is the process-global tracer used by library code (the bdd, approx,
-// and decomp packages) where threading a tracer through every call would
-// be invasive. It starts disabled; Config.Start arms it. Engines that
-// support per-run tracers (reach) fall back to T when none is provided.
-var T = &Tracer{}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"bddkit/internal/approx"
+	"bddkit/internal/bdd"
+	"bddkit/internal/circuit"
 	"bddkit/internal/model"
 	"bddkit/internal/obs"
 )
@@ -34,7 +36,12 @@ func TestBudgetAbortDumpHasStackAndLedger(t *testing.T) {
 			sess.SetDumpWriter(&dump)
 
 			nl := model.S5378(model.S5378Config{Units: 4, UnitWidth: 4})
-			var c = compilePar(t, nl, workers)
+			c, err := circuit.Compile(nl, circuit.CompileOptions{
+				BDDConfig: &bdd.Config{Workers: workers, Observer: sess.Observer()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			defer c.Release()
 			tr, err := NewTR(c, DefaultTROptions())
 			if err != nil {

@@ -75,24 +75,11 @@ type ImageStats struct {
 	SubsetTime  time.Duration // inside frontier subsetting (HD only)
 	ClosureTime time.Duration // inside exact closure checks (HD only)
 
-	// Tracer receives structured span/event output for this run; nil falls
-	// back to the process-global obs.T (which is itself disabled unless an
-	// obs session armed it).
-	Tracer *obs.Tracer
-
 	// Deadline, when non-zero, aborts image computation between cluster
 	// conjunctions (set by the traversals from Options.Budget; an
 	// in-flight relational product cannot be interrupted, so some
 	// overshoot remains possible).
 	Deadline time.Time
-}
-
-// tracer returns the run's tracer, defaulting to the process-global one.
-func (st *ImageStats) tracer() *obs.Tracer {
-	if st.Tracer != nil {
-		return st.Tracer
-	}
-	return obs.T
 }
 
 // Image computes the set of successors of from (a predicate over the
@@ -105,7 +92,7 @@ func (st *ImageStats) tracer() *obs.Tracer {
 // st.Aborted is set, which the traversal loops treat as "budget over".
 func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
 	m := tr.M
-	t := st.tracer()
+	t := obs.Of(m).Tracer()
 	start := time.Now()
 	var sp *obs.Span
 	if t.Enabled() {

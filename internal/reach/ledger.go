@@ -15,8 +15,8 @@ import (
 // exactly the fraction the frontier subsetting preserved (1 in BFS and
 // on HD iterations whose subset was lossless). Budget pressure comes off
 // the manager at record time; abort records carry the cause instead of a
-// result side. Everything is gated on obs.L.Enabled(), so un-observed
-// traversals pay one atomic load per iteration.
+// result side. Everything is gated on the manager's sink having a ledger,
+// so un-observed traversals pay one sink lookup per iteration.
 
 // stateFraction maps a state set to its fraction of the full state space,
 // which is its minterm fraction: the set ranges over the present-state
@@ -29,6 +29,7 @@ func (tr *TR) stateFraction(set bdd.Ref) float64 {
 }
 
 type iterLedger struct {
+	ledger    *obs.Ledger
 	tr        *TR
 	mode      string
 	iter      int
@@ -41,13 +42,15 @@ type iterLedger struct {
 }
 
 // beginIterLedger opens a ledger record for one iteration; frontier is the
-// incoming (pre-image) frontier. Nil when the ledger is disarmed.
+// incoming (pre-image) frontier. Nil when the manager has no ledger.
 func (tr *TR) beginIterLedger(mode string, iter, threshold int, frontier bdd.Ref) *iterLedger {
-	if !obs.L.Enabled() {
+	ledger := obs.Of(tr.M).Ledger()
+	if ledger == nil {
 		return nil
 	}
 	st := tr.M.Stats()
 	return &iterLedger{
+		ledger:    ledger,
 		tr:        tr,
 		mode:      mode,
 		iter:      iter,
@@ -105,18 +108,15 @@ func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) {
 			rec.MassRetained = 1 // abort before any mass was at stake
 		}
 	}
-	obs.L.Record(rec)
+	lg.ledger.Record(rec)
 }
 
 // abortRecord files a bare abort record for a traversal that unwound via
 // bdd.OpAborted outside an open iteration ledger (or whose ledger was
 // already closed). Used by the recover paths.
 func abortRecord(tr *TR, mode string, iter int, reason string) {
-	if !obs.L.Enabled() {
-		return
-	}
 	m := tr.M
-	obs.L.Record(obs.OpRecord{
+	obs.Of(m).Ledger().Record(obs.OpRecord{
 		Kind:         "reach",
 		Op:           mode,
 		Iter:         iter,

@@ -67,7 +67,8 @@ func NewTR(c *circuit.Compiled, opts TROptions) (*TR, error) {
 		NextVars:  c.NextVars,
 		InputVars: c.InputVars,
 	}
-	csp := obs.T.Begin("reach.cluster",
+	t := obs.Of(m).Tracer()
+	csp := t.Begin("reach.cluster",
 		obs.Int("latches", len(c.Next)),
 		obs.Int("cluster_size", opts.ClusterSize))
 	// Bit relations in latch order; the interleaved variable order makes
@@ -102,7 +103,7 @@ func NewTR(c *circuit.Compiled, opts TROptions) (*TR, error) {
 	m.Deref(cluster)
 	csp.End(obs.Int("clusters", len(tr.Clusters)))
 
-	ssp := obs.T.Begin("reach.schedule", obs.Int("clusters", len(tr.Clusters)))
+	ssp := t.Begin("reach.schedule", obs.Int("clusters", len(tr.Clusters)))
 	tr.buildSchedule()
 	ssp.End()
 	tr.n2s = make([]int, m.NumVars())

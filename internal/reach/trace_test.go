@@ -7,27 +7,30 @@ import (
 	"testing"
 
 	"bddkit/internal/bdd"
+	"bddkit/internal/circuit"
 	"bddkit/internal/model"
 	"bddkit/internal/obs"
 )
 
-// TestHighDensitySubsetTraceEvents drives the high-density traversal with
-// a per-run tracer and checks that every subsetting decision point emits a
-// reach.subset event whose frontier sizes match what the subsetter
-// actually saw, and that the per-iteration spans cover every traversal
-// iteration with the right frontier sizes.
+// TestHighDensitySubsetTraceEvents drives the high-density traversal on a
+// manager whose sink traces into a buffer and checks that every
+// subsetting decision point emits a reach.subset event whose frontier
+// sizes match what the subsetter actually saw, and that the per-iteration
+// spans cover every traversal iteration with the right frontier sizes.
 func TestHighDensitySubsetTraceEvents(t *testing.T) {
+	var buf bytes.Buffer
+	sink := obs.NewSink(obs.NewRegistry(), obs.NewTracer(&buf))
 	nl := model.S1269(model.S1269Small())
-	c := compile(t, nl)
+	c, err := circuit.Compile(nl, circuit.CompileOptions{BDDConfig: &bdd.Config{Observer: sink}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Release()
 	tr, err := NewTR(c, DefaultTROptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Release()
-
-	var buf bytes.Buffer
-	tracer := obs.NewTracer(&buf)
 
 	// Wrap the subsetter so the test has ground truth for each call.
 	type subsetCall struct{ before, threshold, after int }
@@ -40,7 +43,7 @@ func TestHighDensitySubsetTraceEvents(t *testing.T) {
 	}
 
 	const threshold = 20
-	res := tr.HighDensity(c.Init, Options{Subset: sub, Threshold: threshold, Tracer: tracer})
+	res := tr.HighDensity(c.Init, Options{Subset: sub, Threshold: threshold})
 	defer c.M.Deref(res.Reached)
 	if !res.Completed {
 		t.Fatal("traversal did not complete")
@@ -124,16 +127,17 @@ func TestHighDensitySubsetTraceEvents(t *testing.T) {
 	}
 }
 
-// TestTraversalWithoutTracerEmitsNothing: with no per-run tracer and the
-// global tracer disabled, a traversal must not allocate spans (the Options
-// zero value stays zero-overhead).
+// TestTraversalWithoutTracerEmitsNothing: a manager built without an
+// observer has no sink, so its traversal runs with a nil tracer and ledger
+// and allocates no spans or records (the zero Config stays zero-overhead),
+// whatever other managers in the process are observed.
 func TestTraversalWithoutTracerEmitsNothing(t *testing.T) {
-	if obs.T.Enabled() {
-		t.Skip("global tracer armed by another test")
-	}
 	nl := model.S3330(model.S3330Small())
 	c := compile(t, nl)
 	defer c.Release()
+	if k := obs.Of(c.M); k != nil {
+		t.Fatalf("manager built with the zero Config reports to sink %p", k)
+	}
 	tr, err := NewTR(c, DefaultTROptions())
 	if err != nil {
 		t.Fatal(err)

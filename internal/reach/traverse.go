@@ -32,9 +32,6 @@ type Options struct {
 	// reached set is still a sound under-approximation of the reachable
 	// states, which is exactly what a budget-degraded server answer needs.
 	NodeLimit int
-	// Tracer receives structured spans and events for this run; nil falls
-	// back to the process-global obs.T.
-	Tracer *obs.Tracer
 	// Profile emits a reach.profile trace event per iteration with a
 	// structural summary (widths, widest levels) of the fresh frontier and
 	// the reached set. Costs one O(nodes) profile sweep per set per
@@ -66,8 +63,8 @@ type Result struct {
 func (tr *TR) BFS(init bdd.Ref, opts Options) (res Result) {
 	start := time.Now()
 	m := tr.M
-	st := ImageStats{Tracer: opts.Tracer}
-	t := st.tracer()
+	var st ImageStats
+	t := obs.Of(m).Tracer()
 	if opts.Budget > 0 {
 		st.Deadline = start.Add(opts.Budget)
 		m.SetDeadline(st.Deadline)
@@ -226,8 +223,8 @@ func (tr *TR) HighDensity(init bdd.Ref, opts Options) (res Result) {
 	if opts.Subset == nil {
 		opts.Subset = RUASubsetter(1.0)
 	}
-	st := ImageStats{Tracer: opts.Tracer}
-	t := st.tracer()
+	var st ImageStats
+	t := obs.Of(m).Tracer()
 	if opts.Budget > 0 {
 		st.Deadline = start.Add(opts.Budget)
 		m.SetDeadline(st.Deadline)

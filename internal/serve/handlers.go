@@ -34,9 +34,6 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		obs.WritePrometheusMulti(w, s.labeledRegistries())
 	})
-	mux.HandleFunc("GET /v1/quality", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, obs.L.Snapshot())
-	})
 	mux.HandleFunc("GET /v1/tenants", s.handleListTenants)
 	mux.HandleFunc("PUT /v1/tenants/{id}", s.handleCreateTenant)
 	mux.HandleFunc("GET /v1/tenants/{id}", s.handleTenantInfo)
@@ -45,6 +42,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants/{id}/restore", s.handleRestore)
 	mux.HandleFunc("GET /v1/tenants/{id}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /v1/tenants/{id}/funcs", s.handleFuncs)
+	mux.HandleFunc("GET /v1/tenants/{id}/quality", s.handleQuality)
 	mux.HandleFunc("POST /v1/tenants/{id}/ops", s.handleOps)
 	mux.HandleFunc("POST /v1/tenants/{id}/approx", s.handleApprox)
 	mux.HandleFunc("POST /v1/tenants/{id}/decomp", s.handleDecomp)
@@ -250,6 +248,17 @@ func (s *Server) handleFuncs(w http.ResponseWriter, r *http.Request) {
 	funcs := t.funcList()
 	t.mu.Unlock()
 	writeJSON(w, http.StatusOK, funcs)
+}
+
+// handleQuality serves the tenant's quality-ledger snapshot: the loss its
+// approximations and budget-degraded answers filed, per operator.
+func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
+	t, err := s.tenant(r.PathValue("id"))
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, t.sink.Ledger().Snapshot())
 }
 
 // handleOps applies a boolean combinator. AND and OR are monotone, so on

@@ -374,19 +374,13 @@ func TestBudgetDegrade(t *testing.T) {
 			cd.Result.Fraction, ce.Result.Fraction)
 	}
 
-	// The loss is on the ledger as a "degrade" op record.
-	var snap obs.LedgerSnapshot
-	if st := call(t, "GET", ts.URL+"/v1/quality", nil, &snap); st != http.StatusOK {
-		t.Fatalf("quality: status %d", st)
+	// The loss is on the starved tenant's ledger as a "degrade" op record,
+	// and not on the generous tenant's.
+	if n := degradeRecords(t, tiny); n == 0 {
+		t.Fatal("no degrade record on the tiny tenant's quality ledger")
 	}
-	found := false
-	for _, agg := range snap.PerOp {
-		if agg.Key == "approx.degrade" && agg.Count > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no degrade record on the quality ledger: %+v", snap.PerOp)
+	if n := degradeRecords(t, big); n != 0 {
+		t.Fatalf("big tenant's quality ledger holds %d degrade records", n)
 	}
 
 	// The degradation shows up on /metrics, and the page lints clean.
@@ -408,12 +402,86 @@ func TestBudgetDegrade(t *testing.T) {
 		`serve_tenant_degrades_total{tenant="tiny"} 1`,
 		`serve_tenant_degrades_total{tenant="big"} 0`,
 		"serve_degrades_total 1",
+		`quality_approx_degrade_mass_permille_count{tenant="tiny"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page missing %q", want)
 		}
 	}
 	_ = s
+}
+
+// degradeRecords returns how many approx.degrade records the tenant at
+// base (its /v1/tenants/{id} URL) has on its quality ledger.
+func degradeRecords(t *testing.T, base string) int64 {
+	t.Helper()
+	var snap obs.LedgerSnapshot
+	if st := call(t, "GET", base+"/quality", nil, &snap); st != http.StatusOK {
+		t.Fatalf("%s/quality: status %d", base, st)
+	}
+	for _, agg := range snap.PerOp {
+		if agg.Key == "approx.degrade" {
+			return agg.Count
+		}
+	}
+	return 0
+}
+
+// starveAndDegrade creates a tenant with a 32-node quota at base, uploads a
+// multiplier far larger than that, and runs one AND, which must come back
+// budget-degraded.
+func starveAndDegrade(t *testing.T, base string) {
+	t.Helper()
+	call(t, "PUT", base, CreateTenantRequest{Quota: 32}, nil)
+	call(t, "POST", base+"/netlist", multiplierNetlist(t, 5), nil)
+	var env Envelope
+	op := OpRequest{Op: "and", Args: []string{"p9", "p8"}, Result: "hi"}
+	if st := call(t, "POST", base+"/ops", op, &env); st != http.StatusOK || !env.Degraded {
+		t.Fatalf("%s/ops: status %d degraded=%v", base, st, env.Degraded)
+	}
+}
+
+// TestServersKeepTheirOwnQuality: two Servers in one process never share
+// telemetry. Creating the second leaves the first's tenant quality alone,
+// neither sees the other's degrade records (even for a tenant of the same
+// name), and the first still records after the second is closed.
+func TestServersKeepTheirOwnQuality(t *testing.T) {
+	_, ts1 := newTestServer(t, Config{})
+	a1 := ts1.URL + "/v1/tenants/a"
+	starveAndDegrade(t, a1)
+	// One degraded AND files a record per shrunken operand.
+	want := degradeRecords(t, a1)
+	if want == 0 {
+		t.Fatal("no degrade record on the first server's tenant")
+	}
+
+	s2 := New(Config{})
+	ts2 := httptest.NewServer(s2.Handler())
+	if n := degradeRecords(t, a1); n != want {
+		t.Fatalf("first server's tenant has %d degrade records after a second New, want %d", n, want)
+	}
+	a2 := ts2.URL + "/v1/tenants/a"
+	starveAndDegrade(t, a2)
+	starveAndDegrade(t, ts2.URL+"/v1/tenants/b")
+	if n := degradeRecords(t, a1); n != want {
+		t.Fatalf("first server's tenant has %d degrade records after the second server degraded, want %d", n, want)
+	}
+	if n := degradeRecords(t, a2); n != want {
+		t.Fatalf("second server's tenant has %d degrade records, want %d", n, want)
+	}
+	ts2.Close()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b1 := ts1.URL + "/v1/tenants/b"
+	starveAndDegrade(t, b1)
+	if n := degradeRecords(t, b1); n != want {
+		t.Fatalf("first server's tenant b has %d degrade records after the second closed, want %d", n, want)
+	}
+	if n := degradeRecords(t, a1); n != want {
+		t.Fatalf("first server's tenant a has %d degrade records, want %d", n, want)
+	}
 }
 
 // TestReachDegradeUnderQuota: a traversal that trips the tenant's node

@@ -88,9 +88,7 @@ type Server struct {
 	BoundAddr string
 }
 
-// New builds a Server (not yet listening) and arms the process-global
-// quality ledger against the server registry so degraded answers file
-// loss records even without an obs session.
+// New builds a Server (not yet listening).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
@@ -111,7 +109,6 @@ func New(cfg Config) *Server {
 		return float64(len(s.tenants))
 	})
 	reg.SetHelp("serve_tenants", "live tenant sessions")
-	obs.ArmLedger(reg)
 	return s
 }
 
@@ -214,7 +211,7 @@ func (s *Server) Start(addr string) error {
 }
 
 // Close drains in-flight requests (bounded by ShutdownDrain, hard-closing
-// past it), tears down every tenant, and disarms the quality ledger.
+// past it) and tears down every tenant.
 func (s *Server) Close() error {
 	var err error
 	if s.httpSrv != nil {
@@ -240,6 +237,5 @@ func (s *Server) Close() error {
 	for _, t := range tenants {
 		t.close()
 	}
-	obs.DisarmLedger()
 	return err
 }

@@ -16,7 +16,9 @@ import (
 // Tenant is one isolated session: its own bdd.Manager (so node budgets
 // and GC pressure never cross tenants), its own named-function namespace,
 // its own metrics registry (merged into /metrics under a tenant label),
-// and its own admission state.
+// its own telemetry sink (the manager's events and the quality ledger its
+// degraded answers file their loss in, on that registry), and its own
+// admission state.
 type Tenant struct {
 	ID string
 
@@ -24,9 +26,10 @@ type Tenant struct {
 	quota    int           // live-node budget for the manager
 	deadline time.Duration // per-operation wall-clock budget
 	workers  int
-	cacheCfg bdd.Config
+	cacheCfg bdd.Config // the tenant's managers' configuration, observer included
 
 	reg      *obs.Registry
+	sink     *obs.Sink
 	ops      *obs.Counter // operations completed
 	degrades *obs.Counter // budget-degraded answers served
 	sheds    *obs.Counter // requests shed by admission control
@@ -42,14 +45,16 @@ type Tenant struct {
 
 func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadline time.Duration) *Tenant {
 	reg := obs.NewRegistry()
+	sink := obs.NewSink(reg, nil)
 	t := &Tenant{
 		ID:       id,
 		adm:      newAdmission(queueDepth, deadline),
 		quota:    quota,
 		deadline: deadline,
 		workers:  workers,
-		cacheCfg: bdd.Config{Workers: workers, CacheBits: cacheBits},
+		cacheCfg: bdd.Config{Workers: workers, CacheBits: cacheBits, Observer: sink},
 		reg:      reg,
+		sink:     sink,
 		ops:      reg.Counter("serve_tenant_ops_total"),
 		degrades: reg.Counter("serve_tenant_degrades_total"),
 		sheds:    reg.Counter("serve_tenant_sheds_total"),

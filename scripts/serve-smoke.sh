@@ -83,9 +83,12 @@ if grep -q '"degraded": true' /tmp/bddkit-serve-smoke-isolated.json; then
     fail "concurrent tenant marked degraded"
 fi
 
-# The loss is on the quality ledger...
-curl -sf "$BASE/v1/quality" | grep -q '"approx.degrade"' \
-    || fail "quality ledger has no approx.degrade record"
+# The loss is on the starved tenant's quality ledger, and only there...
+curl -sf "$BASE/v1/tenants/starved/quality" | grep -q '"approx.degrade"' \
+    || fail "starved tenant's quality ledger has no approx.degrade record"
+if curl -sf "$BASE/v1/tenants/smoke/quality" | grep -q '"approx.degrade"'; then
+    fail "smoke tenant's quality ledger holds the starved tenant's degrade"
+fi
 
 # ...and on /metrics, which lints clean across two scrapes.
 curl -sf "$BASE/metrics" >"$M1" || fail "first metrics scrape"
@@ -93,6 +96,8 @@ grep -q 'serve_tenant_degrades_total{tenant="starved"} 1' "$M1" \
     || fail "metrics missing starved tenant degrade count"
 grep -q 'serve_tenant_degrades_total{tenant="smoke"} 0' "$M1" \
     || fail "metrics missing smoke tenant zero degrade count"
+grep -q 'quality_approx_degrade_mass_permille_count{tenant="starved"}' "$M1" \
+    || fail "metrics missing the starved tenant's degrade on its quality ledger"
 curl -sf "$BASE/metrics" >"$M2" || fail "second metrics scrape"
 /tmp/bddkit-obscheck-serve -prom -quiet "$M1" "$M2" || fail "obscheck -prom lint"
 

@@ -11,12 +11,12 @@ SERVE_ADDR ?= 127.0.0.1:6173
 ## oracle stress driver, smoke the fuzz targets and the generator
 ## gauntlet (counts checked against independent ground truths), then
 ## smoke the observability layer end to end (trace schema + required
-## spans, structural profiler, benchmark trajectory and scaling curve in
-## advisory mode) and the multi-tenant service daemon (round trip, forced
-## budget-degrade, tenant isolation, graceful drain). Parallel telemetry,
-## the Amdahl breakdown, the quality ledger and the Prometheus exposition
-## are checked end to end by internal/obs's session tests, which `test`
-## runs and `vet` race-tests.
+## spans, each cmd's session wiring, structural profiler, benchmark
+## trajectory and scaling curve in advisory mode) and the multi-tenant
+## service daemon (round trip, forced budget-degrade, tenant isolation,
+## graceful drain). Parallel telemetry, the Amdahl breakdown, the
+## quality ledger and the Prometheus exposition are checked end to end by
+## internal/obs's session tests, which `test` runs and `vet` race-tests.
 check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke serve-smoke
 	$(GO) run ./cmd/tables -bench-cmp $(BENCH_HISTORY) -bench-advisory
 	$(GO) run ./cmd/tables -speedup $(BENCH_HISTORY) -bench-advisory
@@ -91,7 +91,10 @@ bench-cmp:
 
 ## obs-smoke: end-to-end check of the observability layer — run a real
 ## traversal with -trace and per-iteration profiles, validate the JSONL
-## schema and span coverage, and render the traceview rollup.
+## schema and span coverage, and render the traceview rollup. Then check
+## that every other cmd builds its managers with its session: each
+## -metrics counter grepped below is fed only through a manager's own
+## observer or quality ledger, so it reads 0 if a cmd drops that wiring.
 obs-smoke:
 	$(GO) run ./cmd/reach -in testdata/counter.net -method hd-rua -threshold 20 \
 		-budget 30s -profile -trace /tmp/bddkit-obs-smoke.jsonl >/dev/null
@@ -99,6 +102,15 @@ obs-smoke:
 		-require reach.cluster,reach.iteration,reach.image,reach.subset,reach.profile,approx.rua \
 		/tmp/bddkit-obs-smoke.jsonl
 	$(GO) run ./cmd/traceview summary /tmp/bddkit-obs-smoke.jsonl | head -20
+	$(GO) run ./cmd/tables -table 2 -metrics 2>&1 >/dev/null | grep -q '^quality_ops_total [1-9]'
+	$(GO) run ./cmd/bddcount -family queens -n 6 -metrics 2>&1 >/dev/null | grep -q '^quality_ops_total [1-9]'
+	$(GO) run ./cmd/bddlab -in testdata/counter.net -out tc -approx rua -metrics 2>&1 >/dev/null \
+		| grep -q '^quality_ops_total [1-9]'
+	$(GO) run ./cmd/mc -in testdata/counter.net -ctl 'AG EF q0' -reachable -metrics 2>&1 >/dev/null \
+		| grep -q '^quality_ops_total [1-9]'
+	$(GO) run ./cmd/equiv -workers 2 -metrics testdata/mult4.net testdata/mult4.net 2>&1 >/dev/null \
+		| grep -q '^bdd_stw_total [1-9]'
+	@echo "obs-smoke OK"
 
 ## serve-smoke: end-to-end check of the bddserve daemon — build a tenant
 ## up from a netlist through ops/approx/count/snapshot/restore, force a

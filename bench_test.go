@@ -290,7 +290,7 @@ func BenchmarkEquivalenceMultipliers(b *testing.B) {
 	c := mk("m1", 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, _, err := circuit.Equivalent(a, c, bdd.Config{})
+		ok, _, err := circuit.Equivalent(a, c, nil)
 		if err != nil || !ok {
 			b.Fatal("equivalence failed")
 		}

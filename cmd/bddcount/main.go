@@ -80,8 +80,7 @@ func run() int {
 	// The manager reports to the session from its first node on: building
 	// the instance is where the garbage collections happen.
 	start := time.Now()
-	m := bdd.NewWithConfig(p.Vars(), bdd.Config{Observer: sess.Observer()})
-	f, err := gauntlet.Build(m, p)
+	m, f, err := gauntlet.New(p, sess.Observer())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bddcount:", err)
 		return 1

@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ok, mm, err := circuit.Equivalent(a, b, bdd.Config{Observer: sess.Observer()})
+	ok, mm, err := circuit.Equivalent(a, b, sess.Observer())
 	if err != nil {
 		fatal(err)
 	}

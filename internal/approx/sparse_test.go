@@ -17,7 +17,7 @@ import (
 // see a zero-density function and return it unchanged.
 func TestSparseFunctionDensity(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 8}
-	m, f, err := gauntlet.New(p)
+	m, f, err := gauntlet.New(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func Build(cfg CorpusConfig) ([]Fn, error) {
 		}
 	}
 	for _, p := range cfg.Gauntlet {
-		m, f, err := newInstance(p, cfg.Observe)
+		m, f, err := gauntlet.New(p, cfg.Observe.Observer())
 		if err != nil {
 			return nil, err
 		}

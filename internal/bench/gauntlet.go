@@ -68,7 +68,7 @@ func RunGauntlet(cfg GauntletConfig) ([]GauntletRow, error) {
 	var rows []GauntletRow
 	for _, p := range cfg.Instances {
 		start := time.Now()
-		m, f, err := newInstance(p, cfg.Observe)
+		m, f, err := gauntlet.New(p, cfg.Observe.Observer())
 		if err != nil {
 			return nil, err
 		}
@@ -108,14 +108,6 @@ func RunGauntlet(cfg GauntletConfig) ([]GauntletRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// newInstance builds p on a fresh manager that reports to sess (nil =
-// unobserved).
-func newInstance(p gauntlet.Params, sess *obs.Session) (*bdd.Manager, bdd.Ref, error) {
-	m := bdd.NewWithConfig(p.Vars(), bdd.Config{Observer: sess.Observer()})
-	f, err := gauntlet.Build(m, p)
-	return m, f, err
 }
 
 // massRatio returns ‖sub‖/total exactly (1 when the function was empty to

@@ -26,9 +26,9 @@ func (mm *Mismatch) String() string {
 // matched by name (both circuits must have the same input set); outputs
 // are matched by name, and both circuits must expose the same output
 // names. Latches are not supported (sequential equivalence is a
-// reachability problem — see internal/reach). The shared manager is built
-// with cfg (the zero Config selects the defaults).
-func Equivalent(a, b *Netlist, cfg bdd.Config) (bool, *Mismatch, error) {
+// reachability problem — see internal/reach). The shared manager reports
+// to observer o (nil = unobserved).
+func Equivalent(a, b *Netlist, o bdd.Observer) (bool, *Mismatch, error) {
 	if len(a.Latches) > 0 || len(b.Latches) > 0 {
 		return false, nil, fmt.Errorf("circuit: Equivalent handles combinational netlists only")
 	}
@@ -39,7 +39,7 @@ func Equivalent(a, b *Netlist, cfg bdd.Config) (bool, *Mismatch, error) {
 		return false, nil, err
 	}
 	// Shared input variables by name.
-	m := bdd.NewWithConfig(0, cfg)
+	m := bdd.NewWithConfig(0, bdd.Config{Observer: o})
 	varOf := map[string]int{}
 	for _, nl := range []*Netlist{a, b} {
 		for _, s := range nl.Inputs {

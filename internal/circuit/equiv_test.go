@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"testing"
-
-	"bddkit/internal/bdd"
-)
+import "testing"
 
 // shiftAddMultiplier builds an n-bit multiplier as unrolled shift-and-add
 // — a structurally different implementation of the array multiplier.
@@ -41,7 +37,7 @@ func arrayMultiplier(n int) *Netlist {
 }
 
 func TestEquivalentMultipliers(t *testing.T) {
-	ok, mm, err := Equivalent(arrayMultiplier(6), shiftAddMultiplier(6), bdd.Config{})
+	ok, mm, err := Equivalent(arrayMultiplier(6), shiftAddMultiplier(6), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +63,7 @@ func TestEquivalenceCounterexample(t *testing.T) {
 	bad.OutputBus("s", s2)
 	bg := bad.MustBuild()
 
-	ok, mm, err := Equivalent(g, bg, bdd.Config{})
+	ok, mm, err := Equivalent(g, bg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +96,7 @@ func TestEquivalentErrors(t *testing.T) {
 	y := NewBuilder("x")
 	y.Output("y", y.Not(y.Input("different")))
 	ny := y.MustBuild()
-	if _, _, err := Equivalent(nx, ny, bdd.Config{}); err == nil {
+	if _, _, err := Equivalent(nx, ny, nil); err == nil {
 		t.Fatal("mismatched input sets not rejected")
 	}
 	// Latches rejected.
@@ -109,7 +105,7 @@ func TestEquivalentErrors(t *testing.T) {
 	z.SetNext(q, q)
 	z.Output("y", q)
 	nz := z.MustBuild()
-	if _, _, err := Equivalent(nz, nz, bdd.Config{}); err == nil {
+	if _, _, err := Equivalent(nz, nz, nil); err == nil {
 		t.Fatal("sequential circuit not rejected")
 	}
 }

@@ -212,7 +212,7 @@ func TestFloatSweepOnSparseFunctions(t *testing.T) {
 		{Family: gauntlet.FamilyQueens, N: 8},
 		{Family: gauntlet.FamilyHamiltonKnight, Rows: 3, Cols: 4},
 	} {
-		gm, f, err := gauntlet.New(p)
+		gm, f, err := gauntlet.New(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestWeightedClosedForm(t *testing.T) {
 // function alone — sifting the order and collecting garbage must not
 // change it.
 func TestCountReorderGCInvariance(t *testing.T) {
-	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 5})
+	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSampleSatisfies(t *testing.T) {
-	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 6})
+	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestSampleSatisfies(t *testing.T) {
 }
 
 func TestSampleDeterminism(t *testing.T) {
-	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 5})
+	m, f, err := gauntlet.New(gauntlet.Params{Family: gauntlet.FamilyQueens, N: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSampleFrequencies(t *testing.T) {
 // GOMAXPROCS matrix.
 func TestCountDeterminism(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 6}
-	m1, f1, err := gauntlet.New(p)
+	m1, f1, err := gauntlet.New(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

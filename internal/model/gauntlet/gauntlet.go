@@ -169,12 +169,14 @@ func Build(m *bdd.Manager, p Params) (bdd.Ref, error) {
 	return bdd.Zero, fmt.Errorf("gauntlet: unknown family %q", p.Family)
 }
 
-// New builds the instance on a fresh manager sized to fit.
-func New(p Params) (*bdd.Manager, bdd.Ref, error) {
+// New builds the instance on a fresh manager sized to fit, built with
+// observer o (nil = unobserved) so that the build's garbage collections
+// and reorderings reach it.
+func New(p Params, o bdd.Observer) (*bdd.Manager, bdd.Ref, error) {
 	if err := p.Validate(); err != nil {
 		return nil, bdd.Zero, err
 	}
-	m := bdd.New(p.Vars())
+	m := bdd.NewWithConfig(p.Vars(), bdd.Config{Observer: o})
 	f, err := Build(m, p)
 	if err != nil {
 		return nil, bdd.Zero, err

@@ -12,7 +12,7 @@ import (
 
 func countOf(t *testing.T, p gauntlet.Params) *big.Int {
 	t.Helper()
-	m, f, err := gauntlet.New(p)
+	m, f, err := gauntlet.New(p, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
@@ -69,7 +69,7 @@ func TestLifePredecessors(t *testing.T) {
 	}
 
 	// Sampled predecessors must actually step to the target.
-	m, f, err := gauntlet.New(p)
+	m, f, err := gauntlet.New(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestEquivAdder(t *testing.T) {
 		}
 	}
 	ra, cla := gauntlet.AdderPairNetlists(4, false)
-	eq, _, err := circuit.Equivalent(ra, cla, bdd.Config{})
+	eq, _, err := circuit.Equivalent(ra, cla, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEquivAdder(t *testing.T) {
 		t.Fatal("circuit.Equivalent disagrees: fault-free adder pair reported inequivalent")
 	}
 	ra, cla = gauntlet.AdderPairNetlists(4, true)
-	eq, mis, err := circuit.Equivalent(ra, cla, bdd.Config{})
+	eq, mis, err := circuit.Equivalent(ra, cla, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func CheckQueensSequence(maxN int) error {
 	}
 	for n := 1; n <= maxN; n++ {
 		p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: n}
-		m, f, err := gauntlet.New(p)
+		m, f, err := gauntlet.New(p, nil)
 		if err != nil {
 			return err
 		}
@@ -243,7 +243,7 @@ func CheckSamplerUniform(m *bdd.Manager, f bdd.Ref, nVars, samples int, seed int
 // report the bit-identical count — which must also equal the family's
 // independent ground truth when one is in range.
 func CheckCountInvariance(p gauntlet.Params) error {
-	m, f, err := gauntlet.New(p)
+	m, f, err := gauntlet.New(p, nil)
 	if err != nil {
 		return err
 	}

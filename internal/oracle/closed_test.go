@@ -27,7 +27,7 @@ func TestQueensSequenceOracle(t *testing.T) {
 // critical value ~21.67).
 func TestSamplerUniformity(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 5}
-	m, f, err := gauntlet.New(p)
+	m, f, err := gauntlet.New(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func FuzzGauntletParams(f *testing.F) {
 		if p.Vars() > 30 {
 			return // accepted but too big for a fuzz iteration
 		}
-		m, fn, err := gauntlet.New(p)
+		m, fn, err := gauntlet.New(p, nil)
 		if err != nil {
 			t.Fatalf("%s: validated params failed to build: %v", p.Name(), err)
 		}

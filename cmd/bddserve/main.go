@@ -31,7 +31,7 @@ func main() {
 		workers    = flag.Int("workers", 1, "default per-tenant manager workers (0 = GOMAXPROCS, 1 = serial)")
 		cacheBits  = flag.Uint("cache-bits", 0, "default per-tenant computed-table size exponent (0 = library default)")
 		quota      = flag.Int("quota", serve.DefaultQuota, "default per-tenant live-node quota")
-		deadline   = flag.Duration("deadline", serve.DefaultDeadline, "default per-operation deadline (0 = none)")
+		deadline   = flag.Duration("deadline", serve.DefaultDeadline, "default per-operation deadline")
 		queueDepth = flag.Int("queue-depth", serve.DefaultQueueDepth, "default per-tenant admission queue depth")
 		maxTenants = flag.Int("max-tenants", serve.DefaultMaxTenants, "tenant pool size limit")
 		drain      = flag.Duration("drain", serve.DefaultShutdownDrain, "shutdown drain window for in-flight requests")
@@ -41,10 +41,10 @@ func main() {
 		cliutil.Workers(*workers),
 		cliutil.CacheBits("cache-bits", *cacheBits),
 		cliutil.Positive("quota", *quota),
-		cliutil.NonNegativeDuration("deadline", *deadline),
+		cliutil.PositiveDuration("deadline", *deadline),
 		cliutil.Positive("queue-depth", *queueDepth),
 		cliutil.Positive("max-tenants", *maxTenants),
-		cliutil.NonNegativeDuration("drain", *drain),
+		cliutil.PositiveDuration("drain", *drain),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "bddserve:", err)
 		os.Exit(2)

@@ -12,9 +12,10 @@
 // With -obs the run serves the observability endpoint (Prometheus
 // /metrics, the /quality approximation-loss ledger, /timeseries gauge
 // trajectories sampled every -obs-sample, and /parallel); watch it live
-// with `bddtop -addr localhost:6060`. Every traversal iteration files a
+// with `bddtop -addr localhost:6060`. Every traversal iteration yields a
 // quality.op ledger record (fresh mass discovered, mass the subsetted
-// frontier kept, budget headroom), summarized at exit by -metrics.
+// frontier kept, budget headroom), filed when the traversal ends and
+// summarized at exit by -metrics.
 package main
 
 import (

@@ -12,9 +12,9 @@ import "bddkit/internal/bdd"
 //
 // ToBudget allocates intermediate nodes while it shrinks, so callers must
 // invoke it with the manager's node limit disarmed — typically right
-// after RunLimited returned a budget abort, which restores the previous
-// (unarmed) limits on exit. The operation is filed under op "degrade" in
-// the quality ledger of the manager's sink, if it has one.
+// after a bdd.Manager.Run returned a budget abort, outside that Run, whose
+// limits are gone once it returns. The operation is filed under op
+// "degrade" in the quality ledger of the manager's sink, if it has one.
 //
 // The returned reference is owned by the caller. maxNodes <= 0 means "no
 // budget" and returns f itself (re-referenced).

@@ -1,9 +1,9 @@
 package approx
 
 import (
+	"context"
 	"math/rand"
 	"testing"
-	"time"
 
 	"bddkit/internal/bdd"
 )
@@ -54,8 +54,8 @@ func TestToBudgetIdentityUnderBudget(t *testing.T) {
 }
 
 // TestToBudgetAfterAbort is the server scenario end to end: an operation
-// trips an armed node limit under RunLimited, then the caller degrades the
-// oversized operand to the quota with the limit disarmed.
+// trips the node ceiling of a Run, then the caller degrades the oversized
+// operand to the quota after the Run, with the limit disarmed.
 func TestToBudgetAfterAbort(t *testing.T) {
 	m := bdd.New(20)
 	rng := rand.New(rand.NewSource(41))
@@ -63,7 +63,7 @@ func TestToBudgetAfterAbort(t *testing.T) {
 	defer m.Deref(f)
 	quota := m.NodeCount() + 4
 	var g bdd.Ref
-	err := m.RunLimited(time.Time{}, quota, func() error {
+	err := m.Run(context.Background(), quota, func() error {
 		a := buildRandom(m, rng, 20, 8)
 		g = m.And(f, a)
 		m.Deref(a)
@@ -74,7 +74,7 @@ func TestToBudgetAfterAbort(t *testing.T) {
 		m.Deref(g)
 	}
 	if m.NodeLimit() != 0 {
-		t.Fatal("RunLimited did not restore the disarmed node limit")
+		t.Fatal("Run did not restore the disarmed node limit")
 	}
 	d := ToBudget(m, f, 8)
 	defer m.Deref(d)

@@ -175,9 +175,9 @@ type Manager struct {
 	reorderThreshold int
 	maxGrowth        float64
 
-	deadline  time.Time // operation deadline (zero = none)
-	allocTick int       // allocations since the last deadline check
-	nodeLimit int       // live-node ceiling (0 = none)
+	scope     *runScope // innermost active Run (nil = unbounded)
+	allocTick int       // allocations since the last context-flag poll
+	nodeLimit int       // live-node ceiling in force (0 = none)
 
 	observer Observer // Config.Observer, fixed at construction
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestIteIdentitiesQuick(t *testing.T) {
@@ -284,67 +283,6 @@ func TestGCUnderSmallArena(t *testing.T) {
 	if m.ReferencedNodeCount() != m.PermanentNodeCount()-1 {
 		t.Fatalf("leak after churn: %d live, want %d",
 			m.ReferencedNodeCount(), m.PermanentNodeCount()-1)
-	}
-}
-
-func TestRunLimitedNodeCeiling(t *testing.T) {
-	m := New(24)
-	// Build a function that needs far more than the ceiling allows.
-	err := m.RunLimited(time.Time{}, m.NodeCount()+50, func() error {
-		f := m.Ref(Zero)
-		for i := 0; i < 12; i++ {
-			p := m.And(m.IthVar(i), m.IthVar(12+i))
-			nf := m.Or(f, p)
-			m.Deref(p)
-			m.Deref(f)
-			f = nf
-		}
-		m.Deref(f)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("node ceiling never tripped")
-	}
-	if _, ok := err.(OpAborted); !ok {
-		t.Fatalf("unexpected error type %T", err)
-	}
-	// The manager must remain usable and structurally sound (stranded
-	// references are allowed, corruption is not).
-	if derr := m.DebugCheck(); derr != nil {
-		t.Fatal(derr)
-	}
-	g := m.And(m.IthVar(0), m.IthVar(1))
-	m.Deref(g)
-	// Limits must be restored: the same construction now succeeds.
-	f := m.Ref(Zero)
-	for i := 0; i < 12; i++ {
-		p := m.And(m.IthVar(i), m.IthVar(12+i))
-		nf := m.Or(f, p)
-		m.Deref(p)
-		m.Deref(f)
-		f = nf
-	}
-	m.Deref(f)
-}
-
-func TestRunLimitedDeadline(t *testing.T) {
-	m := New(40)
-	err := m.RunLimited(time.Now().Add(-time.Second), 0, func() error {
-		// Already past the deadline: the first few thousand allocations
-		// must trip it.
-		f := m.Ref(Zero)
-		for i := 0; i < 20; i++ {
-			p := m.And(m.IthVar(i), m.IthVar(20+i))
-			nf := m.Or(f, p)
-			m.Deref(p)
-			m.Deref(f)
-			f = nf
-		}
-		m.Deref(f)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expired deadline never tripped")
 	}
 }
 

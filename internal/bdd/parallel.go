@@ -118,18 +118,18 @@ type padMutex struct {
 // opCtx is the per-operation context shared by the operation's forked tasks.
 type opCtx struct {
 	outstanding atomic.Int64 // forked tasks not yet done
-	// reason is the first abort reason, nil until an OpAborted unwinds
-	// part of the operation.
-	reason atomic.Pointer[string]
+	// cause is the first abort, nil until an OpAborted unwinds part of
+	// the operation.
+	cause atomic.Pointer[OpAborted]
 }
 
-// abort records reason as the operation's abort cause and reports whether
+// abort records ab as the operation's abort cause and reports whether
 // this call was the first: several workers can trip a limit in the same
 // operation, and only the first one may report it.
-func (c *opCtx) abort(reason string) bool { return c.reason.CompareAndSwap(nil, &reason) }
+func (c *opCtx) abort(ab OpAborted) bool { return c.cause.CompareAndSwap(nil, &ab) }
 
 // aborted reports whether part of the operation has unwound.
-func (c *opCtx) aborted() bool { return c.reason.Load() != nil }
+func (c *opCtx) aborted() bool { return c.cause.Load() != nil }
 
 // parTask is one forked subproblem. The result carries one reference owned
 // by whoever joins the task.
@@ -803,13 +803,13 @@ func (e *parEngine) runStolen(w *parWorker, t *parTask, haveLease bool) {
 		if r := recover(); r != nil {
 			ab, ok := r.(OpAborted)
 			if !ok {
-				t.ctx.abort("panic")
+				t.ctx.abort(OpAborted{Reason: "panic"})
 				t.aborted = true
 				t.state.Store(taskDone)
 				t.ctx.outstanding.Add(-1)
 				panic(r)
 			}
-			t.ctx.abort(ab.Reason)
+			t.ctx.abort(ab)
 			t.aborted = true
 		}
 		t.state.Store(taskDone)
@@ -887,7 +887,7 @@ func (m *Manager) join(w *parWorker, t *parTask) Ref {
 				w.telem.joinWait.observe(time.Since(waitStart).Nanoseconds())
 			}
 			if t.aborted {
-				panic(OpAborted{Reason: *t.ctx.reason.Load()})
+				panic(*t.ctx.cause.Load())
 			}
 			return t.res
 		}
@@ -954,7 +954,7 @@ func (m *Manager) endOp(w *parWorker, ctx *opCtx) {
 // running ones. Called without the memory lease, so running tasks remain
 // free to stop the world while finishing.
 func (m *Manager) drainCtx(w *parWorker, ctx *opCtx) {
-	ctx.abort("operation unwound")
+	ctx.abort(OpAborted{Reason: "operation unwound"})
 	e := m.par
 	for ctx.outstanding.Load() != 0 {
 		claimed := false
@@ -1011,21 +1011,23 @@ func (m *Manager) foldExtraCacheStats() {
 
 // checkLimitsPar is the parallel-mode limit check at allocation sites.
 func (m *Manager) checkLimitsPar(w *parWorker) {
-	e := m.par
-	if m.nodeLimit > 0 && e.liveApprox() > int64(m.nodeLimit) {
-		reason := "live nodes exceed limit"
-		if w.ctx.abort(reason) && m.observer != nil {
-			m.observer.Abort(reason)
+	if m.nodeLimit > 0 {
+		if live := m.par.liveApprox(); live > int64(m.nodeLimit) {
+			ab := m.ceilingAbort(live)
+			if w.ctx.abort(ab) && m.observer != nil {
+				m.observer.Abort(ab.Reason)
+			}
+			panic(ab)
 		}
-		panic(OpAborted{Reason: reason})
 	}
-	if !m.deadline.IsZero() {
+	if s := m.scope; s != nil {
 		w.allocTick++
 		if w.allocTick >= deadlineCheckInterval {
 			w.allocTick = 0
-			if time.Now().After(m.deadline) {
-				w.ctx.abort("deadline exceeded")
-				panic(OpAborted{Reason: "deadline exceeded"})
+			if s.stopped() {
+				ab, _ := s.done()
+				w.ctx.abort(ab)
+				panic(ab)
 			}
 		}
 	}

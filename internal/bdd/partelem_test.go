@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -300,7 +301,7 @@ func TestParallelAbortReportedOnce(t *testing.T) {
 
 	aborted := 0
 	for i := 0; i < 20; i++ {
-		err := m.RunLimited(time.Time{}, m.NodeCount()+64, func() error {
+		err := m.Run(context.Background(), m.NodeCount()+64, func() error {
 			m.Deref(m.Xor(f, g))
 			return nil
 		})

@@ -161,7 +161,7 @@ func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
 		prev := m.liveCount
 		for {
 			m.siftAll(cfg)
-			if m.liveCount >= prev {
+			if m.liveCount >= prev || m.stopRequested() {
 				break
 			}
 			prev = m.liveCount
@@ -255,7 +255,8 @@ func (m *Manager) GarbageCollectDeferred() {
 	})
 }
 
-// siftAll sifts variables in decreasing order of subtable population.
+// siftAll sifts variables in decreasing order of subtable population. It
+// ends early when the enclosing Run's context ends (see siftVar).
 func (m *Manager) siftAll(cfg SiftConfig) {
 	n := len(m.vars)
 	order := make([]int, n)
@@ -274,14 +275,18 @@ func (m *Manager) siftAll(cfg SiftConfig) {
 	if cfg.MaxVars > 0 && cfg.MaxVars < limit {
 		limit = cfg.MaxVars
 	}
-	for i := 0; i < limit; i++ {
+	for i := 0; i < limit && !m.stopRequested(); i++ {
 		m.siftVar(order[i], cfg.MaxGrowth)
 	}
 }
 
 // siftVar moves variable v through the order, first toward the closer end,
 // then all the way to the other end, and finally parks it at the best level
-// seen.
+// seen. Allocation checks are suspended while the table is mid-swap, so
+// the sweeps poll the enclosing Run's context flag between swaps instead:
+// once it is raised they stop, and the variable is parked at the best
+// level seen so far. The table is consistent between swaps, and the next
+// allocation check after the pass raises the abort.
 func (m *Manager) siftVar(v int, maxGrowth float64) {
 	start := int(m.varToLev[v])
 	n := len(m.subtables)
@@ -290,7 +295,7 @@ func (m *Manager) siftVar(v int, maxGrowth float64) {
 	bound := int(maxGrowth * float64(m.liveCount))
 
 	down := func() {
-		for int(m.varToLev[v]) < n-1 {
+		for int(m.varToLev[v]) < n-1 && !m.stopRequested() {
 			size := m.swapInPlace(int(m.varToLev[v]))
 			if size < bestSize {
 				bestSize = size
@@ -302,7 +307,7 @@ func (m *Manager) siftVar(v int, maxGrowth float64) {
 		}
 	}
 	up := func() {
-		for m.varToLev[v] > 0 {
+		for m.varToLev[v] > 0 && !m.stopRequested() {
 			size := m.swapInPlace(int(m.varToLev[v]) - 1)
 			if size < bestSize {
 				bestSize = size

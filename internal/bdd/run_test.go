@@ -1,0 +1,214 @@
+package bdd
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+)
+
+// xnorChain builds ∧_i (x_i ≡ x_{n+i}), with the i-th equivalence negated
+// when bit i of r is set: 3·2^n nodes under the identity order, and a
+// different function for every r < 2^n, so a loop over r keeps allocating.
+func xnorChain(m *Manager, n, r int) Ref {
+	f := m.Ref(One)
+	for i := 0; i < n; i++ {
+		e := m.Xnor(m.IthVar(i), m.IthVar(n+i))
+		if r>>i&1 == 1 {
+			e = e.Complement()
+		}
+		nf := m.And(f, e)
+		m.Deref(e)
+		m.Deref(f)
+		f = nf
+	}
+	return f
+}
+
+// orOfPairs builds ∨_{i<k} (x_i ∧ x_{k+i}), which needs far more than a
+// few dozen nodes under the identity order.
+func orOfPairs(m *Manager, k int) Ref {
+	f := m.Ref(Zero)
+	for i := 0; i < k; i++ {
+		p := m.And(m.IthVar(i), m.IthVar(k+i))
+		nf := m.Or(f, p)
+		m.Deref(p)
+		m.Deref(f)
+		f = nf
+	}
+	return f
+}
+
+func TestRunNodeCeiling(t *testing.T) {
+	m := New(24)
+	// Build a function that needs far more than the ceiling allows.
+	err := m.Run(context.Background(), m.NodeCount()+50, func() error {
+		m.Deref(orOfPairs(m, 12))
+		return nil
+	})
+	if err == nil {
+		t.Fatal("node ceiling never tripped")
+	}
+	var ab OpAborted
+	if !errors.As(err, &ab) || ab.Err != nil {
+		t.Fatalf("unexpected error %T %v", err, err)
+	}
+	// The manager must remain usable and structurally sound (stranded
+	// references are allowed, corruption is not).
+	if derr := m.DebugCheck(); derr != nil {
+		t.Fatal(derr)
+	}
+	g := m.And(m.IthVar(0), m.IthVar(1))
+	m.Deref(g)
+	// Limits must be restored: the same construction now succeeds.
+	if m.NodeLimit() != 0 {
+		t.Fatalf("Run left node limit %d armed", m.NodeLimit())
+	}
+	m.Deref(orOfPairs(m, 12))
+}
+
+// TestRunDeadline: a context that is already done never calls fn, and a
+// deadline that passes while fn allocates trips inside it. Both aborts
+// unwrap to context.DeadlineExceeded.
+func TestRunDeadline(t *testing.T) {
+	m := New(40)
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	called := false
+	err := m.Run(past, 0, func() error {
+		called = true
+		return nil
+	})
+	if called {
+		t.Fatal("Run called fn under an expired context")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.As(err, new(OpAborted)) {
+		t.Fatalf("expired context: err %v, want an OpAborted wrapping DeadlineExceeded", err)
+	}
+
+	soon, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel2()
+	finished := false
+	err = m.Run(soon, 0, func() error {
+		for r := 0; r < 1<<12; r++ {
+			m.Deref(xnorChain(m, 12, r))
+		}
+		finished = true
+		return nil
+	})
+	if finished || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline inside fn: finished=%v err=%v", finished, err)
+	}
+	if err := m.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunNested: an inner Run only tightens the limits, and the outer
+// ones are back in force when it returns. An inner context that ends
+// leaves the outer Run alone; an outer context that ends stops the inner
+// work, and stays in force after the inner Run returns.
+func TestRunNested(t *testing.T) {
+	m := New(24)
+	limit := func(want int) {
+		t.Helper()
+		if got := m.NodeLimit(); got != want {
+			t.Errorf("NodeLimit() = %d, want %d", got, want)
+		}
+	}
+	err := m.Run(context.Background(), 1000, func() error {
+		m.Run(context.Background(), 5000, func() error { limit(1000); return nil })
+		m.Run(context.Background(), 300, func() error { limit(300); return nil })
+		m.Run(context.Background(), 0, func() error { limit(1000); return nil })
+		limit(1000)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit(0)
+
+	outer, cancelOuter := context.WithCancel(context.Background())
+	defer cancelOuter()
+	reached := false
+	err = m.Run(outer, 0, func() error {
+		inner, cancelInner := context.WithCancel(context.Background())
+		cancelInner()
+		called := false
+		if err := m.Run(inner, 0, func() error { called = true; return nil }); called || !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled inner context: called=%v err=%v", called, err)
+		}
+		// The inner cancellation did not end the outer Run.
+		m.Deref(xnorChain(m, 10, 0))
+
+		ierr := m.Run(context.Background(), 0, func() error {
+			cancelOuter()
+			for r := 0; r < 1<<10; r++ {
+				m.Deref(xnorChain(m, 10, r))
+			}
+			return nil
+		})
+		if !errors.Is(ierr, context.Canceled) {
+			t.Errorf("outer cancellation inside an inner Run: err %v", ierr)
+		}
+		for r := 0; r < 1<<10; r++ {
+			m.Deref(xnorChain(m, 10, r))
+		}
+		reached = true
+		return nil
+	})
+	if reached || !errors.Is(err, context.Canceled) {
+		t.Fatalf("outer limits after the inner Run: reached=%v err=%v", reached, err)
+	}
+	if err := m.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunCancelMidOperation: cancelling from another goroutine aborts
+// the running operation at the next poll of the context flag (one check
+// interval is deadlineCheckInterval allocations, well under the bound
+// below), on the serial and on the parallel engine, and leaves a sound
+// manager behind.
+func TestRunCancelMidOperation(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 14
+			m := newPar(t, 2*n, workers)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started := make(chan struct{})
+			cancelledAt := make(chan time.Time, 1)
+			go func() {
+				<-started
+				cancelledAt <- time.Now()
+				cancel()
+			}()
+			err := m.Run(ctx, 0, func() error {
+				for r := 0; r < 1<<n; r++ {
+					if r == 1 {
+						close(started)
+					}
+					m.Deref(xnorChain(m, n, r))
+				}
+				return nil
+			})
+			latency := time.Since(<-cancelledAt)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err %v, want an abort wrapping context.Canceled", err)
+			}
+			if latency > 200*time.Millisecond {
+				t.Fatalf("abort took %v after the cancel", latency)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			f := m.And(m.IthVar(0), m.IthVar(1))
+			if f == Zero {
+				t.Fatal("manager unusable after the cancel")
+			}
+			m.Deref(f)
+		})
+	}
+}

@@ -47,7 +47,7 @@ func TestCommandFlagProfiles(t *testing.T) {
 		},
 		"bddserve": func(f flags) error {
 			return Check(Workers(f.workers), CacheBits("cache-bits", f.cacheBits),
-				Positive("quota", f.cluster), NonNegativeDuration("deadline", f.budget))
+				Positive("quota", f.cluster), PositiveDuration("deadline", f.budget))
 		},
 	}
 
@@ -87,6 +87,12 @@ func TestCommandFlagProfiles(t *testing.T) {
 		{"non-positive cluster",
 			[]string{"reach", "bddserve"},
 			func(f *flags) { f.cluster = 0 }, "must be positive"},
+		{"negative deadline",
+			[]string{"bddserve"},
+			func(f *flags) { f.budget = -time.Second }, "must be positive"},
+		{"zero deadline",
+			[]string{"bddserve"},
+			func(f *flags) { f.budget = 0 }, "-deadline 0s must be positive"},
 	}
 
 	// Sane defaults pass everywhere.

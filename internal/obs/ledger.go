@@ -38,7 +38,7 @@ import (
 // fixed variable count, and comparable before/after within one record.
 type OpRecord struct {
 	OpID uint64 `json:"op_id"`
-	TS   string `json:"ts,omitempty"` // RFC3339Nano, stamped by Record
+	TS   string `json:"ts,omitempty"` // RFC3339Nano, stamped by Record if empty
 	Kind string `json:"kind"`         // "approx", "decomp", "reach"
 	Op   string `json:"op"`           // "rua", "hb", "sp", "ua", "biased", "c1", "c2", "conj", "disj", "mcmillan", "bfs", "hd", ...
 	Iter int    `json:"iter,omitempty"`
@@ -142,8 +142,9 @@ func NewLedger(reg *Registry, tracer *Tracer) *Ledger {
 	return l
 }
 
-// Record files one operation. The ledger assigns OpID and TS, derives
-// MassRetained and BudgetHeadroom when the caller left them zero, updates
+// Record files one operation. The ledger assigns OpID, stamps TS and
+// derives MassRetained and BudgetHeadroom when the caller left them zero
+// (a caller that files a record after the fact sets TS itself), updates
 // the per-operator aggregates and registry metrics, and emits the
 // quality.op trace event. No-op on a nil ledger.
 func (l *Ledger) Record(rec OpRecord) {
@@ -160,7 +161,9 @@ func (l *Ledger) Record(rec OpRecord) {
 	if rec.BudgetHeadroom == 0 {
 		rec.BudgetHeadroom = headroom(rec.BudgetLimit, rec.BudgetLive)
 	}
-	rec.TS = time.Now().Format(time.RFC3339Nano)
+	if rec.TS == "" {
+		rec.TS = time.Now().Format(time.RFC3339Nano)
+	}
 
 	l.mu.Lock()
 	l.nextID++

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -278,11 +279,22 @@ func TestTimeSamplerRingAndRetarget(t *testing.T) {
 
 	ts := newTimeSampler(m, l, time.Hour) // manual sampling only
 	defer ts.Stop()
-	m.SetNodeLimit(100)
 	f := m.And(m.IthVar(0), m.IthVar(1))
 	defer m.Deref(f)
 
-	p := ts.Sample()
+	// Sample m under a ceiling of 100, then re-point the sampler at a
+	// fresh manager while that ceiling is still in force: a sampler that
+	// still read m would report it.
+	m2 := bdd.New(4)
+	var p, p2 TimePoint
+	if err := m.Run(context.Background(), 100, func() error {
+		p = ts.Sample()
+		ts.SetManager(m2)
+		p2 = ts.Sample()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if p.LiveNodes != m.NodeCount() || p.NodeLimit != 100 {
 		t.Fatalf("sample live/limit = %d/%d, want %d/100", p.LiveNodes, p.NodeLimit, m.NodeCount())
 	}
@@ -302,10 +314,8 @@ func TestTimeSamplerRingAndRetarget(t *testing.T) {
 	}
 
 	// Re-pointing at a fresh manager keeps sampling without restarting.
-	m2 := bdd.New(4)
-	ts.SetManager(m2)
-	if p := ts.Sample(); p.NodeLimit != 0 {
-		t.Fatalf("retargeted sample still reads old manager (limit %d)", p.NodeLimit)
+	if p2.NodeLimit != 0 {
+		t.Fatalf("retargeted sample still reads old manager (limit %d)", p2.NodeLimit)
 	}
 }
 

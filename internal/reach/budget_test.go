@@ -1,9 +1,11 @@
 package reach
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
 	"bddkit/internal/model"
 )
@@ -99,10 +101,10 @@ func TestImageMonotone(t *testing.T) {
 	c.Release()
 }
 
-// TestNodeLimitAbort: a traversal under a tiny live-node ceiling must
-// return a partial — but sound — reached set, flag the abort reason, and
-// leave the manager's limit disarmed for whoever runs next (the degrade
-// path allocates).
+// TestNodeLimitAbort: a traversal inside a Run with a tiny live-node
+// ceiling must return a partial — but sound — reached set, flag the abort
+// reason, and leave the manager's limit disarmed for whoever runs next
+// (the degrade path allocates).
 func TestNodeLimitAbort(t *testing.T) {
 	nl := model.S5378(model.S5378Config{Units: 4, UnitWidth: 4})
 	c := compile(t, nl)
@@ -113,7 +115,17 @@ func TestNodeLimitAbort(t *testing.T) {
 	}
 	defer tr.Release()
 	limit := c.M.NodeCount() + 32
-	res := tr.BFS(c.Init, Options{NodeLimit: limit})
+	underCeiling := func(traverse func(bdd.Ref, Options) Result) Result {
+		var res Result
+		if err := c.M.Run(context.Background(), limit, func() error {
+			res = traverse(c.Init, Options{})
+			return nil
+		}); err != nil {
+			t.Fatalf("the traversal did not absorb its abort: %v", err)
+		}
+		return res
+	}
+	res := underCeiling(tr.BFS)
 	if res.Completed {
 		t.Fatalf("traversal under a %d-node ceiling reported completion", limit)
 	}
@@ -128,7 +140,7 @@ func TestNodeLimitAbort(t *testing.T) {
 	}
 	c.M.Deref(res.Reached)
 
-	hd := tr.HighDensity(c.Init, Options{NodeLimit: limit})
+	hd := underCeiling(tr.HighDensity)
 	if hd.Completed {
 		t.Fatal("HD under the ceiling reported completion")
 	}

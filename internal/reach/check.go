@@ -2,7 +2,6 @@ package reach
 
 import (
 	"fmt"
-	"time"
 
 	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
@@ -54,93 +53,51 @@ func (c *Counterexample) Len() int { return len(c.Inputs) }
 func (a *Analyzer) CheckInvariant(bad bdd.Ref, opts Options) (cex *Counterexample, res Result, err error) {
 	m := a.C.M
 	tr := a.TR
-	var st ImageStats
-	start := time.Now()
-	if opts.Budget > 0 {
-		st.Deadline = start.Add(opts.Budget)
-		m.SetDeadline(st.Deadline)
-		defer m.SetDeadline(time.Time{})
-	}
-
 	// Onion rings: rings[i] = states first reached at distance i.
 	rings := []bdd.Ref{m.Ref(a.C.Init)}
-	release := func() {
+	defer func() {
 		for _, r := range rings {
 			m.Deref(r)
 		}
-	}
-	reached := m.Ref(a.C.Init)
-
-	// The budget can trip inside any allocating operation below; an
-	// abort means "unknown": no counterexample, incomplete traversal.
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(bdd.OpAborted); !ok {
-				panic(r)
-			}
-			release()
-			cex = nil
-			err = nil
-			res = Result{
-				Reached:    reached,
-				States:     tr.StateCount(reached),
-				Nodes:      m.DagSize(reached),
-				Iterations: len(rings) - 1,
-				Elapsed:    time.Since(start),
-				Stats:      st,
-			}
-		}
 	}()
-	hitRing := -1
-	if x := m.And(a.C.Init, bad); x != bdd.Zero {
-		hitRing = 0
+	res = tr.traverse("", a.C.Init, opts, func(tv *traversal) bool {
+		hitRing := -1
+		x := m.And(a.C.Init, bad)
+		if x != bdd.Zero {
+			hitRing = 0
+		}
 		m.Deref(x)
-	} else {
-		m.Deref(x)
-	}
-	completed := false
-	for hitRing < 0 {
-		img := tr.Image(rings[len(rings)-1], nil, &st)
-		if st.Aborted {
+		for hitRing < 0 {
+			img := tr.Image(rings[len(rings)-1], nil, &tv.st)
+			fresh := m.Diff(img, tv.reached)
 			m.Deref(img)
-			break
-		}
-		fresh := m.Diff(img, reached)
-		m.Deref(img)
-		if fresh == bdd.Zero {
-			m.Deref(fresh)
-			completed = true
-			break
-		}
-		nr := m.Or(reached, fresh)
-		m.Deref(reached)
-		reached = nr
-		rings = append(rings, fresh)
-		if x := m.And(fresh, bad); x != bdd.Zero {
-			hitRing = len(rings) - 1
+			if fresh == bdd.Zero {
+				return true
+			}
+			nr := m.Or(tv.reached, fresh)
+			m.Deref(tv.reached)
+			tv.reached = nr
+			rings = append(rings, fresh)
+			tv.iters = len(rings) - 1
+			x := m.And(fresh, bad)
+			if x != bdd.Zero {
+				hitRing = len(rings) - 1
+			}
 			m.Deref(x)
-		} else {
-			m.Deref(x)
+			if hitRing < 0 && opts.MaxIterations > 0 && len(rings) > opts.MaxIterations {
+				return false
+			}
 		}
-		if opts.MaxIterations > 0 && len(rings) > opts.MaxIterations {
-			break
-		}
-	}
-	res = Result{
-		Reached:    reached,
-		States:     tr.StateCount(reached),
-		Nodes:      m.DagSize(reached),
-		Iterations: len(rings) - 1,
-		Completed:  completed || hitRing >= 0,
-		Elapsed:    time.Since(start),
-		Stats:      st,
-	}
-	if hitRing < 0 {
-		release()
+		// The trace runs under the budget too: an abort while extracting
+		// it leaves the answer unknown.
+		cex, err = a.trace(rings, hitRing, bad)
+		return true
+	})
+	if !res.Completed {
+		// Budget spent (or an iteration bound hit) with no violation
+		// proven: the answer is unknown.
 		return nil, res, nil
 	}
-	cex, err = a.trace(rings, hitRing, bad)
-	release()
 	if err != nil {
 		return nil, res, err
 	}

@@ -2,6 +2,7 @@ package reach
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -56,10 +57,13 @@ func TestBudgetAbortDumpHasStackAndLedger(t *testing.T) {
 
 			// A ceiling below what the first image needs trips the abort
 			// inside BFS; the traversal recovers and reports incomplete.
-			c.M.SetNodeLimit(c.M.NodeCount() + 16)
-			defer c.M.SetNodeLimit(0)
-			res := tr.BFS(c.Init, Options{})
-			c.M.SetNodeLimit(0)
+			var res Result
+			if err := c.M.Run(context.Background(), c.M.NodeCount()+16, func() error {
+				res = tr.BFS(c.Init, Options{})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 			defer c.M.Deref(res.Reached)
 			if res.Completed {
 				t.Fatal("traversal completed under a microscopic node limit")

@@ -46,25 +46,21 @@ type PImg struct {
 
 // ImageStats accumulates work counters across image computations.
 type ImageStats struct {
-	Images        int  // image computations performed
-	AndExists     int  // relational products
-	PImgCuts      int  // partial-image subsettings applied
-	PeakLiveNodes int  // high-water mark of the manager's live nodes
-	PeakProduct   int  // largest intermediate product seen
-	Aborted       bool // an image hit the traversal deadline or node limit mid-way
-	// AbortReason describes what tripped when Aborted is set (the
-	// bdd.OpAborted reason, or the deadline poll between conjunctions).
-	AbortReason string
+	Images        int // image computations performed
+	AndExists     int // relational products
+	PImgCuts      int // partial-image subsettings applied
+	PeakLiveNodes int // high-water mark of the manager's live nodes
+	PeakProduct   int // largest intermediate product seen
 
-	// Computed-table traffic over the manager for the whole run (the
-	// traversals run on a fresh manager, so these are attributable to the
-	// run): the memory-subsystem story behind the timing columns.
+	// Computed-table traffic during the traversal (a delta over its run,
+	// so compile and transition-relation build are excluded): the
+	// memory-subsystem story behind the timing columns.
 	CacheLookups int64 // computed-table probes
 	CacheHits    int64 // computed-table hits
 
-	// Stop-the-world accounting over the run (parallel engine only; zero
-	// on the serial engine): the serial sections that bound the run's
-	// attainable speedup under Amdahl's law.
+	// Stop-the-world accounting during the traversal (parallel engine
+	// only; zero on the serial engine): the serial sections that bound the
+	// run's attainable speedup under Amdahl's law.
 	STWCount int64         // write-lease / stop-the-world epochs
 	STWTime  time.Duration // pauses summed over those epochs (waits excluded)
 
@@ -74,12 +70,6 @@ type ImageStats struct {
 	ImageTime   time.Duration // inside Image (clusters + partial-image cuts)
 	SubsetTime  time.Duration // inside frontier subsetting (HD only)
 	ClosureTime time.Duration // inside exact closure checks (HD only)
-
-	// Deadline, when non-zero, aborts image computation between cluster
-	// conjunctions (set by the traversals from Options.Budget; an
-	// in-flight relational product cannot be interrupted, so some
-	// overshoot remains possible).
-	Deadline time.Time
 }
 
 // Image computes the set of successors of from (a predicate over the
@@ -87,10 +77,10 @@ type ImageStats struct {
 // variables. With a non-nil pimg the result may be a dense subset of the
 // exact image (partial image computation, Section 4 of the paper).
 //
-// When the traversal deadline trips inside a BDD operation (see
-// bdd.OpAborted), the abort is absorbed here: the image reports Zero and
-// st.Aborted is set, which the traversal loops treat as "budget over".
-func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
+// A limit that trips inside (see bdd.OpAborted) unwinds through Image to
+// the bdd.Manager.Run that armed it; the image span still closes, marked
+// aborted.
+func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) bdd.Ref {
 	m := tr.M
 	t := obs.Of(m).Tracer()
 	start := time.Now()
@@ -101,19 +91,10 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
 			obs.Int("clusters", len(tr.Clusters)),
 			obs.Bool("pimg", pimg != nil))
 	}
+	aborted := true // until the image is done
 	defer func() {
 		st.ImageTime += time.Since(start)
-		if r := recover(); r != nil {
-			if ab, ok := r.(bdd.OpAborted); ok {
-				st.Aborted = true
-				st.AbortReason = ab.Reason
-				res = m.Ref(bdd.Zero)
-				sp.End(obs.Bool("aborted", true))
-				return
-			}
-			panic(r)
-		}
-		sp.End(obs.Bool("aborted", st.Aborted),
+		sp.End(obs.Bool("aborted", aborted),
 			obs.Int("peak_product", st.PeakProduct))
 	}()
 	st.Images++
@@ -123,29 +104,28 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
 		// makes the tree agree Ref-for-Ref with the serial chain below.
 		// Partial-image cuts depend on the conjunction order, so a non-nil
 		// pimg keeps the serial schedule.
-		var aborted bool
-		cur, aborted = tr.imageTree(cur, st)
-		if aborted {
-			st.Aborted = true
-			if st.AbortReason == "" {
-				st.AbortReason = "operation aborted in concurrent image"
-			}
-			return m.Ref(bdd.Zero)
-		}
-		res = m.Permute(cur, tr.n2s)
-		m.Deref(cur)
-		if live := m.NodeCount(); live > st.PeakLiveNodes {
-			st.PeakLiveNodes = live
-		}
-		return res
+		cur = tr.imageTree(cur, st)
+	} else {
+		cur = tr.imageChain(cur, pimg, st)
 	}
+	// Rename next-state to present-state variables.
+	res := m.Permute(cur, tr.n2s)
+	m.Deref(cur)
+	if live := m.NodeCount(); live > st.PeakLiveNodes {
+		st.PeakLiveNodes = live
+	}
+	aborted = false
+	return res
+}
+
+// imageChain conjoins the frontier with the clusters in order, quantifying
+// each cluster's schedule as it goes, and cuts oversized products to
+// pimg's threshold. Takes ownership of cur; returns the image over the
+// next-state variables.
+func (tr *TR) imageChain(cur bdd.Ref, pimg *PImg, st *ImageStats) bdd.Ref {
+	m := tr.M
+	t := obs.Of(m).Tracer()
 	for k, c := range tr.Clusters {
-		if !st.Deadline.IsZero() && time.Now().After(st.Deadline) {
-			st.Aborted = true
-			st.AbortReason = "deadline exceeded"
-			m.Deref(cur)
-			return m.Ref(bdd.Zero)
-		}
 		next := m.AndExists(cur, c, tr.Schedule[k])
 		m.Deref(cur)
 		cur = next
@@ -169,13 +149,7 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
 			}
 		}
 	}
-	// Rename next-state to present-state variables.
-	res = m.Permute(cur, tr.n2s)
-	m.Deref(cur)
-	if live := m.NodeCount(); live > st.PeakLiveNodes {
-		st.PeakLiveNodes = live
-	}
-	return res
+	return cur
 }
 
 // imageTree conjoins the frontier with the clusters by a balanced pairwise
@@ -190,9 +164,9 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) (res bdd.Ref) {
 // next-state variables, before the Permute back to present-state.
 //
 // A bdd.OpAborted raised inside a worker goroutine is captured and
-// re-panicked on the calling goroutine after the level joins, so Image's
-// recover sees it exactly as on the serial path.
-func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) (res bdd.Ref, aborted bool) {
+// re-panicked on the calling goroutine after the level joins, so it
+// reaches the enclosing bdd.Manager.Run exactly as on the serial path.
+func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 	m := tr.M
 	quantifiable := make(map[int]bool, len(tr.StateVars)+len(tr.InputVars))
 	for _, v := range tr.StateVars {
@@ -212,10 +186,6 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) (res bdd.Ref, aborted bool)
 		}
 	}
 	for len(items) > 1 {
-		if !st.Deadline.IsZero() && time.Now().After(st.Deadline) {
-			release()
-			return bdd.Zero, true
-		}
 		// Support census over the remaining operands.
 		occ := make(map[int]int)
 		supports := make([][]int, len(items))
@@ -287,7 +257,7 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) (res bdd.Ref, aborted bool)
 		}
 		items = merged
 	}
-	res = items[0]
+	res := items[0]
 	// The final merge quantified every remaining schedulable variable (at
 	// that point its support is necessarily confined to the last pair);
 	// sweep up defensively in case the loop ran zero levels.
@@ -304,5 +274,5 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) (res bdd.Ref, aborted bool)
 		m.Deref(res)
 		res = out
 	}
-	return res, false
+	return res
 }

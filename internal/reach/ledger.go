@@ -9,14 +9,17 @@ import (
 )
 
 // Quality-ledger instrumentation for traversal iterations. Each outer
-// image step files one obs.OpRecord whose masses are state-space
+// image step closes one obs.OpRecord whose masses are state-space
 // fractions: MassIn is the fresh states discovered this iteration and
 // MassOut the states the outgoing frontier keeps, so mass_retained is
 // exactly the fraction the frontier subsetting preserved (1 in BFS and
 // on HD iterations whose subset was lossless). Budget pressure comes off
-// the manager at record time; abort records carry the cause instead of a
-// result side. Everything is gated on the manager's sink having a ledger,
-// so un-observed traversals pay one sink lookup per iteration.
+// the manager at record time; the record of an iteration a limit ended
+// carries the abort's reason instead of a result side. The traversal
+// holds the records and files them when it ends, unless an enclosing
+// Run's context was cancelled (see traverse). Everything is gated on the
+// manager's sink having a ledger, so un-observed traversals pay one sink
+// lookup per iteration.
 
 // stateFraction maps a state set to its fraction of the full state space,
 // which is its minterm fraction: the set ranges over the present-state
@@ -29,7 +32,6 @@ func (tr *TR) stateFraction(set bdd.Ref) float64 {
 }
 
 type iterLedger struct {
-	ledger    *obs.Ledger
 	tr        *TR
 	mode      string
 	iter      int
@@ -44,13 +46,11 @@ type iterLedger struct {
 // beginIterLedger opens a ledger record for one iteration; frontier is the
 // incoming (pre-image) frontier. Nil when the manager has no ledger.
 func (tr *TR) beginIterLedger(mode string, iter, threshold int, frontier bdd.Ref) *iterLedger {
-	ledger := obs.Of(tr.M).Ledger()
-	if ledger == nil {
+	if obs.Of(tr.M).Ledger() == nil {
 		return nil
 	}
 	st := tr.M.Stats()
 	return &iterLedger{
-		ledger:    ledger,
 		tr:        tr,
 		mode:      mode,
 		iter:      iter,
@@ -63,13 +63,11 @@ func (tr *TR) beginIterLedger(mode string, iter, threshold int, frontier bdd.Ref
 	}
 }
 
-// record files the iteration. fresh is the newly discovered states and
-// frontierOut what survives subsetting into the next iteration (equal in
-// BFS); abort names the cause when the iteration died instead. Nil-safe.
-func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) {
-	if lg == nil {
-		return
-	}
+// record closes the iteration's record; the traversal files it when it
+// ends. fresh is the newly discovered states and frontierOut what
+// survives subsetting into the next iteration (equal in BFS); abort names
+// the cause when the iteration died instead.
+func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) obs.OpRecord {
 	m := lg.tr.M
 	st := m.Stats()
 	rec := obs.OpRecord{
@@ -80,6 +78,7 @@ func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) {
 		Threshold:   lg.threshold,
 		BudgetLimit: m.NodeLimit(),
 		BudgetLive:  m.NodeCount(),
+		TS:          time.Now().Format(time.RFC3339Nano),
 		DurNS:       time.Since(lg.start).Nanoseconds(),
 		GCNS:        (st.GCTime - lg.gc0).Nanoseconds(),
 		STWNS:       (st.STWTime - lg.stw0).Nanoseconds(),
@@ -100,7 +99,7 @@ func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) {
 			rec.DensityOut = rec.MassOut / float64(rec.SizeOut)
 		}
 	} else {
-		// The iteration died mid-image: there is no result side, and the
+		// A limit ended the iteration: there is no result side, and the
 		// inputs may already be deref'd. Report the loss as total.
 		rec.MassIn = lg.massIn
 		rec.MassRetained = 0
@@ -108,21 +107,5 @@ func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) {
 			rec.MassRetained = 1 // abort before any mass was at stake
 		}
 	}
-	lg.ledger.Record(rec)
-}
-
-// abortRecord files a bare abort record for a traversal that unwound via
-// bdd.OpAborted outside an open iteration ledger (or whose ledger was
-// already closed). Used by the recover paths.
-func abortRecord(tr *TR, mode string, iter int, reason string) {
-	m := tr.M
-	obs.Of(m).Ledger().Record(obs.OpRecord{
-		Kind:         "reach",
-		Op:           mode,
-		Iter:         iter,
-		MassRetained: 0,
-		BudgetLimit:  m.NodeLimit(),
-		BudgetLive:   m.NodeCount(),
-		Abort:        reason,
-	})
+	return rec
 }

@@ -1,0 +1,213 @@
+package reach
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"bddkit/internal/bdd"
+	"bddkit/internal/circuit"
+	"bddkit/internal/model"
+	"bddkit/internal/obs"
+)
+
+// deepAm2910 is the Table 1 scale sequencer closed by its microprogram
+// ROM: a BFS on it runs for many seconds, so only a limit ends it early.
+func deepAm2910() *circuit.Netlist {
+	return model.Am2910(model.Am2910Config{Width: 8, StackDepth: 3, WithROM: true, RomSeed: 7})
+}
+
+// TestNestedRunBoundsTraversal: a traversal's own budget only tightens
+// the limits of the Run around it. A 200 ms Run wrapping a BFS with a 3 s
+// budget ends the BFS at the outer deadline, its limits are still in
+// force after the BFS returns, and the outer Run reports the deadline.
+func TestNestedRunBoundsTraversal(t *testing.T) {
+	c := compile(t, deepAm2910())
+	defer c.Release()
+	tr, err := NewTR(c, DefaultTROptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Release()
+	m := c.M
+	const ceiling = 1 << 22
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	var res Result
+	var bfsTime time.Duration
+	reached := false
+	err = m.Run(ctx, ceiling, func() error {
+		res = tr.BFS(c.Init, Options{Budget: 3 * time.Second})
+		bfsTime = time.Since(start)
+		if got := m.NodeLimit(); got != ceiling {
+			t.Errorf("node limit after the BFS = %d, want the outer %d", got, ceiling)
+		}
+		// The outer deadline still holds: fresh allocations abort.
+		for r := 0; r < 1<<14; r++ {
+			cube := m.Ref(bdd.One)
+			for i := 0; i < 14; i++ {
+				lit := m.IthVar(i)
+				if r>>i&1 == 1 {
+					lit = lit.Complement()
+				}
+				next := m.And(cube, lit)
+				m.Deref(cube)
+				cube = next
+			}
+			m.Deref(cube)
+		}
+		reached = true
+		return nil
+	})
+	defer m.Deref(res.Reached)
+	if res.Completed || bfsTime > 500*time.Millisecond {
+		t.Fatalf("BFS under a 200 ms Run: completed=%v after %v", res.Completed, bfsTime)
+	}
+	if !strings.Contains(res.Abort, "deadline") {
+		t.Errorf("BFS abort reason %q does not name the deadline", res.Abort)
+	}
+	if reached || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("outer Run after the BFS: reached=%v err=%v, want a deadline abort", reached, err)
+	}
+	if m.NodeLimit() != 0 {
+		t.Fatalf("node limit %d still armed after the outer Run", m.NodeLimit())
+	}
+	if !m.Leq(c.Init, res.Reached) {
+		t.Fatal("partial reached set lost the initial state")
+	}
+}
+
+// TestCancelledTraversal: cancelling the context of the Run around a BFS
+// ends it promptly with a partial reached set, and files no abort record
+// on the quality ledger (a cancelled run answers nobody).
+func TestCancelledTraversal(t *testing.T) {
+	sink := obs.NewSink(obs.NewRegistry(), nil)
+	c, err := circuit.Compile(deepAm2910(), circuit.CompileOptions{
+		BDDConfig: &bdd.Config{Observer: sink},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
+	tr, err := NewTR(c, DefaultTROptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Release()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelledAt := make(chan time.Time, 1)
+	timer := time.AfterFunc(100*time.Millisecond, func() {
+		cancelledAt <- time.Now()
+		cancel()
+	})
+	defer timer.Stop()
+	var res Result
+	if err := c.M.Run(ctx, 0, func() error {
+		res = tr.BFS(c.Init, Options{})
+		return nil
+	}); err != nil {
+		t.Fatalf("the traversal did not absorb its abort: %v", err)
+	}
+	defer c.M.Deref(res.Reached)
+	if lag := time.Since(<-cancelledAt); res.Completed || lag > 250*time.Millisecond {
+		t.Fatalf("cancelled BFS: completed=%v, returned %v after the cancel", res.Completed, lag)
+	}
+	if !strings.Contains(res.Abort, "canceled") {
+		t.Errorf("abort reason %q does not name the cancellation", res.Abort)
+	}
+	if snap := sink.Ledger().Snapshot(); snap.Aborts != 0 {
+		t.Fatalf("cancelled traversal filed %d abort records", snap.Aborts)
+	}
+	if err := c.M.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParallelTraversalStatsWindow: a traversal's stop-the-world and
+// computed-table counters cover the traversal, not the compile and
+// transition-relation build that ran on the manager before it, so its
+// pauses fit inside its wall time. s3330 at the Table1Small scale sifts
+// during compile and TR build at Workers=2.
+func TestParallelTraversalStatsWindow(t *testing.T) {
+	cfg := bdd.Config{Workers: 2}
+	c, err := circuit.Compile(model.S3330(model.S3330Config{Word: 4, FifoDepth: 2, CrcBits: 4}),
+		circuit.CompileOptions{AutoReorder: true, BDDConfig: &cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
+	tr, err := NewTR(c, DefaultTROptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Release()
+	before := c.M.Stats()
+	res := tr.BFS(c.Init, Options{Budget: 30 * time.Second})
+	defer c.M.Deref(res.Reached)
+	if !res.Completed {
+		t.Fatal("s3330 BFS did not complete")
+	}
+	if res.Stats.STWTime > res.Elapsed {
+		t.Fatalf("traversal STW %v exceeds its wall time %v", res.Stats.STWTime, res.Elapsed)
+	}
+	after := c.M.Stats()
+	if res.Stats.CacheLookups != after.CacheLookups-before.CacheLookups ||
+		res.Stats.STWCount != after.STWCount-before.STWCount {
+		t.Fatalf("traversal counters %d lookups / %d STW, manager moved %d / %d",
+			res.Stats.CacheLookups, res.Stats.STWCount,
+			after.CacheLookups-before.CacheLookups, after.STWCount-before.STWCount)
+	}
+}
+
+// TestSiftStopsAtRunDeadline: sifting suspends the allocation checks, so
+// it polls the Run's context itself. A full sift of the 10-bit multiplier
+// takes over a second; under a 50 ms deadline the Run returns within
+// 100 ms of it, with the table consistent.
+func TestSiftStopsAtRunDeadline(t *testing.T) {
+	c := compile(t, model.MultiplierNetlist(10))
+	defer c.Release()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	c.M.Run(ctx, 0, func() error {
+		c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
+		return nil
+	})
+	if over := time.Since(start) - 50*time.Millisecond; over > 100*time.Millisecond {
+		t.Fatalf("Run returned %v after its deadline", over)
+	}
+	if err := c.M.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSiftOrderUnchanged: with no deadline the flag is never raised, and
+// a sift chooses the order it always chose, inside a Run or not.
+func TestSiftOrderUnchanged(t *testing.T) {
+	want := []int{7, 6, 5, 4, 3, 1, 2, 0, 8, 9, 15, 10, 11, 12, 13, 14}
+	for _, inRun := range []bool{false, true} {
+		c := compile(t, model.MultiplierNetlist(8))
+		sift := func() error {
+			c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
+			return nil
+		}
+		if inRun {
+			c.M.Run(context.Background(), 0, sift)
+		} else {
+			sift()
+		}
+		for lev, v := range want {
+			if got := c.M.VarAtLevel(lev); got != v {
+				t.Fatalf("inRun=%v: level %d holds variable %d, want %d", inRun, lev, got, v)
+			}
+		}
+		if n := c.M.NodeCount(); n != 8667 {
+			t.Fatalf("inRun=%v: %d live nodes after the sift, want 8667", inRun, n)
+		}
+		c.Release()
+	}
+}

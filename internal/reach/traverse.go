@@ -1,6 +1,8 @@
 package reach
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"time"
 
@@ -24,14 +26,10 @@ type Options struct {
 	MaxIterations int
 	// Budget aborts the traversal after the given wall-clock time
 	// (0 = unbounded). An aborted traversal reports Completed = false
-	// and returns the states found so far.
+	// and returns the states found so far. The traversal also ends early,
+	// the same way, when a limit of a bdd.Manager.Run enclosing it trips:
+	// a node ceiling, a deadline or a cancellation.
 	Budget time.Duration
-	// NodeLimit arms a live-node ceiling on the manager for the duration
-	// of the traversal (0 = none). A traversal that trips it reports
-	// Completed = false with Abort describing the trip; the partial
-	// reached set is still a sound under-approximation of the reachable
-	// states, which is exactly what a budget-degraded server answer needs.
-	NodeLimit int
 	// Profile emits a reach.profile trace event per iteration with a
 	// structural summary (widths, widest levels) of the fresh frontier and
 	// the reached set. Costs one O(nodes) profile sweep per set per
@@ -50,9 +48,9 @@ type Result struct {
 	Nodes       int  // |Reached|
 	Iterations  int  // outer image computations
 	Closure     int  // exact closure checks run (HD only)
-	Completed   bool // false when MaxIterations, Budget, or NodeLimit aborted the run
+	Completed   bool // false when MaxIterations, Budget or an enclosing Run's limit ended the run
 	// Abort carries the limit-trip reason when the traversal was cut short
-	// by a node-budget or deadline abort ("" = no abort).
+	// by a node-ceiling, deadline or cancellation abort ("" = no abort).
 	Abort   string
 	Elapsed time.Duration
 	Stats   ImageStats
@@ -60,95 +58,35 @@ type Result struct {
 
 // BFS computes the exact reachable states from init by breadth-first
 // fixpoint iteration.
-func (tr *TR) BFS(init bdd.Ref, opts Options) (res Result) {
-	start := time.Now()
+func (tr *TR) BFS(init bdd.Ref, opts Options) Result {
 	m := tr.M
-	var st ImageStats
 	t := obs.Of(m).Tracer()
-	if opts.Budget > 0 {
-		st.Deadline = start.Add(opts.Budget)
-		m.SetDeadline(st.Deadline)
-		defer m.SetDeadline(time.Time{})
-	}
-	if opts.NodeLimit > 0 {
-		prev := m.NodeLimit()
-		m.SetNodeLimit(opts.NodeLimit)
-		defer m.SetNodeLimit(prev)
-	}
-	reached := m.Ref(init)
-	iters := 0
-	completed := false
-	// The budget can trip inside any allocating operation of the loop,
-	// not only inside Image; treat an abort as "budget exhausted" and
-	// report the states found so far.
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(bdd.OpAborted)
-			if !ok {
-				panic(r)
-			}
-			abortRecord(tr, "bfs", iters, ab.Reason)
-			captureCacheStats(m, &st)
-			res = Result{
-				Reached:     reached,
-				States:      tr.StateCount(reached),
-				StatesExact: tr.stateCountExactOrNil(reached),
-				Nodes:       m.DagSize(reached),
-				Iterations:  iters,
-				Abort:       ab.Reason,
-				Elapsed:     time.Since(start),
-				Stats:       st,
-			}
-		}
-	}()
-	frontier := m.Ref(init)
-	for {
-		iters++
-		isp := tr.beginIteration(t, "bfs", iters, frontier)
-		ilg := tr.beginIterLedger("bfs", iters, 0, frontier)
-		img := tr.Image(frontier, nil, &st)
-		m.Deref(frontier)
-		if st.Aborted {
+	return tr.traverse("bfs", init, opts, func(tv *traversal) bool {
+		tv.frontier = m.Ref(init)
+		for {
+			tv.iters++
+			tv.begin(t, tv.frontier, 0)
+			img := tr.Image(tv.frontier, nil, &tv.st)
+			tv.dropFrontier()
+			fresh := m.Diff(img, tv.reached)
 			m.Deref(img)
-			ilg.record(bdd.Zero, bdd.Zero, "image-deadline")
-			isp.End(obs.Bool("aborted", true))
-			break
+			if fresh == bdd.Zero {
+				tv.fixpoint()
+				return true
+			}
+			tv.frontier = fresh
+			nr := m.Or(tv.reached, fresh)
+			m.Deref(tv.reached)
+			tv.reached = nr
+			tv.end(fresh, fresh)
+			if opts.Profile {
+				tr.profileEvent(t, tv.iters, fresh, tv.reached)
+			}
+			if tv.over(opts) {
+				return false
+			}
 		}
-		fresh := m.Diff(img, reached)
-		m.Deref(img)
-		if fresh == bdd.Zero {
-			m.Deref(fresh)
-			completed = true
-			ilg.record(bdd.Zero, bdd.Zero, "")
-			isp.End(obs.Int("fresh_nodes", 0), obs.Bool("fixpoint", true))
-			break
-		}
-		nr := m.Or(reached, fresh)
-		m.Deref(reached)
-		reached = nr
-		frontier = fresh
-		ilg.record(fresh, frontier, "")
-		tr.endIteration(isp, fresh, reached)
-		if opts.Profile {
-			tr.profileEvent(t, iters, fresh, reached)
-		}
-		if overBudget(start, iters, opts) {
-			m.Deref(frontier)
-			break
-		}
-	}
-	captureCacheStats(m, &st)
-	return Result{
-		Reached:     reached,
-		States:      tr.StateCount(reached),
-		StatesExact: tr.stateCountExactOrNil(reached),
-		Nodes:       m.DagSize(reached),
-		Iterations:  iters,
-		Completed:   completed,
-		Abort:       st.AbortReason,
-		Elapsed:     time.Since(start),
-		Stats:       st,
-	}
+	})
 }
 
 // beginIteration opens the per-iteration span (nil when tracing is off);
@@ -217,152 +155,190 @@ func (tr *TR) density(f bdd.Ref, nodes int) float64 {
 // may themselves be subsetted (opts.PImg). When the subset frontier stops
 // producing new states, an exact image of the whole reached set checks
 // closure, so the final result equals BFS's.
-func (tr *TR) HighDensity(init bdd.Ref, opts Options) (res Result) {
-	start := time.Now()
+func (tr *TR) HighDensity(init bdd.Ref, opts Options) Result {
 	m := tr.M
 	if opts.Subset == nil {
 		opts.Subset = RUASubsetter(1.0)
 	}
-	var st ImageStats
 	t := obs.Of(m).Tracer()
-	if opts.Budget > 0 {
-		st.Deadline = start.Add(opts.Budget)
-		m.SetDeadline(st.Deadline)
-		defer m.SetDeadline(time.Time{})
-	}
-	if opts.NodeLimit > 0 {
-		prev := m.NodeLimit()
-		m.SetNodeLimit(opts.NodeLimit)
-		defer m.SetNodeLimit(prev)
-	}
-	closures := 0
-	reached := m.Ref(init)
-	iters := 0
-	completed := false
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(bdd.OpAborted)
-			if !ok {
-				panic(r)
-			}
-			abortRecord(tr, "hd", iters, ab.Reason)
-			captureCacheStats(m, &st)
-			res = Result{
-				Reached:     reached,
-				States:      tr.StateCount(reached),
-				StatesExact: tr.stateCountExactOrNil(reached),
-				Nodes:       m.DagSize(reached),
-				Iterations:  iters,
-				Closure:     closures,
-				Abort:       ab.Reason,
-				Elapsed:     time.Since(start),
-				Stats:       st,
-			}
-		}
-	}()
-	frontier := m.Ref(init) // dense subset of the unexplored states
-	for {
-		iters++
-		isp := tr.beginIteration(t, "hd", iters, frontier)
-		ilg := tr.beginIterLedger("hd", iters, opts.Threshold, frontier)
-		img := tr.Image(frontier, opts.PImg, &st)
-		m.Deref(frontier)
-		if st.Aborted {
+	return tr.traverse("hd", init, opts, func(tv *traversal) bool {
+		tv.frontier = m.Ref(init) // dense subset of the unexplored states
+		for {
+			tv.iters++
+			tv.begin(t, tv.frontier, opts.Threshold)
+			img := tr.Image(tv.frontier, opts.PImg, &tv.st)
+			tv.dropFrontier()
+			fresh := m.Diff(img, tv.reached)
 			m.Deref(img)
-			ilg.record(bdd.Zero, bdd.Zero, "image-deadline")
-			isp.End(obs.Bool("aborted", true))
-			break
-		}
-		fresh := m.Diff(img, reached)
-		m.Deref(img)
-		if fresh == bdd.Zero {
-			// The dense frontier is exhausted; verify global closure
-			// with an exact image of the full reached set.
-			m.Deref(fresh)
-			closures++
-			cstart := time.Now()
-			var csp *obs.Span
-			if t.Enabled() {
-				csp = t.Begin("reach.closure",
-					obs.Int("closure", closures),
-					obs.Int("reached_nodes", m.DagSize(reached)))
-			}
-			img := tr.Image(reached, nil, &st)
-			if st.Aborted {
+			if fresh == bdd.Zero {
+				// The dense frontier is exhausted; verify global closure
+				// with an exact image of the full reached set.
+				tv.closures++
+				cstart := time.Now()
+				var csp *obs.Span
+				if t.Enabled() {
+					csp = t.Begin("reach.closure",
+						obs.Int("closure", tv.closures),
+						obs.Int("reached_nodes", m.DagSize(tv.reached)))
+				}
+				img := tr.Image(tv.reached, nil, &tv.st)
+				fresh = m.Diff(img, tv.reached)
 				m.Deref(img)
-				st.ClosureTime += time.Since(cstart)
-				ilg.record(bdd.Zero, bdd.Zero, "closure-deadline")
-				csp.End(obs.Bool("aborted", true))
-				isp.End(obs.Bool("aborted", true))
-				break
+				tv.st.ClosureTime += time.Since(cstart)
+				closed := fresh == bdd.Zero
+				csp.End(obs.Bool("closed", closed))
+				if closed {
+					tv.fixpoint()
+					return true
+				}
 			}
-			fresh = m.Diff(img, reached)
-			m.Deref(img)
-			st.ClosureTime += time.Since(cstart)
-			closed := fresh == bdd.Zero
-			csp.End(obs.Bool("closed", closed))
-			if closed {
-				m.Deref(fresh)
-				completed = true
-				ilg.record(bdd.Zero, bdd.Zero, "")
-				isp.End(obs.Int("fresh_nodes", 0), obs.Bool("fixpoint", true))
-				break
+			nr := m.Or(tv.reached, fresh)
+			m.Deref(tv.reached)
+			tv.reached = nr
+			sstart := time.Now()
+			tv.frontier = opts.Subset(m, fresh, opts.Threshold)
+			tv.st.SubsetTime += time.Since(sstart)
+			if t.Enabled() {
+				t.Event("reach.subset",
+					obs.Int("frontier_before", m.DagSize(fresh)),
+					obs.Int("threshold", opts.Threshold),
+					obs.Int("frontier_after", m.DagSize(tv.frontier)))
+			}
+			tv.end(fresh, tv.frontier)
+			if opts.Profile {
+				tr.profileEvent(t, tv.iters, fresh, tv.reached)
+			}
+			m.Deref(fresh)
+			if tv.over(opts) {
+				return false
 			}
 		}
-		nr := m.Or(reached, fresh)
-		m.Deref(reached)
-		reached = nr
-		sstart := time.Now()
-		frontier = opts.Subset(m, fresh, opts.Threshold)
-		st.SubsetTime += time.Since(sstart)
-		if t.Enabled() {
-			t.Event("reach.subset",
-				obs.Int("frontier_before", m.DagSize(fresh)),
-				obs.Int("threshold", opts.Threshold),
-				obs.Int("frontier_after", m.DagSize(frontier)))
-		}
-		ilg.record(fresh, frontier, "")
-		tr.endIteration(isp, fresh, reached)
-		if opts.Profile {
-			tr.profileEvent(t, iters, fresh, reached)
-		}
-		m.Deref(fresh)
-		if overBudget(start, iters, opts) {
-			m.Deref(frontier)
-			break
-		}
-	}
-	captureCacheStats(m, &st)
-	return Result{
-		Reached:     reached,
-		States:      tr.StateCount(reached),
-		StatesExact: tr.stateCountExactOrNil(reached),
-		Nodes:       m.DagSize(reached),
-		Iterations:  iters,
-		Closure:     closures,
-		Completed:   completed,
-		Abort:       st.AbortReason,
-		Elapsed:     time.Since(start),
-		Stats:       st,
-	}
+	})
 }
 
-// overBudget reports whether a traversal hit its iteration or wall-clock
-// bound.
-func overBudget(start time.Time, iters int, opts Options) bool {
-	if opts.MaxIterations > 0 && iters >= opts.MaxIterations {
-		return true
-	}
-	return opts.Budget > 0 && time.Since(start) > opts.Budget
+// traversal is the state a traversal loop shares with traverse, which
+// reports it however the loop ends: the reached set so far, the counters,
+// the frontier the next iteration would expand, the iteration whose span
+// and ledger record are still open, and the ledger records of the closed
+// iterations.
+type traversal struct {
+	tr       *TR
+	mode     string
+	ctx      context.Context // ends when the budget is spent
+	reached  bdd.Ref
+	frontier bdd.Ref // owned by the traversal; traverse releases it
+	iters    int
+	closures int
+	st       ImageStats
+	span     *obs.Span      // open iteration span (nil when tracing is off)
+	ledger   *iterLedger    // open iteration record (nil without a ledger)
+	held     []obs.OpRecord // closed iteration records, filed by traverse
 }
 
-// captureCacheStats snapshots the manager's computed-table counters into
-// st at the end of a traversal; each Table 1 run uses a fresh manager, so
-// the totals describe that run alone.
-func captureCacheStats(m *bdd.Manager, st *ImageStats) {
+// traverse runs loop, the body of one traversal, under opts.Budget. One
+// bdd.Manager.Run bounds every operation of the loop, inside whatever Run
+// the caller holds, and an abort anywhere in it ends the traversal with
+// the states found so far: a sound under-approximation of the reachable
+// set, reported with Completed false and the abort's reason. loop reports
+// whether it reached the fixpoint. The computed-table and stop-the-world
+// counters in the Result cover the traversal alone, not the compile and
+// transition-relation build that ran on the manager before it.
+//
+// The iterations' ledger records are filed when the traversal ends, and
+// not at all when an enclosing Run's context was cancelled: nobody is
+// waiting for that answer, so it made no quality trade.
+func (tr *TR) traverse(mode string, init bdd.Ref, opts Options, loop func(tv *traversal) bool) Result {
+	m := tr.M
+	start := time.Now()
+	s0 := m.Stats()
+	ctx := context.Background()
+	if opts.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
+		defer cancel()
+	}
+	tv := &traversal{tr: tr, mode: mode, ctx: ctx, reached: m.Ref(init), frontier: bdd.Zero}
+	completed := false
+	err := m.Run(ctx, 0, func() error {
+		completed = loop(tv)
+		return nil
+	})
+	var ab bdd.OpAborted
+	if errors.As(err, &ab) {
+		tv.abort(ab)
+	}
+	m.Deref(tv.frontier)
+	if !errors.Is(err, context.Canceled) {
+		ledger := obs.Of(m).Ledger()
+		for _, rec := range tv.held {
+			ledger.Record(rec)
+		}
+	}
 	s := m.Stats()
-	st.CacheLookups = s.CacheLookups
-	st.CacheHits = s.CacheHits
-	st.STWCount = s.STWCount
-	st.STWTime = s.STWTime
+	tv.st.CacheLookups = s.CacheLookups - s0.CacheLookups
+	tv.st.CacheHits = s.CacheHits - s0.CacheHits
+	tv.st.STWCount = s.STWCount - s0.STWCount
+	tv.st.STWTime = s.STWTime - s0.STWTime
+	return Result{
+		Reached:     tv.reached,
+		States:      tr.StateCount(tv.reached),
+		StatesExact: tr.stateCountExactOrNil(tv.reached),
+		Nodes:       m.DagSize(tv.reached),
+		Iterations:  tv.iters,
+		Closure:     tv.closures,
+		Completed:   completed,
+		Abort:       ab.Reason,
+		Elapsed:     time.Since(start),
+		Stats:       tv.st,
+	}
+}
+
+// dropFrontier releases the frontier once its image is computed.
+func (tv *traversal) dropFrontier() {
+	tv.tr.M.Deref(tv.frontier)
+	tv.frontier = bdd.Zero
+}
+
+// begin opens iteration tv.iters on frontier: its span and its ledger
+// record.
+func (tv *traversal) begin(t *obs.Tracer, frontier bdd.Ref, threshold int) {
+	tv.span = tv.tr.beginIteration(t, tv.mode, tv.iters, frontier)
+	tv.ledger = tv.tr.beginIterLedger(tv.mode, tv.iters, threshold, frontier)
+}
+
+// hold closes the open iteration's ledger record and keeps it for
+// traverse to file.
+func (tv *traversal) hold(fresh, frontierOut bdd.Ref, abort string) {
+	if tv.ledger != nil {
+		tv.held = append(tv.held, tv.ledger.record(fresh, frontierOut, abort))
+		tv.ledger = nil
+	}
+}
+
+// end closes the open iteration: fresh is what its image discovered and
+// frontierOut what goes on to the next iteration.
+func (tv *traversal) end(fresh, frontierOut bdd.Ref) {
+	tv.hold(fresh, frontierOut, "")
+	tv.tr.endIteration(tv.span, fresh, tv.reached)
+	tv.span = nil
+}
+
+// fixpoint closes the open iteration as the one that found no new states.
+func (tv *traversal) fixpoint() {
+	tv.hold(bdd.Zero, bdd.Zero, "")
+	tv.span.End(obs.Int("fresh_nodes", 0), obs.Bool("fixpoint", true))
+	tv.span = nil
+}
+
+// abort closes the open iteration, if any, as the one a limit ended.
+func (tv *traversal) abort(ab bdd.OpAborted) {
+	tv.hold(bdd.Zero, bdd.Zero, ab.Reason)
+	tv.span.End(obs.Bool("aborted", true))
+	tv.span = nil
+}
+
+// over reports whether the traversal hit its iteration bound or spent its
+// budget.
+func (tv *traversal) over(opts Options) bool {
+	return opts.MaxIterations > 0 && tv.iters >= opts.MaxIterations || tv.ctx.Err() != nil
 }

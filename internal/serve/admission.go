@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,8 @@ import (
 // contend), a bounded wait queue, and a deadline on how long a request
 // may wait for the slot. A request that finds the queue full — or waits
 // past the deadline — is shed with 429 and a Retry-After hint instead of
-// piling onto a loaded tenant.
+// piling onto a loaded tenant. A request whose client leaves while it
+// waits drops out of the queue; that is not a shed.
 
 // ShedError reports a shed request and how long the client should back
 // off before retrying.
@@ -48,9 +50,10 @@ func newAdmission(queueDepth int, waitMax time.Duration) *admission {
 }
 
 // acquire claims the tenant's operation slot, queueing up to queueDepth
-// waiters and shedding past the wait deadline. On success the returned
+// waiters and shedding (a *ShedError) past the wait deadline. The wait
+// also ends when ctx does, with ctx's error. On success the returned
 // release function must be called exactly once.
-func (a *admission) acquire() (release func(), shed *ShedError) {
+func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	if a.waiting.Add(1) > a.queueDepth {
 		a.waiting.Add(-1)
 		return nil, &ShedError{
@@ -69,5 +72,7 @@ func (a *admission) acquire() (release func(), shed *ShedError) {
 			Reason:     fmt.Sprintf("wait deadline %v exceeded", a.waitMax),
 			RetryAfter: a.waitMax,
 		}
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }

@@ -185,10 +185,9 @@ func (s *Server) handleNetlist(w http.ResponseWriter, r *http.Request) {
 	}
 	// Compilation is admitted like any other operation (it monopolizes the
 	// tenant) but runs unbudgeted: the circuit is the tenant's working set.
-	release, shed := t.adm.acquire()
-	if shed != nil {
-		t.sheds.Inc()
-		s.writeError(w, shed)
+	release, err := t.admit(r.Context())
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	defer release()
@@ -208,21 +207,22 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	release, shed := t.adm.acquire()
-	if shed != nil {
-		t.sheds.Inc()
-		s.writeError(w, shed)
-		return
-	}
-	defer release()
-	funcs, err := t.restore(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	// The snapshot (fuzz-hardened Save/Load format) loads under the
+	// tenant's limits like any operation; every root is bound by name.
+	out, err := t.run(r.Context(), func(m *bdd.Manager, out *opOutcome) error {
+		roots, err := m.Load(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		for name, f := range roots {
+			out.bind(name, f)
+		}
+		out.listFuncs = true
+		return err
+	}, nil)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	t.ops.Inc()
 	writeJSON(w, http.StatusOK,
-		s.envelope(t, "restore", opOutcome{}, RestoreResult{Functions: funcs}, start))
+		s.envelope(t, "restore", out, RestoreResult{Functions: out.funcs}, start))
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -333,14 +333,14 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var info FuncInfo
-	out, err := t.run(
+	out, err := t.run(r.Context(),
 		func(m *bdd.Manager, out *opOutcome) error {
 			args, err := resolve()
 			if err != nil {
 				return err
 			}
 			res := fold(m, args)
-			t.bind(req.Result, res)
+			out.bind(req.Result, res)
 			info = FuncInfo{Name: req.Result, Nodes: m.DagSize(res)}
 			return nil
 		},
@@ -364,7 +364,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 			}
 			final := t.degradeToQuota(m, res)
 			m.Deref(res)
-			t.bind(req.Result, final)
+			out.bind(req.Result, final)
 			info = FuncInfo{Name: req.Result, Nodes: m.DagSize(final)}
 			out.degraded = true
 			out.reason = fmt.Sprintf("%s; operands under-approximated and result squeezed to quota", reason)
@@ -421,7 +421,7 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var res ApproxResult
-	finish := func(m *bdd.Manager, f, r bdd.Ref) {
+	finish := func(m *bdd.Manager, out *opOutcome, f, r bdd.Ref) {
 		massIn := count.Fraction(m, f)
 		massOut := count.Fraction(m, r)
 		retained := 0.0
@@ -437,13 +437,13 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request) {
 			MassRetained: retained,
 		}
 		if req.Result != "" {
-			t.bind(req.Result, r)
+			out.bind(req.Result, r)
 		} else {
 			m.Deref(r)
 		}
 	}
 
-	out, err := t.run(
+	out, err := t.run(r.Context(),
 		func(m *bdd.Manager, out *opOutcome) error {
 			f, err := t.lookup(req.Target)
 			if err != nil {
@@ -453,7 +453,7 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return err
 			}
-			finish(m, f, r)
+			finish(m, out, f, r)
 			return nil
 		},
 		func(m *bdd.Manager, out *opOutcome, reason string) error {
@@ -462,7 +462,7 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request) {
 				return err
 			}
 			r := t.degradeToQuota(m, f)
-			finish(m, f, r)
+			finish(m, out, f, r)
 			out.degraded = true
 			out.reason = fmt.Sprintf("%s; served budget-driven under-approximation instead of %s", reason, req.Op)
 			return nil
@@ -490,7 +490,7 @@ func (s *Server) handleDecomp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res DecompResult
-	out, err := t.run(func(m *bdd.Manager, out *opOutcome) error {
+	out, err := t.run(r.Context(), func(m *bdd.Manager, out *opOutcome) error {
 		f, err := t.lookup(req.Target)
 		if err != nil {
 			return err
@@ -535,9 +535,11 @@ func (s *Server) handleDecomp(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReach traverses the uploaded netlist's state space. The engine
-// absorbs budget aborts internally: a tripped node quota ends the
-// traversal with the states found so far — a sound under-approximation of
-// the reachable set — and the response is marked degraded.
+// absorbs budget aborts internally: a tripped node quota or deadline ends
+// the traversal with the states found so far — a sound
+// under-approximation of the reachable set — and the response is marked
+// degraded. A client that leaves cancels the traversal, and nothing is
+// bound (see Tenant.run).
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	t, err := s.tenant(r.PathValue("id"))
@@ -559,7 +561,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res ReachResult
-	out, err := t.run(func(m *bdd.Manager, out *opOutcome) error {
+	out, err := t.run(r.Context(), func(m *bdd.Manager, out *opOutcome) error {
 		if t.c == nil {
 			return fmt.Errorf("reach: tenant has no compiled netlist")
 		}
@@ -587,7 +589,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 			Completed:  tres.Completed,
 		}
 		if req.Result != "" {
-			t.bind(req.Result, tres.Reached)
+			out.bind(req.Result, tres.Reached)
 		} else {
 			m.Deref(tres.Reached)
 		}
@@ -615,7 +617,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 			Nodes:  m.DagSize(t.c.Init),
 		}
 		if req.Result != "" {
-			t.bind(req.Result, m.Ref(t.c.Init))
+			out.bind(req.Result, m.Ref(t.c.Init))
 		}
 		out.degraded = true
 		out.reason = reason + "; served initial states only (sound floor)"
@@ -651,7 +653,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		bias = 0.5
 	}
 	var res CountResult
-	out, err := t.run(func(m *bdd.Manager, out *opOutcome) error {
+	out, err := t.run(r.Context(), func(m *bdd.Manager, out *opOutcome) error {
 		f, err := t.lookup(req.Target)
 		if err != nil {
 			return err
@@ -702,7 +704,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var res SampleResult
-	out, err := t.run(func(m *bdd.Manager, out *opOutcome) error {
+	out, err := t.run(r.Context(), func(m *bdd.Manager, out *opOutcome) error {
 		f, err := t.lookup(req.Target)
 		if err != nil {
 			return err

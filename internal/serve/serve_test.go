@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -527,30 +529,40 @@ func TestReachDegradeUnderQuota(t *testing.T) {
 
 func TestAdmissionShedding(t *testing.T) {
 	a := newAdmission(1, 50*time.Millisecond)
-	release, shed := a.acquire()
-	if shed != nil {
-		t.Fatalf("first acquire shed: %v", shed)
+	ctx := context.Background()
+	release, err := a.acquire(ctx)
+	if err != nil {
+		t.Fatalf("first acquire shed: %v", err)
 	}
 	// One waiter fits the queue and sheds on the deadline...
-	done := make(chan *ShedError, 1)
+	done := make(chan error, 1)
 	go func() {
-		_, shed := a.acquire()
-		done <- shed
+		_, err := a.acquire(ctx)
+		done <- err
 	}()
 	// ...and once it occupies the queue, the next request sheds instantly.
 	time.Sleep(10 * time.Millisecond)
-	if _, shed := a.acquire(); shed == nil || !strings.Contains(shed.Reason, "queue full") {
-		t.Fatalf("overflow acquire: %v, want queue-full shed", shed)
+	if _, err := a.acquire(ctx); !strings.Contains(shedReason(err), "queue full") {
+		t.Fatalf("overflow acquire: %v, want queue-full shed", err)
 	}
-	if shed := <-done; shed == nil || !strings.Contains(shed.Reason, "wait deadline") {
-		t.Fatalf("queued acquire: %v, want deadline shed", shed)
+	if err := <-done; !strings.Contains(shedReason(err), "wait deadline") {
+		t.Fatalf("queued acquire: %v, want deadline shed", err)
 	}
 	release()
-	if release2, shed := a.acquire(); shed != nil {
-		t.Fatalf("post-release acquire shed: %v", shed)
+	if release2, err := a.acquire(ctx); err != nil {
+		t.Fatalf("post-release acquire shed: %v", err)
 	} else {
 		release2()
 	}
+}
+
+// shedReason is the reason of a *ShedError in err's chain ("" if none).
+func shedReason(err error) string {
+	var shed *ShedError
+	if errors.As(err, &shed) {
+		return shed.Reason
+	}
+	return ""
 }
 
 func TestShedMapsTo429(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -166,33 +167,9 @@ func (t *Tenant) compile(r io.Reader) ([]FuncInfo, error) {
 	t.m = c.M
 	obs.RegisterManagerGauges(t.reg, t.m)
 	// Compilation ran unbudgeted (the circuit is the tenant's working set);
-	// enforce the quota from here on via RunLimited in run().
+	// every operation from here on runs under the quota (see run).
 	for i, name := range nl.OutName {
 		t.bind(name, t.m.Ref(c.Outputs[i]))
-	}
-	return t.funcList(), nil
-}
-
-// restore loads a snapshot (fuzz-hardened Save/Load format) into the
-// tenant's manager, binding every root by name.
-func (t *Tenant) restore(r io.Reader) ([]FuncInfo, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, errTenantClosed
-	}
-	m := t.manager()
-	var roots map[string]bdd.Ref
-	err := m.RunLimited(t.opDeadline(), t.quota, func() error {
-		var lerr error
-		roots, lerr = m.Load(r)
-		return lerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	for name, f := range roots {
-		t.bind(name, f)
 	}
 	return t.funcList(), nil
 }
@@ -229,15 +206,6 @@ func (t *Tenant) liveNodes() int {
 	return t.m.NodeCount()
 }
 
-// opDeadline converts the per-op duration budget into a wall-clock
-// deadline for RunLimited.
-func (t *Tenant) opDeadline() time.Time {
-	if t.deadline <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(t.deadline)
-}
-
 // close tears the tenant down: all function references dropped, the
 // compiled circuit released. The manager itself is garbage once nothing
 // points at it.
@@ -260,29 +228,63 @@ func (t *Tenant) close() {
 }
 
 // opOutcome is what run's callback reports besides an error: whether the
-// operation degraded and why.
+// operation degraded and why, and the functions it binds. A callback that
+// sets listFuncs gets the tenant's function inventory in funcs, listed
+// under the same lock that applied the binds.
 type opOutcome struct {
-	degraded bool
-	reason   string
+	degraded  bool
+	reason    string
+	binds     []binding
+	listFuncs bool
+	funcs     []FuncInfo
+}
+
+// binding is one function an operation binds by name once it succeeds.
+type binding struct {
+	name string
+	f    bdd.Ref
+}
+
+// bind queues f to be bound under name when the operation succeeds; it
+// takes ownership of the reference.
+func (o *opOutcome) bind(name string, f bdd.Ref) {
+	o.binds = append(o.binds, binding{name, f})
+}
+
+// admit claims the tenant's operation slot for a request whose context
+// is ctx, counting sheds.
+func (t *Tenant) admit(ctx context.Context) (release func(), err error) {
+	release, err = t.adm.acquire(ctx)
+	if _, shed := err.(*ShedError); shed {
+		t.sheds.Inc()
+	}
+	return release, err
 }
 
 // run admits one operation, serializes it against the tenant's manager,
-// and executes fn under the tenant's node quota and wall-clock deadline.
-// fn runs with t.mu held and must not retain the lock past its return.
+// and executes fn inside one bdd.Manager.Run under the tenant's node quota
+// and ctx, the request's context bounded by the tenant's deadline. fn
+// runs with t.mu held and must not retain the lock past its return.
 //
-// When fn trips the budget (bdd.OpAborted) and onAbort is non-nil, run
-// invokes onAbort with the limits disarmed (RunLimited restored them on
-// the way out) so it can compute a degraded-but-sound answer via the
+// When fn trips the quota or the deadline (bdd.OpAborted) and onAbort is
+// non-nil, run invokes onAbort after the Run, with the limits disarmed,
+// so it can compute a degraded-but-sound answer via the
 // under-approximation path; onAbort should fill out.degraded/reason.
 // With a nil onAbort the abort surfaces as the returned error.
+//
+// When ctx ends before run does (the client went away), the operation is
+// cancelled: run returns an error, onAbort does not run, nothing is bound
+// and nothing is counted. The client that would see a degraded marker is
+// gone, and a partial function bound under the requested name would be a
+// wrong answer to the next reader.
 func (t *Tenant) run(
+	ctx context.Context,
 	fn func(m *bdd.Manager, out *opOutcome) error,
 	onAbort func(m *bdd.Manager, out *opOutcome, reason string) error,
 ) (opOutcome, error) {
-	release, shed := t.adm.acquire()
-	if shed != nil {
-		t.sheds.Inc()
-		return opOutcome{}, shed
+	release, err := t.admit(ctx)
+	if err != nil {
+		return opOutcome{}, err
 	}
 	defer release()
 	t.mu.Lock()
@@ -292,27 +294,41 @@ func (t *Tenant) run(
 	}
 	m := t.manager()
 	var out opOutcome
-	err := m.RunLimited(t.opDeadline(), t.quota, func() error {
+	opCtx, cancel := context.WithTimeout(ctx, t.deadline)
+	defer cancel()
+	err = m.Run(opCtx, t.quota, func() error {
 		return fn(m, &out)
 	})
-	if ab, ok := err.(bdd.OpAborted); ok && onAbort != nil {
+	if ctx.Err() != nil {
+		err = fmt.Errorf("request cancelled: %w", ctx.Err())
+	} else if ab, ok := err.(bdd.OpAborted); ok && onAbort != nil {
 		err = onAbort(m, &out, ab.Reason)
 	}
-	if err == nil {
-		t.ops.Inc()
-		if out.degraded {
-			t.degrades.Inc()
+	if err != nil {
+		for _, b := range out.binds {
+			m.Deref(b.f)
 		}
+		return opOutcome{}, err
 	}
-	return out, err
+	for _, b := range out.binds {
+		t.bind(b.name, b.f)
+	}
+	if out.listFuncs {
+		out.funcs = t.funcList()
+	}
+	t.ops.Inc()
+	if out.degraded {
+		t.degrades.Inc()
+	}
+	return out, nil
 }
 
 // degradeToQuota shrinks f to the tenant's remaining headroom with the
 // node limit disarmed (the under-approximation operators need working
 // space), filing the loss in the quality ledger under op "degrade". The
 // result is containment-sound: it implies f. Callers hold t.mu and run
-// OUTSIDE RunLimited (its restore-on-exit would re-arm the tripped limit
-// around the degrade work).
+// outside the operation's bdd.Manager.Run (inside it the tripped quota
+// would still be in force around the degrade work).
 func (t *Tenant) degradeToQuota(m *bdd.Manager, f bdd.Ref) bdd.Ref {
 	return approx.ToBudget(m, f, t.headroom())
 }

@@ -43,12 +43,13 @@ test:
 ## core's own tests, the oracle differential + concurrent stress drivers
 ## (several clients hammering one Workers=4 manager while GC and
 ## reordering fire), the parallel image path in reach, a Workers=4
-## node-budget abort whose workers trip the budget together, and the
-## traversals a Run's deadline or cancellation ends (the context.AfterFunc
-## goroutine raises the flag the traversal polls).
+## node-budget abort whose workers trip the budget together, the
+## traversals and the sift a Run's deadline or cancellation ends (the
+## context.AfterFunc goroutine raises the flag the traversal and siftVar
+## poll), and the Workers=4 sift-order check.
 race:
 	$(GO) test -race -count=1 ./internal/bdd ./internal/oracle ./internal/count ./internal/serve
-	$(GO) test -race -count=1 -run 'Parallel|TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal' ./internal/reach
+	$(GO) test -race -count=1 -run 'Parallel|TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal|TestSift' ./internal/reach
 
 ## fuzz-smoke: run each native fuzz target briefly ($(FUZZTIME) apiece) on
 ## top of its checked-in seed corpus under testdata/fuzz/. This is a smoke

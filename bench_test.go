@@ -233,6 +233,45 @@ func BenchmarkSifting(b *testing.B) {
 	}
 }
 
+// BenchmarkSiftingTR is the per-layer benchmark of the adjacent swap on a
+// traversal-shaped forest: one auto-sift configuration pass over the
+// Table1Small am2910 circuit and its transition relation, started from
+// the compiled order every iteration. It reports the live count the sift
+// ends at.
+func BenchmarkSiftingTR(b *testing.B) {
+	var nl *circuit.Netlist
+	for _, ck := range bench.Table1Small().Circuits {
+		if ck.Name == "am2910" {
+			nl = ck.Netlist
+		}
+	}
+	c, err := circuit.Compile(nl, circuit.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Release()
+	tr, err := reach.NewTR(c, reach.DefaultTROptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Release()
+	order := make([]int, c.M.NumVars())
+	for lev := range order {
+		order[lev] = c.M.VarAtLevel(lev)
+	}
+	live := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.M.SetOrder(order); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		live = c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{MaxVars: 64})
+	}
+	b.ReportMetric(float64(live), "live-nodes")
+}
+
 func BenchmarkImageComputation(b *testing.B) {
 	nl := model.Am2910(model.Am2910Small())
 	c, err := circuit.Compile(nl, circuit.CompileOptions{})

@@ -5,8 +5,8 @@
 //
 // The package provides:
 //
-//   - A Manager holding a node arena, per-level unique subtables, a computed
-//     (operation) cache, reference counting with deferred garbage
+//   - A Manager holding a node arena, per-variable unique subtables, a
+//     computed (operation) cache, reference counting with deferred garbage
 //     collection, and dynamic variable reordering by sifting.
 //   - The classic operations: ITE, AND/OR/XOR and friends, existential and
 //     universal quantification, the relational product (AndExists),
@@ -119,9 +119,6 @@ type Config struct {
 	// GCFraction triggers garbage collection when dead nodes exceed this
 	// fraction of the arena (checked on allocation pressure).
 	GCFraction float64
-	// MaxGrowth bounds how much the arena may grow between reorderings
-	// when automatic reordering is enabled.
-	MaxGrowth float64
 	// Workers sets how many OS threads operations may use. Both engines
 	// run the same kernel recursions over a worker context: 1 runs them
 	// with no worker (plain reference counts, no locks, no forks); larger
@@ -143,7 +140,6 @@ func DefaultConfig() Config {
 		CacheBits:    18,
 		CacheMaxBits: 22,
 		GCFraction:   0.25,
-		MaxGrowth:    2.0,
 	}
 }
 
@@ -173,7 +169,7 @@ type Manager struct {
 
 	autoReorder      bool
 	reorderThreshold int
-	maxGrowth        float64
+	swapBuf          []int32 // swapInPlace's rewrite list, reused so swaps do not allocate
 
 	scope     *runScope // innermost active Run (nil = unbounded)
 	allocTick int       // allocations since the last context-flag poll
@@ -184,8 +180,9 @@ type Manager struct {
 	stats Stats
 }
 
-// subtable is the unique table for one variable level: open hashing with
-// chains threaded through the node arena.
+// subtable is the unique table of one variable: open hashing with chains
+// threaded through the node arena. It sits at the index of the variable's
+// level and moves with the variable when a swap changes that level.
 type subtable struct {
 	buckets []int32
 	mask    uint32
@@ -251,9 +248,6 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	if cfg.GCFraction <= 0 {
 		cfg.GCFraction = def.GCFraction
 	}
-	if cfg.MaxGrowth <= 1 {
-		cfg.MaxGrowth = def.MaxGrowth
-	}
 	m := &Manager{
 		// The arena is cursor-based: full length from the start, with
 		// nodesUsed marking the first virgin slot. A fixed len==cap slice
@@ -263,7 +257,6 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 		nodesUsed:        1,
 		free:             nilIndex,
 		gcFraction:       cfg.GCFraction,
-		maxGrowth:        cfg.MaxGrowth,
 		reorderThreshold: 4096,
 		observer:         cfg.Observer,
 	}

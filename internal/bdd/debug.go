@@ -43,7 +43,7 @@ func (m *Manager) debugCheck() error {
 						return fmt.Errorf("node %d at level %d has child at level %d", idx, n.level, cl)
 					}
 				}
-				if h := hash3(n.level, n.hi, n.lo) & st.mask; h != uint32(b) {
+				if h := hash2(n.hi, n.lo) & st.mask; h != uint32(b) {
 					return fmt.Errorf("node %d in wrong bucket", idx)
 				}
 				if n.ref > 0 {

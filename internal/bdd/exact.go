@@ -19,7 +19,7 @@ func (m *Manager) exactReorder() {
 	if n > ExactReorderMaxVars {
 		prev := m.liveCount
 		for {
-			m.siftAll(SiftConfig{MaxGrowth: m.maxGrowth})
+			m.siftAll(SiftConfig{})
 			if m.liveCount >= prev {
 				return
 			}

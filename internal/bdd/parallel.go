@@ -19,9 +19,10 @@ package bdd
 //     Garbage collection, arena growth, and computed-cache resizing need
 //     every in-flight recursion parked at a safe point (not finished, just
 //     parked); workers poll one atomic flag at recursion entries and yield.
-//   - Unique table: one mutex per level (the subtable is already per-level,
-//     so striping falls out of the existing layout). makeNode probes and
-//     inserts under the level lock only; allocation is lock-free against it.
+//   - Unique table: one mutex per level (one subtable sits at each level,
+//     and only a quiescent swap moves it, so striping falls out of the
+//     layout). makeNode probes and inserts under the level lock only;
+//     allocation is lock-free against it.
 //   - Computed cache: one mutex per group of sets (cacheStripes stripes).
 //     Hit-rate-driven resizing remains a stop-the-world epoch event.
 //   - Allocation: free slots are carved into per-worker chunks, either off
@@ -538,6 +539,10 @@ func (m *Manager) readLocked(fn func()) {
 // manager would. The drops cascade (children dying here re-enter the
 // pending set), so the loop runs to fixpoint. Runs on a quiescent manager,
 // at the start of every gc.
+//
+// A record can outlive its death (a resurrection racing the deref that made
+// it, or a swap freeing the node). If its node dies again during a round,
+// the round leaves it to the next, which releases its children once.
 func (m *Manager) reconcileDeaths() {
 	e := m.par
 	for {
@@ -553,7 +558,12 @@ func (m *Manager) reconcileDeaths() {
 			if n.ref != 0 || n.level < 0 {
 				continue // resurrected (or already freed) since it was recorded
 			}
-			m.dropChildRefs(idx)
+			e.deadMu.Lock()
+			_, again := e.deadPending[idx]
+			e.deadMu.Unlock()
+			if !again {
+				m.dropChildRefs(idx)
+			}
 		}
 	}
 }
@@ -1132,7 +1142,7 @@ func (m *Manager) makeNodePar(w *parWorker, level int32, hi, lo Ref) Ref {
 		mu.Lock()
 	}
 	st := &m.subtables[level]
-	b := hash3(level, hi, lo) & st.mask
+	b := hash2(hi, lo) & st.mask
 	for idx := st.buckets[b]; idx != nilIndex; idx = m.nodes[idx].next {
 		n := &m.nodes[idx]
 		if n.hi == hi && n.lo == lo {
@@ -1152,7 +1162,7 @@ func (m *Manager) makeNodePar(w *parWorker, level int32, hi, lo Ref) Ref {
 	atomic.StoreInt32(&n.ref, 1)
 	mu.Lock()
 	st = &m.subtables[level]
-	b = hash3(level, hi, lo) & st.mask
+	b = hash2(hi, lo) & st.mask
 	chain := 0
 	for probe := st.buckets[b]; probe != nilIndex; probe = m.nodes[probe].next {
 		chain++
@@ -1171,7 +1181,7 @@ func (m *Manager) makeNodePar(w *parWorker, level int32, hi, lo Ref) Ref {
 	if st.count > loadFactor*len(st.buckets) ||
 		(chain >= longChain && 2*st.count > len(st.buckets)) {
 		w.stats.UniqueGrows++
-		m.growSubtable(level)
+		m.growSubtable(st)
 	}
 	mu.Unlock()
 	e.liveDelta.Add(1)

@@ -192,3 +192,29 @@ var errLeqViolated = errLeq{}
 type errLeq struct{}
 
 func (errLeq) Error() string { return "Leq(g AND h, g) must hold" }
+
+// TestParallelReconcileReleasesOnce: a pending-death record can outlive
+// the death it recorded (a resurrection racing the deref that recorded it
+// leaves one for a live node). The test plants such a record on n, whose
+// only parent p then dies; whichever of the two reconcileDeaths reaches
+// first, n dies during the sweep and must release its child g once. A
+// second release would take g below zero.
+func TestParallelReconcileReleasesOnce(t *testing.T) {
+	m := newPar(t, 4, 4)
+	for trial := 0; trial < 20; trial++ {
+		g := m.And(m.IthVar(2), m.IthVar(3))
+		n := m.And(m.IthVar(1), g)
+		p := m.And(m.IthVar(0), n)
+		m.Deref(g)
+		m.Deref(n)
+		m.exclusive(func() { m.par.deadPending[n.index()] = struct{}{} })
+		m.Deref(p)
+		m.GarbageCollect()
+		if err := m.DebugCheck(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if got := m.ReferencedNodeCount(); got != 4 {
+		t.Fatalf("%d nodes referenced after releasing everything, want the 4 projections", got)
+	}
+}

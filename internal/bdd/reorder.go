@@ -8,9 +8,9 @@ import (
 
 // Dynamic variable reordering by sifting (Rudell, ICCAD'93), built on an
 // in-place swap of adjacent levels. External Refs remain valid across
-// reordering: a node keeps its arena index and denotes the same function;
-// only levels, subtable membership, and (for nodes that interact with the
-// swapped variable) children change.
+// reordering: a node keeps its arena index and denotes the same function.
+// A swap touches only the stored nodes of its two levels, and rehashes only
+// those whose children it rewrites (see swapInPlace).
 //
 // The Table 1 experiments of the paper run with dynamic reordering always
 // on; clients get the same effect by enabling auto-reordering, which
@@ -34,11 +34,13 @@ const (
 type SiftConfig struct {
 	// MaxVars bounds how many variables are sifted (0 = all).
 	MaxVars int
-	// MaxGrowth aborts a directional sweep when the size exceeds
-	// MaxGrowth times the size at the start of the variable's sift
-	// (0 = use the manager default).
-	MaxGrowth float64
 }
+
+// siftMaxGrowth ends a directional sweep of a variable's sift once the
+// live count exceeds siftMaxGrowth times the count at the start of that
+// variable's sift (CUDD's maxGrowth, fixed here). The sweep in the other
+// direction still runs.
+const siftMaxGrowth = 2.0
 
 // EnableAutoReorder arms automatic sifting: whenever a hooked operation
 // starts and the live node count exceeds threshold, the manager sifts and
@@ -140,9 +142,6 @@ func (m *Manager) Reorder(method ReorderMethod, cfg SiftConfig) int {
 
 // reorderNow is the reordering body; callers own a quiescent manager.
 func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
-	if cfg.MaxGrowth <= 1 {
-		cfg.MaxGrowth = m.maxGrowth
-	}
 	start := time.Now()
 	before := m.liveCount
 	// Reordering must not race a garbage collection triggered by its own
@@ -276,7 +275,7 @@ func (m *Manager) siftAll(cfg SiftConfig) {
 		limit = cfg.MaxVars
 	}
 	for i := 0; i < limit && !m.stopRequested(); i++ {
-		m.siftVar(order[i], cfg.MaxGrowth)
+		m.siftVar(order[i])
 	}
 }
 
@@ -287,12 +286,12 @@ func (m *Manager) siftAll(cfg SiftConfig) {
 // once it is raised they stop, and the variable is parked at the best
 // level seen so far. The table is consistent between swaps, and the next
 // allocation check after the pass raises the abort.
-func (m *Manager) siftVar(v int, maxGrowth float64) {
+func (m *Manager) siftVar(v int) {
 	start := int(m.varToLev[v])
 	n := len(m.subtables)
 	bestSize := m.liveCount
 	bestLev := start
-	bound := int(maxGrowth * float64(m.liveCount))
+	bound := int(siftMaxGrowth * float64(m.liveCount))
 
 	down := func() {
 		for int(m.varToLev[v]) < n-1 && !m.stopRequested() {
@@ -338,35 +337,53 @@ func (m *Manager) siftVar(v int, maxGrowth float64) {
 // swapInPlace exchanges the variables at levels lev and lev+1 and returns
 // the live node count afterwards. All Refs keep denoting the same
 // functions.
+//
+// As in CUDD's cuddSwapInPlace, a subtable belongs to its variable, so the
+// two subtables first change places. The bucket hash ignores the level, so
+// a node whose children stay put keeps its bucket, and each table stays
+// sized for its own variable rather than for the largest variable that
+// ever crossed its level. The swap then visits each stored node of the two
+// levels once:
+//
+//   - x's table (x moves down to lev+1): dead nodes are freed, nodes with
+//     no child labeled y are relabeled in place, and the rest are unlinked
+//     for rewriting;
+//   - each unlinked node is rewritten in place into a y-labeled node whose
+//     children are x-labeled nodes found or made in x's table;
+//   - y's table (y moves up to lev): dead nodes, including those the
+//     rewrite just released, are freed and the survivors relabeled; then
+//     the rewritten nodes are hashed in.
 func (m *Manager) swapInPlace(lev int) int {
 	l0, l1 := int32(lev), int32(lev+1)
-	m.sweepDeadAtLevel(l0)
-	m.sweepDeadAtLevel(l1)
+	m.subtables[l0], m.subtables[l1] = m.subtables[l1], m.subtables[l0]
+	stY, stX := &m.subtables[l0], &m.subtables[l1]
 
-	stX := &m.subtables[l0]
-	stY := &m.subtables[l1]
-
-	// Detach every x node (level lev) and y node (level lev+1). The y
-	// nodes must be invisible to the unique-table lookups performed while
-	// rewriting, because new x-labeled nodes are created at level lev+1.
-	xs := m.detachAll(stX)
-	ys := m.detachAll(stY)
-
-	// Non-interacting x nodes move down to level lev+1 unchanged.
-	var rewrite []int32
-	for _, idx := range xs {
-		n := &m.nodes[idx]
-		if m.nodes[n.hi.index()].level == l1 || m.nodes[n.lo.index()].level == l1 {
-			rewrite = append(rewrite, idx)
-		} else {
-			n.level = l1
-			m.insertNode(stY, l1, idx)
+	rewrite := m.swapBuf[:0]
+	for b := range stX.buckets {
+		link := &stX.buckets[b]
+		for idx := *link; idx != nilIndex; idx = *link {
+			n := &m.nodes[idx]
+			switch {
+			case n.ref == 0:
+				*link = n.next
+				stX.count--
+				m.freeDead(idx)
+			case m.nodes[n.hi.index()].level == l1 || m.nodes[n.lo.index()].level == l1:
+				*link = n.next
+				stX.count--
+				rewrite = append(rewrite, idx)
+			default:
+				n.level = l1
+				link = &n.next
+			}
 		}
 	}
 
 	// Rewrite interacting x nodes in place: they become y-labeled nodes
 	// at level lev whose children are (possibly fresh) x-labeled nodes at
-	// level lev+1.
+	// level lev+1. The y nodes are still labeled lev+1 here, which is how
+	// the children are told apart, and are absent from x's table, which
+	// the makeNode calls probe.
 	for _, idx := range rewrite {
 		hi, lo := m.nodes[idx].hi, m.nodes[idx].lo
 		var f11, f10, f01, f00 Ref
@@ -396,33 +413,29 @@ func (m *Manager) swapInPlace(lev int) int {
 		n.hi = newHi
 		n.lo = newLo
 		// Release the parental references on the old children; cascades
-		// may kill detached y nodes or deeper nodes, which is fine.
+		// may kill y nodes or deeper nodes, which is fine.
 		m.derefIndex(hi.index())
 		m.derefIndex(lo.index())
-		m.insertNode(stX, l0, idx)
 	}
 
-	// Surviving y nodes move up to level lev; dead ones are freed. On a
-	// parallel manager a dead node still holds its child references
-	// (deferred death) — drop them now, since the slot is going away.
-	freed := 0
-	for _, idx := range ys {
-		if m.nodes[idx].ref == 0 {
-			if m.par != nil {
-				m.dropChildRefs(idx)
-			}
+	for b := range stY.buckets {
+		link := &stY.buckets[b]
+		for idx := *link; idx != nilIndex; idx = *link {
 			n := &m.nodes[idx]
-			n.next = m.free
-			n.level = -1
-			m.free = idx
-			freed++
-			continue
+			if n.ref == 0 {
+				*link = n.next
+				stY.count--
+				m.freeDead(idx)
+				continue
+			}
+			n.level = l0
+			link = &n.next
 		}
-		n := &m.nodes[idx]
-		n.level = l0
-		m.insertNode(stX, l0, idx)
 	}
-	m.deadCount -= freed
+	for _, idx := range rewrite {
+		m.insertNode(stY, idx)
+	}
+	m.swapBuf = rewrite[:0]
 
 	// Swap the order bookkeeping.
 	vx, vy := m.levToVar[l0], m.levToVar[l1]
@@ -431,57 +444,30 @@ func (m *Manager) swapInPlace(lev int) int {
 	return m.liveCount
 }
 
-// sweepDeadAtLevel removes dead nodes from one subtable and frees them
-// (dropping the child references parallel-dead nodes still hold).
-func (m *Manager) sweepDeadAtLevel(lev int32) {
-	st := &m.subtables[lev]
-	freed := 0
-	for b, head := range st.buckets {
-		var keep int32 = nilIndex
-		for idx := head; idx != nilIndex; {
-			next := m.nodes[idx].next
-			if m.nodes[idx].ref == 0 {
-				if m.par != nil {
-					m.dropChildRefs(idx)
-				}
-				m.nodes[idx].next = m.free
-				m.nodes[idx].level = -1
-				m.free = idx
-				st.count--
-				freed++
-			} else {
-				m.nodes[idx].next = keep
-				keep = idx
-			}
-			idx = next
-		}
-		st.buckets[b] = keep
+// freeDead puts a dead node that is no longer chained in its subtable on
+// the free list. On a parallel manager a dead node still holds its child
+// references (deferred death); they are dropped first, since the slot is
+// going away.
+func (m *Manager) freeDead(idx int32) {
+	if m.par != nil {
+		m.dropChildRefs(idx)
 	}
-	m.deadCount -= freed
-}
-
-// detachAll empties a subtable and returns the indices it contained.
-func (m *Manager) detachAll(st *subtable) []int32 {
-	out := make([]int32, 0, st.count)
-	for b, head := range st.buckets {
-		for idx := head; idx != nilIndex; idx = m.nodes[idx].next {
-			out = append(out, idx)
-		}
-		st.buckets[b] = nilIndex
-	}
-	st.count = 0
-	return out
+	n := &m.nodes[idx]
+	n.next = m.free
+	n.level = -1
+	m.free = idx
+	m.deadCount--
 }
 
 // insertNode hashes an existing node into a subtable.
-func (m *Manager) insertNode(st *subtable, lev int32, idx int32) {
+func (m *Manager) insertNode(st *subtable, idx int32) {
 	n := &m.nodes[idx]
-	b := hash3(lev, n.hi, n.lo) & st.mask
+	b := hash2(n.hi, n.lo) & st.mask
 	n.next = st.buckets[b]
 	st.buckets[b] = idx
 	st.count++
 	if st.count > loadFactor*len(st.buckets) {
 		m.stats.UniqueGrows++
-		m.growSubtable(lev)
+		m.growSubtable(st)
 	}
 }

@@ -6,38 +6,101 @@ import (
 	"testing"
 )
 
+// TestSwapInPlacePreservesFunctions: every adjacent swap keeps each held
+// function and the table's invariants, on a serial and a parallel manager,
+// with dead nodes at the two levels it swaps. Before each swap a held
+// function rooted at each of the two levels is released. A parallel
+// manager defers death, so its dead nodes still hold their child
+// references when the swap frees them; if a pass freed one without
+// dropping them, the final leak check would see the children survive.
 func TestSwapInPlacePreservesFunctions(t *testing.T) {
 	const n = 6
-	m := New(n)
-	rng := rand.New(rand.NewSource(31))
-	var fs []Ref
-	var tts [][]bool
-	for i := 0; i < 8; i++ {
-		f := randomOnSet(m, rng, n, 0.5)
-		fs = append(fs, f)
-		tts = append(tts, truthTable(m, f, n))
-	}
-	m.GarbageCollect()
-	m.cache.clear()
-	m.noGC = true
-	for lev := 0; lev < n-1; lev++ {
-		m.swapInPlace(lev)
-		if err := m.DebugCheck(); err != nil {
-			t.Fatalf("after swap %d: %v", lev, err)
+	for _, workers := range []int{1, 4} {
+		m := NewWithConfig(n, Config{Workers: workers})
+		rng := rand.New(rand.NewSource(31))
+		// Random functions with the top k variables quantified away, so
+		// their roots sit at every level but the last.
+		var fs []Ref
+		var tts [][]bool
+		for i := 0; i < 30; i++ {
+			f := randomOnSet(m, rng, n, 0.5)
+			if k := i % (n - 1); k > 0 {
+				top := make([]int, k)
+				for v := range top {
+					top[v] = v
+				}
+				g := m.Exists(f, top)
+				m.Deref(f)
+				f = g
+			}
+			fs = append(fs, f)
+			tts = append(tts, truthTable(m, f, n))
 		}
-		for i, f := range fs {
-			got := truthTable(m, f, n)
-			for x := range got {
-				if got[x] != tts[i][x] {
-					t.Fatalf("swap %d changed function %d at minterm %d", lev, i, x)
+		m.GarbageCollect()
+		m.exclusive(m.cache.clear)
+		// Sweep the order down and back up.
+		var swaps []int
+		for lev := 0; lev < n-1; lev++ {
+			swaps = append(swaps, lev)
+		}
+		for lev := n - 2; lev >= 0; lev-- {
+			swaps = append(swaps, lev)
+		}
+		var deadX, deadY int
+		for _, lev := range swaps {
+			m.exclusive(func() {
+				for _, l := range []int32{int32(lev), int32(lev + 1)} {
+					for i, f := range fs {
+						if nd := &m.nodes[f.index()]; nd.level == l && nd.ref == 1 {
+							m.derefIndex(f.index())
+							fs = append(fs[:i], fs[i+1:]...)
+							tts = append(tts[:i], tts[i+1:]...)
+							break
+						}
+					}
+				}
+				deadX += m.deadAtLevel(lev)
+				deadY += m.deadAtLevel(lev + 1)
+				m.noGC = true
+				m.swapInPlace(lev)
+				m.noGC = false
+			})
+			if err := m.DebugCheck(); err != nil {
+				t.Fatalf("workers=%d, after swap at level %d: %v", workers, lev, err)
+			}
+			for i, f := range fs {
+				got := truthTable(m, f, n)
+				for x := range got {
+					if got[x] != tts[i][x] {
+						t.Fatalf("workers=%d: swap at level %d changed a function at minterm %d", workers, lev, x)
+					}
 				}
 			}
 		}
+		if deadX == 0 || deadY == 0 {
+			t.Fatalf("workers=%d: the swaps met %d dead x nodes and %d dead y nodes, want both", workers, deadX, deadY)
+		}
+		for _, f := range fs {
+			m.Deref(f)
+		}
+		m.GarbageCollect()
+		if got := m.ReferencedNodeCount(); got != n {
+			t.Fatalf("workers=%d: %d nodes referenced after releasing everything, want the %d projections", workers, got, n)
+		}
 	}
-	m.noGC = false
-	for _, f := range fs {
-		m.Deref(f)
+}
+
+// deadAtLevel counts the dead nodes stored at one level.
+func (m *Manager) deadAtLevel(lev int) int {
+	dead := 0
+	for _, head := range m.subtables[lev].buckets {
+		for idx := head; idx != nilIndex; idx = m.nodes[idx].next {
+			if m.nodes[idx].ref == 0 {
+				dead++
+			}
+		}
 	}
+	return dead
 }
 
 func TestReorderPreservesFunctions(t *testing.T) {

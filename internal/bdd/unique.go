@@ -2,8 +2,9 @@ package bdd
 
 import "time"
 
-// This file implements the unique table (one subtable per variable level),
-// node allocation, and garbage collection.
+// This file implements the unique table (one subtable per variable, kept at
+// the index of the variable's level), node allocation, and garbage
+// collection.
 //
 // Reference-counting invariants:
 //
@@ -44,9 +45,12 @@ func newSubtable() subtable {
 	return st
 }
 
-// hash3 mixes a level and two refs into a bucket index.
-func hash3(level int32, hi, lo Ref) uint32 {
-	h := uint64(uint32(level))*0x9e3779b97f4a7c15 + uint64(hi)*0xbf58476d1ce4e5b9 + uint64(lo)*0x94d049bb133111eb
+// hash2 mixes a node's two children into a bucket index. The level is not
+// an input: a subtable holds a single level, and without it a node whose
+// level changes but whose children do not keeps its bucket, which is what
+// lets an adjacent swap relabel most nodes in place (swapInPlace).
+func hash2(hi, lo Ref) uint32 {
+	h := uint64(hi)*0xbf58476d1ce4e5b9 + uint64(lo)*0x94d049bb133111eb
 	h ^= h >> 29
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 32
@@ -79,7 +83,7 @@ func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
 	}
 	m.stats.UniqueLookups++
 	st := &m.subtables[level]
-	b := hash3(level, hi, lo) & st.mask
+	b := hash2(hi, lo) & st.mask
 	chain := 0
 	for idx := st.buckets[b]; idx != nilIndex; idx = m.nodes[idx].next {
 		chain++
@@ -91,7 +95,7 @@ func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
 	}
 	idx := m.allocNode() // may GC; hi and lo are protected by the caller
 	st = &m.subtables[level]
-	b = hash3(level, hi, lo) & st.mask
+	b = hash2(hi, lo) & st.mask
 	n := &m.nodes[idx]
 	n.level = level
 	n.hi = hi
@@ -110,7 +114,7 @@ func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
 	if st.count > loadFactor*len(st.buckets) ||
 		(chain >= longChain && 2*st.count > len(st.buckets)) {
 		m.stats.UniqueGrows++
-		m.growSubtable(level)
+		m.growSubtable(st)
 	}
 	return makeRef(idx, complement)
 }
@@ -178,11 +182,10 @@ func (m *Manager) growArena() {
 	m.nodes = grown
 }
 
-// growSubtable doubles a level's bucket array and rehashes its chains.
+// growSubtable doubles a subtable's bucket array and rehashes its chains.
 // Stats are the caller's job (the parallel path counts into worker-local
 // stats instead of the shared struct).
-func (m *Manager) growSubtable(level int32) {
-	st := &m.subtables[level]
+func (m *Manager) growSubtable(st *subtable) {
 	nb := len(st.buckets) * 2
 	buckets := make([]int32, nb)
 	for i := range buckets {
@@ -193,7 +196,7 @@ func (m *Manager) growSubtable(level int32) {
 		for idx := head; idx != nilIndex; {
 			next := m.nodes[idx].next
 			n := &m.nodes[idx]
-			b := hash3(level, n.hi, n.lo) & mask
+			b := hash2(n.hi, n.lo) & mask
 			n.next = buckets[b]
 			buckets[b] = idx
 			idx = next

@@ -164,20 +164,35 @@ func TestParallelTraversalStatsWindow(t *testing.T) {
 }
 
 // TestSiftStopsAtRunDeadline: sifting suspends the allocation checks, so
-// it polls the Run's context itself. A full sift of the 10-bit multiplier
-// takes over a second; under a 50 ms deadline the Run returns within
-// 100 ms of it, with the table consistent.
+// it polls the Run's context itself. Under a 50 ms deadline the Run around
+// a sift of the 10-bit multiplier returns within 100 ms of it, with the
+// table consistent. An unbounded sift of the same instance is timed
+// first: one that ends inside four deadlines would let the bounded sift
+// finish before its deadline, and the test would pass without taking the
+// deadline path, so it fails instead.
 func TestSiftStopsAtRunDeadline(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	free := compile(t, model.MultiplierNetlist(10))
+	start := time.Now()
+	free.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
+	full := time.Since(start)
+	free.Release()
+	if full < 4*deadline {
+		t.Fatalf("an unbounded sift of the 10-bit multiplier took %v, under 4x the %v deadline: "+
+			"the deadline path is no longer tested; use a larger instance", full, deadline)
+	}
+	t.Logf("unbounded sift: %v", full)
+
 	c := compile(t, model.MultiplierNetlist(10))
 	defer c.Release()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	start := time.Now()
+	start = time.Now()
 	c.M.Run(ctx, 0, func() error {
 		c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
 		return nil
 	})
-	if over := time.Since(start) - 50*time.Millisecond; over > 100*time.Millisecond {
+	if over := time.Since(start) - deadline; over > 100*time.Millisecond {
 		t.Fatalf("Run returned %v after its deadline", over)
 	}
 	if err := c.M.DebugCheck(); err != nil {
@@ -209,5 +224,65 @@ func TestSiftOrderUnchanged(t *testing.T) {
 			t.Fatalf("inRun=%v: %d live nodes after the sift, want 8667", inRun, n)
 		}
 		c.Release()
+	}
+}
+
+// TestSiftOrderUnchangedOnTRForests: on traversal-shaped forests (a
+// Table1Small model's compiled circuit plus its transition relation), the
+// auto-sift configuration and then a window pass choose the orders they
+// always chose, at one worker and at four.
+func TestSiftOrderUnchangedOnTRForests(t *testing.T) {
+	type step struct {
+		order []int
+		live  int
+	}
+	cases := []struct {
+		nl         *circuit.Netlist
+		sift, win3 step
+	}{
+		{
+			nl:   model.S3330(model.S3330Config{Word: 4, FifoDepth: 2, CrcBits: 4}),
+			sift: step{[]int{33, 0, 1, 21, 2, 3, 4, 17, 50, 9, 51, 16, 8, 52, 11, 10, 19, 5, 53, 13, 12, 15, 18, 14, 54, 7, 6, 32, 20, 23, 22, 24, 25, 26, 27, 29, 28, 31, 30, 40, 41, 35, 34, 37, 36, 39, 38, 44, 43, 42, 55, 45, 46, 47, 49, 48}, 1020},
+			win3: step{[]int{33, 0, 1, 21, 2, 3, 17, 50, 51, 52, 8, 9, 10, 11, 16, 18, 19, 4, 5, 53, 12, 13, 15, 14, 54, 7, 32, 20, 22, 23, 24, 25, 6, 26, 27, 29, 28, 31, 30, 40, 41, 35, 34, 37, 36, 39, 38, 44, 42, 55, 43, 45, 47, 49, 46, 48}, 832},
+		},
+		{
+			nl:   model.S1269(model.S1269Config{Width: 4}),
+			sift: step{[]int{34, 32, 40, 15, 8, 0, 1, 2, 41, 3, 42, 43, 9, 10, 12, 14, 5, 45, 7, 16, 48, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 4, 27, 28, 6, 29, 30, 31, 35, 33, 36, 37, 38, 39, 44, 11, 46, 13, 47}, 474},
+			win3: step{[]int{34, 32, 40, 15, 8, 0, 1, 2, 41, 3, 42, 43, 9, 10, 12, 14, 5, 45, 7, 16, 48, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 4, 27, 28, 6, 29, 30, 31, 35, 33, 36, 37, 38, 39, 44, 11, 46, 13, 47}, 474},
+		},
+		{
+			nl:   model.Am2910(model.Am2910Config{Width: 4, StackDepth: 2}),
+			sift: step{[]int{17, 4, 5, 39, 8, 10, 11, 12, 13, 14, 21, 16, 25, 20, 24, 29, 23, 22, 28, 31, 30, 33, 32, 35, 34, 27, 38, 36, 37, 26, 40, 41, 0, 43, 42, 44, 2, 6, 9, 18, 1, 3, 19, 15, 7}, 2637},
+			win3: step{[]int{17, 5, 39, 8, 10, 11, 12, 13, 14, 4, 21, 16, 25, 20, 24, 29, 28, 23, 22, 31, 30, 33, 32, 35, 34, 27, 38, 36, 37, 40, 26, 9, 43, 41, 42, 44, 0, 2, 6, 18, 1, 3, 19, 15, 7}, 2546},
+		},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, tc := range cases {
+			c := compilePar(t, tc.nl, workers)
+			tr, err := NewTR(c, DefaultTROptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(name string, live int, want step) {
+				t.Helper()
+				for lev, v := range want.order {
+					if got := c.M.VarAtLevel(lev); got != v {
+						t.Fatalf("%s workers=%d after %s: level %d holds variable %d, want %d",
+							tc.nl.Name, workers, name, lev, got, v)
+					}
+				}
+				if live != want.live {
+					t.Fatalf("%s workers=%d after %s: %d live nodes, want %d",
+						tc.nl.Name, workers, name, live, want.live)
+				}
+			}
+			check("sift", c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{MaxVars: 64}), tc.sift)
+			check("window3", c.M.Reorder(bdd.ReorderWindow3, bdd.SiftConfig{}), tc.win3)
+			if err := c.M.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			tr.Release()
+			c.Release()
+		}
 	}
 }

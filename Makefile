@@ -1,25 +1,22 @@
 GO ?= go
-BENCH_HISTORY ?= BENCH_reach.json
 FUZZTIME ?= 10s
-WORKERS ?= 1
 
 SERVE_ADDR ?= 127.0.0.1:6173
 
-.PHONY: check test vet build race fuzz-smoke gauntlet-smoke bench-save bench-cmp obs-smoke profile-smoke serve-smoke
+.PHONY: check test vet build race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke serve-smoke
 
 ## check: vet, build, test everything, race-test the BDD core and the
 ## oracle stress driver, smoke the fuzz targets and the generator
 ## gauntlet (counts checked against independent ground truths), then
 ## smoke the observability layer end to end (trace schema + required
-## spans, each cmd's session wiring, structural profiler, benchmark
-## trajectory and scaling curve in advisory mode) and the multi-tenant
-## service daemon (round trip, forced budget-degrade, tenant isolation,
-## graceful drain). Parallel telemetry, the Amdahl breakdown, the
-## quality ledger and the Prometheus exposition are checked end to end by
-## internal/obs's session tests, which `test` runs and `vet` race-tests.
+## spans, each cmd's session wiring, structural profiler) and the
+## multi-tenant service daemon (round trip, forced budget-degrade, tenant
+## isolation, graceful drain). Parallel telemetry, the Amdahl breakdown,
+## the quality ledger and the Prometheus exposition are checked end to end
+## by internal/obs's session tests, which `test` runs and `vet` race-tests.
+## Table 1's Workers=1/Workers=2 agreement is TestTable1SmallRuns in
+## `test`; performance is perfbench's (see BENCHMARK.json).
 check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke serve-smoke
-	$(GO) run ./cmd/tables -bench-cmp $(BENCH_HISTORY) -bench-advisory
-	$(GO) run ./cmd/tables -speedup $(BENCH_HISTORY) -bench-advisory
 
 ## vet: static analysis plus race-testing the obs registry/tracer, whose
 ## lock-free fast paths no other target race-tests (`race` covers the BDD
@@ -79,18 +76,6 @@ gauntlet-smoke:
 	/tmp/bddkit-bddcount -family life -rows 3 -cols 3 -mode weighted -bias 0.25 >/dev/null
 	$(GO) run ./cmd/tables -table gauntlet >/dev/null
 	@echo "gauntlet-smoke OK"
-
-## bench-save: run Table 1 (small scale) and append a schema-versioned
-## record to the benchmark trajectory file. Run twice (or on two commits)
-## and `make bench-cmp` diffs the latest pair. Records are tagged with
-## $(WORKERS); save at WORKERS=1 and WORKERS=4 to feed `tables -speedup`.
-bench-save:
-	$(GO) run ./cmd/tables -table 1 -workers $(WORKERS) -bench-save $(BENCH_HISTORY) >/dev/null
-
-## bench-cmp: compare the two most recent trajectory records; fails on a
-## >15% wall-time or >25% peak-node regression (beyond absolute floors).
-bench-cmp:
-	$(GO) run ./cmd/tables -bench-cmp $(BENCH_HISTORY)
 
 ## obs-smoke: end-to-end check of the observability layer — run a real
 ## traversal with -trace and per-iteration profiles, validate the JSONL

@@ -7,6 +7,7 @@ package bddkit_test
 // in EXPERIMENTS.md come from `go run ./cmd/tables -paper`.
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"bddkit/internal/decomp"
 	"bddkit/internal/mc"
 	"bddkit/internal/model"
+	"bddkit/internal/obs"
 	"bddkit/internal/reach"
 )
 
@@ -270,6 +272,54 @@ func BenchmarkSiftingTR(b *testing.B) {
 		live = c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{MaxVars: 64})
 	}
 	b.ReportMetric(float64(live), "live-nodes")
+}
+
+// BenchmarkTelemetry measures what telemetry costs a traversal. Each op
+// compiles Table1Small's s1269 with auto-reorder on a serial manager,
+// builds its transition relation and runs HD+RUA to completion: "off"
+// builds the manager with no observer, "on" with a fresh sink whose
+// tracer writes every span to io.Discard.
+func BenchmarkTelemetry(b *testing.B) {
+	var ck bench.Table1Circuit
+	for _, c := range bench.Table1Small().Circuits {
+		if c.Name == "s1269" {
+			ck = c
+		}
+	}
+	for _, mode := range []struct {
+		name     string
+		observer func() bdd.Observer
+	}{
+		{"off", func() bdd.Observer { return nil }},
+		{"on", func() bdd.Observer { return obs.NewSink(obs.NewRegistry(), obs.NewTracer(io.Discard)) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := circuit.Compile(ck.Netlist, circuit.CompileOptions{
+					AutoReorder: true,
+					BDDConfig:   &bdd.Config{Workers: 1, Observer: mode.observer()},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr, err := reach.NewTR(c, reach.DefaultTROptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := tr.HighDensity(c.Init, reach.Options{
+					Subset:    reach.RUASubsetter(ck.RUAQuality),
+					Threshold: ck.RUAThreshold,
+				})
+				if !res.Completed {
+					b.Fatal("HD+RUA did not complete")
+				}
+				c.M.Deref(res.Reached)
+				tr.Release()
+				c.Release()
+			}
+		})
+	}
 }
 
 func BenchmarkImageComputation(b *testing.B) {

@@ -2,20 +2,13 @@
 //
 // Usage:
 //
-//	tables -table all            # everything, test-scale corpus
-//	tables -table 2 -paper       # Table 2 on the paper-scale corpus
-//	tables -table 1 -budget 60s  # Table 1 with a custom per-run budget
+//	tables -table all                   # everything, test-scale corpus
+//	tables -table 2 -paper              # Table 2 on the paper-scale corpus
+//	tables -table 1 -paper -budget 60s  # Table 1 with a custom per-run budget
+//	tables -table 1 -workers 2 -json -  # per-method times and STW as JSON
 //
-// The benchmark trajectory lives in BENCH_reach.json: `tables -table 1
-// -bench-save BENCH_reach.json` appends a record after a run, and `tables
-// -bench-cmp BENCH_reach.json` diffs the two most recent records, exiting
-// nonzero when wall time or peak live nodes regressed beyond tolerance
-// (see internal/bench/history.go and `make bench-save` / `make bench-cmp`).
-// Records are tagged with the worker count that produced them; after
-// saving baselines at -workers 1 and -workers N, `tables -speedup
-// BENCH_reach.json` reports the scaling curve (speedup, parallel
-// efficiency, and the share of the perfect-scaling gap explained by
-// stop-the-world time).
+// The benchmark that gates performance is perfbench (see BENCHMARK.json);
+// -json and -workers are enough for a by-hand scaling comparison.
 //
 // With -obs the run serves the observability endpoint (/metrics in
 // Prometheus exposition, /quality, /timeseries, /parallel) for scrapers
@@ -27,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -42,12 +37,8 @@ import (
 func main() {
 	table := flag.String("table", "all", "table to regenerate: 1, 2, 3, 4, ablation, gauntlet, or all")
 	paper := flag.Bool("paper", false, "use the paper-scale corpus and circuits (slower)")
-	budget := flag.Duration("budget", 2*time.Minute, "per-traversal budget for Table 1")
-	jsonOut := flag.String("json", "", "also write Table 1 rows with per-phase breakdowns as JSON to this `file` (\"-\" = stdout)")
-	benchSave := flag.String("bench-save", "", "append this run's Table 1 rows to the benchmark history `file` (see `make bench-save`)")
-	benchCmp := flag.String("bench-cmp", "", "compare the two most recent records of the benchmark history `file` and exit (no tables are run)")
-	benchAdvisory := flag.Bool("bench-advisory", false, "with -bench-cmp or -speedup: report findings but exit 0")
-	speedup := flag.String("speedup", "", "report the speedup curve (serial vs workers-tagged records) of the benchmark history `file` and exit")
+	budget := flag.Duration("budget", 2*time.Minute, "per-traversal budget for Table 1 with -paper")
+	jsonOut := flag.String("json", "", "also write Table 1's rows with per-phase breakdowns (with -table gauntlet, the gauntlet's rows) as JSON to this `file` (\"-\" = stdout)")
 	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
@@ -61,21 +52,14 @@ func main() {
 	}
 	bdd.SetDefaultWorkers(*workers)
 
-	if *benchCmp != "" {
-		os.Exit(runBenchCmp(*benchCmp, *benchAdvisory))
-	}
-	if *speedup != "" {
-		os.Exit(runSpeedup(*speedup, *benchAdvisory))
-	}
-
 	switch *table {
 	case "1", "2", "3", "4", "ablation", "gauntlet", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
 	}
-	if *benchSave != "" && *table != "1" && *table != "all" {
-		fmt.Fprintln(os.Stderr, "-bench-save records Table 1 rows; use -table 1 (or all)")
+	if *jsonOut != "" && *table != "1" && *table != "all" && *table != "gauntlet" {
+		fmt.Fprintf(os.Stderr, "-json writes Table 1 or gauntlet rows; table %q has no JSON form\n", *table)
 		os.Exit(2)
 	}
 	sess := ocfg.MustStart()
@@ -116,34 +100,8 @@ func main() {
 		fmt.Println("Table 1: Reachability analysis results using BDD approximations.")
 		bench.PrintTable1(os.Stdout, rows)
 		fmt.Println()
-		if *benchSave != "" {
-			suite := "table1-small"
-			if *paper {
-				suite = "table1-paper"
-			}
-			rec := bench.HistoryRecord{Suite: suite, Workers: bdd.DefaultWorkers(), Rows: rows}
-			if err := bench.AppendHistory(*benchSave, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "bench-save: appended %s record (workers=%d) to %s\n",
-				suite, rec.Workers, *benchSave)
-		}
 		if *jsonOut != "" {
-			w := os.Stdout
-			if *jsonOut != "-" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := bench.WriteTable1JSON(w, rows); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			writeJSON(*jsonOut, func(w io.Writer) error { return bench.WriteTable1JSON(w, rows) })
 		}
 	}
 	if *table == "gauntlet" || *table == "all" {
@@ -158,20 +116,7 @@ func main() {
 		bench.PrintGauntlet(os.Stdout, rows)
 		fmt.Println()
 		if *jsonOut != "" && *table == "gauntlet" {
-			w := os.Stdout
-			if *jsonOut != "-" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := bench.WriteGauntletJSON(w, rows); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			writeJSON(*jsonOut, func(w io.Writer) error { return bench.WriteGauntletJSON(w, rows) })
 		}
 	}
 	if *table == "2" || *table == "all" {
@@ -215,52 +160,20 @@ func main() {
 	}
 }
 
-// runBenchCmp implements -bench-cmp: compare the most recent history
-// record against the latest earlier record of the same suite and worker
-// count (serial and parallel trajectories are tracked separately — their
-// peak-node profiles differ by construction) and report regressions.
-// Advisory mode always exits 0 so CI can surface drift without failing on
-// noisy machines.
-func runBenchCmp(path string, advisory bool) int {
-	h, err := bench.LoadHistory(path)
+// writeJSON runs write against path ("-" = stdout) and exits 1 when the
+// file cannot be created, written or closed.
+func writeJSON(path string, write func(io.Writer) error) {
+	var err error
+	if path == "-" {
+		err = write(os.Stdout)
+	} else {
+		var f *os.File
+		if f, err = os.Create(path); err == nil {
+			err = errors.Join(write(f), f.Close())
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		os.Exit(1)
 	}
-	prev, cur, ok := h.LatestComparable()
-	if !ok {
-		if cur != nil {
-			fmt.Fprintf(os.Stderr, "bench-cmp: %s has no earlier record matching the latest one (suite %s, workers=%d); nothing comparable yet\n",
-				path, cur.Suite, cur.Workers)
-		} else {
-			fmt.Fprintf(os.Stderr, "bench-cmp: %s holds %d record(s); need 2 (run `make bench-save` twice)\n",
-				path, len(h.Records))
-		}
-		if advisory {
-			return 0
-		}
-		return 1
-	}
-	n := bench.WriteComparison(os.Stdout, prev, cur)
-	if n > 0 && !advisory {
-		return 1
-	}
-	return 0
-}
-
-// runSpeedup implements -speedup: derive the scaling curve from the
-// workers-tagged records of the history and fail (unless advisory) when no
-// serial/parallel pair exists — a CI leg that silently compares nothing
-// would report "no regressions" forever.
-func runSpeedup(path string, advisory bool) int {
-	h, err := bench.LoadHistory(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	points := bench.SpeedupCurves(h)
-	if bench.WriteSpeedup(os.Stdout, points) == 0 && !advisory {
-		return 1
-	}
-	return 0
 }

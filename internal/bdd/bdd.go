@@ -269,7 +269,7 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = DefaultWorkers()
+		workers = int(defaultWorkers.Load())
 	}
 	if workers > 1 {
 		m.par = newParEngine(m, workers)

@@ -65,9 +65,6 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// DefaultWorkers returns the current package-wide default worker count.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
 // Workers returns the manager's configured worker count (1 = serial).
 func (m *Manager) Workers() int {
 	if m.par == nil {

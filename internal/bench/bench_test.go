@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"bddkit/internal/bdd"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -200,25 +202,61 @@ func TestAblationDecompPairing(t *testing.T) {
 	}
 }
 
-// TestTable1SmallRuns executes the scaled-down Table 1 and checks that the
-// high-density traversals complete and agree on the state counts.
+// TestTable1SmallRuns executes the scaled-down Table 1 at Workers=1 and
+// at Workers=2 and requires both engines to complete every traversal and
+// to agree on what the table reports. HD iteration counts and final and
+// peak node counts are not compared: the two runs reorder differently,
+// which legitimately moves them.
 func TestTable1SmallRuns(t *testing.T) {
-	rows, err := RunTable1(Table1Small())
-	if err != nil {
-		t.Fatal(err)
+	defer bdd.SetDefaultWorkers(1)
+	var runs [2][]Table1Row
+	for i, workers := range []int{1, 2} {
+		bdd.SetDefaultWorkers(workers)
+		rows, err := RunTable1(Table1Small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			t.Fatal("no rows")
+		}
+		runs[i] = rows
 	}
-	if len(rows) == 0 {
-		t.Fatal("no rows")
+	serial, par := runs[0], runs[1]
+	if len(serial) != len(par) {
+		t.Fatalf("Workers=1 gave %d rows, Workers=2 gave %d", len(serial), len(par))
 	}
-	for _, r := range rows {
-		if !r.RUA.Done {
-			t.Errorf("%s: HD+RUA did not complete", r.Ckt)
+	var parSTW int64
+	for i, s := range serial {
+		p := par[i]
+		if s.Ckt != p.Ckt {
+			t.Fatalf("row %d: circuit %s at Workers=1, %s at Workers=2", i, s.Ckt, p.Ckt)
 		}
-		if !r.SP.Done {
-			t.Errorf("%s: HD+SP did not complete", r.Ckt)
+		if s.States <= 0 || s.States != p.States {
+			t.Errorf("%s: states %g at Workers=1, %g at Workers=2", s.Ckt, s.States, p.States)
 		}
-		if r.States <= 0 {
-			t.Errorf("%s: no states reported", r.Ckt)
+		if s.BFS.Iterations != p.BFS.Iterations {
+			t.Errorf("%s: BFS iterations %d at Workers=1, %d at Workers=2",
+				s.Ckt, s.BFS.Iterations, p.BFS.Iterations)
 		}
+		for _, m := range []struct {
+			name string
+			s, p MethodResult
+		}{{"BFS", s.BFS, p.BFS}, {"HD+RUA", s.RUA, p.RUA}, {"HD+SP", s.SP, p.SP}} {
+			if !m.s.Done || !m.p.Done {
+				t.Errorf("%s %s: done %v at Workers=1, %v at Workers=2", s.Ckt, m.name, m.s.Done, m.p.Done)
+			}
+			if m.s.States != m.p.States {
+				t.Errorf("%s %s: states %g at Workers=1, %g at Workers=2", s.Ckt, m.name, m.s.States, m.p.States)
+			}
+			if m.s.STWCount != 0 {
+				t.Errorf("%s %s: %d stop-the-world epochs at Workers=1", s.Ckt, m.name, m.s.STWCount)
+			}
+			parSTW += m.p.STWCount
+		}
+	}
+	// Only a parallel manager counts stop-the-world epochs, so none at
+	// Workers=2 means the worker count never reached the managers.
+	if parSTW <= 0 {
+		t.Error("no stop-the-world epochs at Workers=2: the runs were serial")
 	}
 }

@@ -189,8 +189,8 @@ func Table4(fns []Fn, minNodes int) DecompResult {
 // ---------------------------------------------------------------------------
 
 // MethodResult is one traversal's outcome within a Table 1 row, including
-// the per-phase breakdown behind the timing column (serialized into the
-// BENCH_*.json snapshots by WriteTable1JSON).
+// the per-phase breakdown behind the timing column (serialized by
+// WriteTable1JSON).
 type MethodResult struct {
 	Time      time.Duration `json:"time_ns"`
 	Done      bool          `json:"done"`
@@ -212,7 +212,6 @@ type MethodResult struct {
 
 	// Stop-the-world accounting (parallel engine only; absent on serial
 	// runs): how much of Time was spent in the engine's serial sections.
-	// Additive to the record layout, so HistorySchema stays at 1.
 	STWCount int64         `json:"stw_count,omitempty"`
 	STWTime  time.Duration `json:"stw_ns,omitempty"`
 }
@@ -516,7 +515,7 @@ func runTable1Combinational(cfg Table1Config, ckt Table1Circuit) (Table1Row, err
 			Done:       true,
 			States:     states,
 			Nodes:      c.M.DagSize(sub),
-			PeakNodes:  c.M.NodeCount(),
+			PeakNodes:  c.M.Stats().PeakLive,
 			Iterations: 0,
 		}
 		if sub != f {
@@ -552,8 +551,7 @@ func pimgLabel(p *reach.PImg) string {
 
 // WriteTable1JSON writes Table 1 rows — including each method's per-phase
 // breakdown (image/subset/closure time, relational-product counts, peak
-// intermediate product) — as indented JSON, the format of the BENCH_*.json
-// snapshots kept at the repo root.
+// intermediate product) — as indented JSON.
 func WriteTable1JSON(w io.Writer, rows []Table1Row) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

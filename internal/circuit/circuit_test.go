@@ -2,9 +2,12 @@ package circuit
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // buildCounter returns an en-gated k-bit counter with a terminal-count
@@ -238,6 +241,16 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestParseReportsReadError: a read error that cuts a gate line short is
+// the error Parse returns, not the fragment's parse error.
+func TestParseReportsReadError(t *testing.T) {
+	cut := errors.New("body cut short")
+	src := io.MultiReader(strings.NewReader(".model m\n.inputs a b\ng = AND(a"), iotest.ErrReader(cut))
+	if _, err := Parse(src); !errors.Is(err, cut) {
+		t.Fatalf("Parse error = %v, want the read error", err)
 	}
 }
 

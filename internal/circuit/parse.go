@@ -41,6 +41,14 @@ func Parse(r io.Reader) (*Netlist, error) {
 	var outs []pendingOut
 	lineNo := 0
 	ended := false
+	// A read error cuts the last line short: report it, not the parse
+	// error of the fragment.
+	fail := func(err error) (*Netlist, error) {
+		if rerr := sc.Err(); rerr != nil {
+			return nil, rerr
+		}
+		return nil, err
+	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -48,7 +56,7 @@ func Parse(r io.Reader) (*Netlist, error) {
 			continue
 		}
 		if ended {
-			return nil, fmt.Errorf("line %d: content after .end", lineNo)
+			return fail(fmt.Errorf("line %d: content after .end", lineNo))
 		}
 		switch {
 		case strings.HasPrefix(line, ".model"):
@@ -59,14 +67,14 @@ func Parse(r io.Reader) (*Netlist, error) {
 				// error for generated models); file input is untrusted
 				// and must get an error instead.
 				if _, dup := b.nl.byName[name]; dup {
-					return nil, fmt.Errorf("line %d: duplicate signal %q", lineNo, name)
+					return fail(fmt.Errorf("line %d: duplicate signal %q", lineNo, name))
 				}
 				b.Input(name)
 			}
 		case strings.HasPrefix(line, ".latch"):
 			f := strings.Fields(line)
 			if len(f) != 4 {
-				return nil, fmt.Errorf("line %d: .latch needs Q NEXT INIT", lineNo)
+				return fail(fmt.Errorf("line %d: .latch needs Q NEXT INIT", lineNo))
 			}
 			init := false
 			switch f[3] {
@@ -74,10 +82,10 @@ func Parse(r io.Reader) (*Netlist, error) {
 			case "1":
 				init = true
 			default:
-				return nil, fmt.Errorf("line %d: bad latch init %q", lineNo, f[3])
+				return fail(fmt.Errorf("line %d: bad latch init %q", lineNo, f[3]))
 			}
 			if _, dup := b.nl.byName[f[1]]; dup {
-				return nil, fmt.Errorf("line %d: duplicate signal %q", lineNo, f[1])
+				return fail(fmt.Errorf("line %d: duplicate signal %q", lineNo, f[1]))
 			}
 			q := b.Latch(f[1], init)
 			pend = append(pend, pendingLatch{q: q, next: f[2]})
@@ -89,10 +97,10 @@ func Parse(r io.Reader) (*Netlist, error) {
 			ended = true
 		case strings.Contains(line, "="):
 			if err := parseGate(b, line, lineNo); err != nil {
-				return nil, err
+				return fail(err)
 			}
 		default:
-			return nil, fmt.Errorf("line %d: cannot parse %q", lineNo, line)
+			return fail(fmt.Errorf("line %d: cannot parse %q", lineNo, line))
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -89,6 +89,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, errTenantClosed):
 		status = http.StatusGone
+	case errors.As(err, new(*http.MaxBytesError)):
+		status = http.StatusRequestEntityTooLarge
 	case errors.As(err, new(bdd.OpAborted)):
 		// An abort the handler could not degrade soundly.
 		status = http.StatusUnprocessableEntity
@@ -98,8 +100,10 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorBody{Error: msg})
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON decodes the request body into v, reading at most
+// MaxBodyBytes of it.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -144,7 +148,7 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req CreateTenantRequest
 	if r.ContentLength != 0 {
-		if err := decodeJSON(r, &req); err != nil {
+		if err := s.decodeJSON(w, r, &req); err != nil {
 			s.writeError(w, err)
 			return
 		}
@@ -274,7 +278,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req OpRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -389,7 +393,7 @@ func (s *Server) handleApprox(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ApproxRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -485,7 +489,7 @@ func (s *Server) handleDecomp(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DecompRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -548,7 +552,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReachRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -640,7 +644,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CountRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -691,7 +695,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SampleRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

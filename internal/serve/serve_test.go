@@ -120,6 +120,44 @@ func TestTenantLifecycle(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: MaxBodyBytes bounds every request body, JSON as well as
+// netlists, and a body over it is refused with 413 before it has any
+// effect.
+func TestBodyLimit(t *testing.T) {
+	const limit = 1024
+	_, ts := newTestServer(t, Config{MaxBodyBytes: limit})
+	base := ts.URL + "/v1/tenants"
+	pad := strings.Repeat(" ", 2*limit)
+
+	if st := call(t, "PUT", base+"/a", `{"quota": 5000`+pad+`}`, nil); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized create: status %d, want 413", st)
+	}
+	if st := call(t, "GET", base+"/a", nil, nil); st != http.StatusNotFound {
+		t.Errorf("oversized create made the tenant: status %d, want 404", st)
+	}
+
+	if st := call(t, "PUT", base+"/b", nil, nil); st != http.StatusCreated {
+		t.Fatalf("create: status %d", st)
+	}
+	if st := call(t, "POST", base+"/b/ops",
+		`{"op": "not", "args": ["x"], "result": "y"`+pad+`}`, nil); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized ops: status %d, want 413", st)
+	}
+	// Cut at the limit, the netlist ends mid-line: the limit, not the
+	// fragment's parse error, is what the client must hear.
+	nl := multiplierNetlist(t, 4)
+	if len(nl) <= 2*limit {
+		t.Fatalf("multiplier netlist is only %d bytes", len(nl))
+	}
+	if st := call(t, "POST", base+"/b/netlist", nl, nil); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized netlist: status %d, want 413", st)
+	}
+	var funcs []FuncInfo
+	if st := call(t, "GET", base+"/b/funcs", nil, &funcs); st != http.StatusOK || len(funcs) != 0 {
+		t.Errorf("after oversized requests: status %d, functions %v", st, funcs)
+	}
+}
+
 func TestBuildOpsCountSampleRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL + "/v1/tenants/alice"

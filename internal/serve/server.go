@@ -27,8 +27,8 @@ type Config struct {
 	CacheBits uint
 	// MaxTenants bounds the pool (0 = DefaultMaxTenants).
 	MaxTenants int
-	// MaxBodyBytes bounds request bodies — netlists and snapshots come
-	// from the network (0 = DefaultMaxBodyBytes).
+	// MaxBodyBytes bounds every request body, JSON, netlist or snapshot;
+	// a longer one is refused with 413 (0 = DefaultMaxBodyBytes).
 	MaxBodyBytes int64
 	// ShutdownDrain bounds how long Close waits for in-flight requests.
 	ShutdownDrain time.Duration

@@ -20,14 +20,15 @@ check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke ser
 
 ## vet: static analysis plus race-testing the obs registry/tracer, whose
 ## lock-free fast paths no other target race-tests (`race` covers the BDD
-## core), and the obs session tests, which run sessions side by side.
+## core), the obs session tests, which run sessions side by side, and
+## bddtop's frames, which scrape a live session between manager work.
 ## The benchmark in perfbench/ is a nested module that the root `./...`
 ## never compiles, so it is vetted (and, in `test`, tested) on its own:
 ## it calls the count, reach, approx and decomp APIs directly.
 vet:
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
-	$(GO) test -race -count=1 ./internal/obs/...
+	$(GO) test -race -count=1 ./internal/obs/... ./cmd/bddtop
 
 build:
 	$(GO) build ./...

@@ -1,19 +1,21 @@
 // Command bddtop is a live terminal console over the -obs endpoint: point
-// it at a running reach/tables/bddlab/mc/equiv process started with
-// -obs :6060 and it polls /metrics (Prometheus exposition), /quality (the
-// approximation-loss ledger), /timeseries (the sampled gauge trajectories)
-// and /parallel (work-stealing engine telemetry), rendering one refreshing
-// frame per interval:
+// it at a running reach/tables/bddlab/bddcount/mc/equiv process started
+// with -obs :6060 and it polls /metrics (Prometheus exposition), /quality
+// (the approximation-loss ledger) and /parallel (work-stealing engine
+// telemetry), rendering one refreshing frame per interval:
 //
 //   - manager gauges — live/dead nodes, node limit with a budget-headroom
-//     bar, arena occupancy, cache hit rate, STW share;
+//     bar, arena occupancy, cache hit rate, GC count and STW time;
 //   - trajectories — sparklines of live nodes, mass retained, and budget
-//     headroom over the sampler's ring (~64 s of history);
+//     headroom over the last 48 frames; bddtop keeps this history itself,
+//     one point per frame from that frame's /metrics scrape, so it begins
+//     when bddtop attaches;
 //   - the quality ledger — loss-so-far per operator (count, aborts, mean
 //     and minimum mass retained, nodes shed) plus the most recent
 //     operation (current reach iteration, its mass trade, abort cause);
 //   - the parallel engine (when the process runs one) — workers, steal
-//     ratio, and the top-K hottest unique-table levels by contention.
+//     ratio, and the -topk unique-table levels with the most sampled lock
+//     waits (the engine reports at most 8).
 //
 // Usage:
 //
@@ -35,10 +37,10 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
+	"bddkit/internal/bdd"
 	"bddkit/internal/cliutil"
 	"bddkit/internal/obs"
 )
@@ -47,7 +49,7 @@ func main() {
 	addr := flag.String("addr", "localhost:6060", "host:port of the -obs endpoint to watch")
 	interval := flag.Duration("interval", time.Second, "poll/refresh interval")
 	frames := flag.Int("frames", 0, "stop after this many frames (0 = run until the endpoint goes away)")
-	topK := flag.Int("topk", 5, "hot unique-table levels to show in the parallel panel")
+	topK := flag.Int("topk", 5, "hot unique-table levels to show in the parallel panel (the engine reports at most 8)")
 	plain := flag.Bool("plain", false, "no ANSI control sequences; print frames sequentially")
 	flag.Parse()
 	if err := cliutil.Check(
@@ -63,7 +65,6 @@ func main() {
 		base:   "http://" + *addr,
 		client: &http.Client{Timeout: 5 * time.Second},
 		topK:   *topK,
-		plain:  *plain,
 	}
 	failures := 0
 	for frame := 1; ; frame++ {
@@ -95,20 +96,15 @@ type console struct {
 	base   string
 	client *http.Client
 	topK   int
-	plain  bool
+
+	// live, mass and head are the history the trajectories panel plots:
+	// one value per frame from that frame's /metrics scrape, oldest
+	// first, at most sparkWidth of them.
+	live, mass, head []float64
 }
 
-// timeseriesResp mirrors the /timeseries payload.
-type timeseriesResp struct {
-	Interval string          `json:"interval"`
-	Points   []obs.TimePoint `json:"points"`
-}
-
-// parallelResp mirrors the /parallel payload.
-type parallelResp struct {
-	Workers int              `json:"workers"`
-	Current *obs.ParSnapshot `json:"current"`
-}
+// sparkWidth is how many frames of history a sparkline shows.
+const sparkWidth = 48
 
 func (c *console) get(path string) (io.ReadCloser, error) {
 	resp, err := c.client.Get(c.base + path)
@@ -131,7 +127,7 @@ func (c *console) getJSON(path string, v any) error {
 	return json.NewDecoder(body).Decode(v)
 }
 
-// renderFrame polls all four endpoints and renders one frame. /metrics is
+// renderFrame polls the endpoint and renders one frame. /metrics is
 // required (its failure aborts the frame); the JSON panels degrade
 // gracefully when absent.
 func (c *console) renderFrame(frame int) ([]byte, error) {
@@ -144,18 +140,17 @@ func (c *console) renderFrame(frame int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("/metrics: %v", err)
 	}
+	c.record(scrape)
 	var quality obs.LedgerSnapshot
 	qualityOK := c.getJSON("/quality", &quality) == nil
-	var ts timeseriesResp
-	tsOK := c.getJSON("/timeseries", &ts) == nil
-	var par parallelResp
+	var par bdd.ParTelemetry
 	parOK := c.getJSON("/parallel", &par) == nil
 
 	var b bytes.Buffer
 	c.header(&b, frame, scrape, quality, qualityOK)
 	c.gauges(&b, scrape)
-	if tsOK && len(ts.Points) > 1 {
-		c.trajectories(&b, ts)
+	if len(c.live) > 1 {
+		c.trajectories(&b)
 	}
 	if qualityOK {
 		c.qualityPanel(&b, quality)
@@ -164,6 +159,29 @@ func (c *console) renderFrame(frame int) ([]byte, error) {
 		c.parallelPanel(&b, par)
 	}
 	return b.Bytes(), nil
+}
+
+// record appends the scrape's values of the plotted series to the
+// history, once the process serves a manager's gauges.
+func (c *console) record(scrape *obs.PromScrape) {
+	live, ok := scrape.Value("bdd_live_nodes")
+	if !ok {
+		return
+	}
+	mass, _ := scrape.Value("quality_last_mass_retained")
+	head, _ := scrape.Value("bdd_budget_headroom")
+	c.live = push(c.live, live)
+	c.mass = push(c.mass, mass)
+	c.head = push(c.head, head)
+}
+
+// push appends v to a series, keeping its last sparkWidth values.
+func push(series []float64, v float64) []float64 {
+	series = append(series, v)
+	if len(series) > sparkWidth {
+		series = series[len(series)-sparkWidth:]
+	}
+	return series
 }
 
 func (c *console) header(b *bytes.Buffer, frame int, scrape *obs.PromScrape, q obs.LedgerSnapshot, qOK bool) {
@@ -203,23 +221,13 @@ func (c *console) gauges(b *bytes.Buffer, scrape *obs.PromScrape) {
 	b.WriteByte('\n')
 }
 
-// trajectories plots the sampler ring: resource use (live nodes), quality
-// (mass retained of the latest op at each sample), and budget headroom.
-func (c *console) trajectories(b *bytes.Buffer, ts timeseriesResp) {
-	pts := ts.Points
-	lives := make([]float64, len(pts))
-	mass := make([]float64, len(pts))
-	head := make([]float64, len(pts))
-	for i, p := range pts {
-		lives[i] = float64(p.LiveNodes)
-		mass[i] = p.MassRetained
-		head[i] = p.BudgetHeadroom
-	}
-	const width = 48
-	fmt.Fprintf(b, "  live nodes    %s  %s\n", spark(lives, width), humanCount(lives[len(lives)-1]))
-	fmt.Fprintf(b, "  mass retained %s  %.3f\n", spark(mass, width), mass[len(mass)-1])
-	fmt.Fprintf(b, "  headroom      %s  %.0f%%   (%d samples @ %s)\n",
-		spark(head, width), head[len(head)-1]*100, len(pts), ts.Interval)
+// trajectories plots the history: resource use (live nodes), quality
+// (mass retained of the latest op at each frame), and budget headroom.
+func (c *console) trajectories(b *bytes.Buffer) {
+	n := len(c.live)
+	fmt.Fprintf(b, "  live nodes    %s  %s\n", spark(c.live), humanCount(c.live[n-1]))
+	fmt.Fprintf(b, "  mass retained %s  %.3f\n", spark(c.mass), c.mass[n-1])
+	fmt.Fprintf(b, "  headroom      %s  %.0f%%   (last %d frames)\n", spark(c.head), c.head[n-1]*100, n)
 	b.WriteByte('\n')
 }
 
@@ -244,42 +252,28 @@ func (c *console) qualityPanel(b *bytes.Buffer, q obs.LedgerSnapshot) {
 	}
 }
 
-func (c *console) parallelPanel(b *bytes.Buffer, par parallelResp) {
-	fmt.Fprintf(b, "  parallel  %d workers", par.Workers)
-	if cur := par.Current; cur != nil {
-		t := cur.Telemetry
-		total := t.TasksLocal + t.TasksStolen
-		if total > 0 {
-			fmt.Fprintf(b, "  tasks %d (%.0f%% stolen)", total,
-				100*float64(t.TasksStolen)/float64(total))
+func (c *console) parallelPanel(b *bytes.Buffer, t bdd.ParTelemetry) {
+	fmt.Fprintf(b, "  parallel  %d workers", t.Workers)
+	if total := t.TasksLocal + t.TasksStolen; total > 0 {
+		fmt.Fprintf(b, "  tasks %d (%.0f%% stolen)", total,
+			100*float64(t.TasksStolen)/float64(total))
+	}
+	b.WriteByte('\n')
+	// HotLevels comes most sampled lock waits first; keep that order.
+	if hot := t.HotLevels[:min(c.topK, len(t.HotLevels))]; len(hot) > 0 {
+		fmt.Fprintf(b, "  hot levels (top %d by sampled lock waits; total wait/waits):", len(hot))
+		for _, h := range hot {
+			fmt.Fprintf(b, "  L%d %s/%d", h.Index,
+				time.Duration(h.WaitNS).Round(time.Microsecond), h.Hits)
 		}
-		b.WriteByte('\n')
-		hot := t.HotLevels
-		if len(hot) > 0 {
-			sort.Slice(hot, func(i, j int) bool { return hot[i].WaitNS > hot[j].WaitNS })
-			k := c.topK
-			if k > len(hot) {
-				k = len(hot)
-			}
-			fmt.Fprintf(b, "  hot levels (top %d by wait):", k)
-			for _, h := range hot[:k] {
-				fmt.Fprintf(b, "  L%d %s/%d", h.Index,
-					time.Duration(h.WaitNS).Round(time.Microsecond), h.Hits)
-			}
-			b.WriteByte('\n')
-		}
-	} else {
 		b.WriteByte('\n')
 	}
 	b.WriteByte('\n')
 }
 
-// spark renders values as a unicode sparkline of at most width cells,
-// keeping the most recent points and scaling to the visible min/max.
-func spark(vals []float64, width int) string {
-	if len(vals) > width {
-		vals = vals[len(vals)-width:]
-	}
+// spark renders values as a unicode sparkline, one cell per value, scaled
+// to their min/max.
+func spark(vals []float64) string {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range vals {
 		lo = math.Min(lo, v)

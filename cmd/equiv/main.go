@@ -7,7 +7,7 @@
 //	equiv golden.net revised.net
 //
 // The standard observability flags apply: -trace writes a JSONL trace,
-// -obs serves /metrics (Prometheus), /quality and /timeseries (watch with
+// -obs serves /metrics (Prometheus), /quality and /parallel (watch with
 // bddtop), and -metrics prints the end-of-run tables.
 package main
 

@@ -8,8 +8,8 @@
 //	mc -in design.net -ctl "AG(req -> AF ack)" -reachable
 //
 // The standard observability flags apply: -trace writes a JSONL trace,
-// -obs serves /metrics (Prometheus), /quality, /timeseries and /parallel
-// (watch with bddtop), and -metrics prints the end-of-run counter and
+// -obs serves /metrics (Prometheus), /quality and /parallel (watch with
+// bddtop), and -metrics prints the end-of-run counter and
 // quality-ledger tables.
 package main
 

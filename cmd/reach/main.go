@@ -10,9 +10,8 @@
 //	reach -model counter -method bfs -trace trace.jsonl -obs :6060
 //
 // With -obs the run serves the observability endpoint (Prometheus
-// /metrics, the /quality approximation-loss ledger, /timeseries gauge
-// trajectories sampled every -obs-sample, and /parallel); watch it live
-// with `bddtop -addr localhost:6060`. Every traversal iteration yields a
+// /metrics, the /quality approximation-loss ledger, and /parallel); watch
+// it live with `bddtop -addr localhost:6060`. Every traversal iteration yields a
 // quality.op ledger record (fresh mass discovered, mass the subsetted
 // frontier kept, budget headroom), filed when the traversal ends and
 // summarized at exit by -metrics.

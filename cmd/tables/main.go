@@ -11,7 +11,7 @@
 // -json and -workers are enough for a by-hand scaling comparison.
 //
 // With -obs the run serves the observability endpoint (/metrics in
-// Prometheus exposition, /quality, /timeseries, /parallel) for scrapers
+// Prometheus exposition, /quality, /parallel) for scrapers
 // and for `bddtop`. Every manager the tables build reports to the
 // session, so -metrics and -trace cover the corpus build and each
 // traversal's compilation as well as the approximation operators.

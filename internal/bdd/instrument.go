@@ -6,7 +6,8 @@ import "time"
 // layer: instead a Manager is built with an Observer (Config.Observer; an
 // obs sink, or a test double) and reports to it the rare structural
 // events — garbage collections, reorderings, limit aborts, invariant
-// failures — that metrics and the flight recorder want attributed. The
+// failures, and on a parallel manager stop-the-world epochs and stalls —
+// that metrics and the flight recorder want attributed. The
 // observer is fixed for the manager's lifetime, so managers in one
 // process (a server's tenants, a benchmark's fresh per-run managers)
 // report to their own sinks. Hot paths never call the observer; the
@@ -32,12 +33,6 @@ type Observer interface {
 	Abort(reason string)
 	// DebugFailure reports a DebugCheck invariant violation.
 	DebugFailure(err error)
-}
-
-// ParObserver is an optional extension of Observer for parallel-engine
-// events. The engine type-asserts the manager's Observer at each event
-// site, so serial-only observers need not implement it.
-type ParObserver interface {
 	// STW reports one completed write-lease / stop-the-world epoch on a
 	// parallel manager: the cause (gc, alloc, cache_resize, reorder,
 	// save_load, debug_check, exclusive), the manager's worker count, the

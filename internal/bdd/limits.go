@@ -13,7 +13,9 @@ import (
 // allocation checks the ceiling on every allocation. It never reads the
 // clock: context.AfterFunc raises a flag when the context ends, and
 // allocation polls that flag every deadlineCheckInterval allocations.
-// Sifting polls the same flag between swaps (see siftVar). When a limit
+// Reordering polls the same flag before it starts, between swaps, and
+// (on a serial manager) between the subtables its sweeps visit (see
+// reorderNow, gc and siftVar). When a limit
 // trips, allocation panics with OpAborted and Run converts the panic into
 // its returned error.
 //
@@ -125,7 +127,8 @@ func (m *Manager) Run(ctx context.Context, nodeLimit int, fn func() error) (err 
 func (m *Manager) NodeLimit() int { return m.nodeLimit }
 
 // stopRequested reports whether the context of an active Run has ended.
-// Sifting polls it between swaps.
+// Reordering polls it before it starts, between swaps and between sweep
+// subtables.
 func (m *Manager) stopRequested() bool { return m.scope.stopped() }
 
 // ceilingAbort is the abort for a live count above the node ceiling.

@@ -1093,7 +1093,7 @@ func (m *Manager) allocNodePar(w *parWorker) int32 {
 				return
 			}
 			if m.deadCount > 2048 && float64(m.deadCount) > m.gcFraction*float64(len(m.nodes)) {
-				m.gc(true)
+				m.gc(true, false)
 			}
 			if m.free == nilIndex && m.nodesUsed == int64(len(m.nodes)) {
 				m.growArena()

@@ -244,17 +244,17 @@ type stwCounter struct {
 	pauseNS atomic.Int64 // time the world stayed excluded (fn duration)
 }
 
-// recordSTW updates the per-cause totals and notifies a ParObserver, if the
-// manager's observer implements the extension. Runs after the world is
-// released, so the observer may take its time.
+// recordSTW updates the per-cause totals and notifies the manager's
+// observer, if it has one. Runs after the world is released, so the
+// observer may take its time.
 func (m *Manager) recordSTW(cause stwCause, wait, pause time.Duration) {
 	e := m.par
 	c := &e.stw[cause]
 	c.count.Add(1)
 	c.waitNS.Add(wait.Nanoseconds())
 	c.pauseNS.Add(pause.Nanoseconds())
-	if po, ok := m.observer.(ParObserver); ok {
-		po.STW(cause.String(), e.workers, wait, pause)
+	if m.observer != nil {
+		m.observer.STW(cause.String(), e.workers, wait, pause)
 	}
 }
 
@@ -465,8 +465,8 @@ func (m *Manager) Quiesce(fn func()) { m.exclusiveCause(stwExclusive, fn) }
 // whether the parallel engine looks stuck — a stop-the-world barrier
 // draining for longer than deadline, the write lease held longer than
 // deadline, or operations in flight with no task progress for longer than
-// deadline — and reports a parallel-state dump through the installed
-// ParObserver (once per stall episode; the latch re-arms when the condition
+// deadline — and reports a parallel-state dump to the manager's Observer
+// (once per stall episode; the latch re-arms when the condition
 // clears). The watchdog never blocks on engine locks. It returns a stop
 // function (idempotent); on a serial manager or with deadline <= 0 the stop
 // function is a no-op and no goroutine starts.
@@ -510,8 +510,8 @@ func (m *Manager) StartStallWatchdog(deadline time.Duration) (stop func()) {
 				continue
 			}
 			fired = true
-			if po, ok := m.observer.(ParObserver); ok {
-				po.Stall(m.parStallReport(desc, stuck), stuck)
+			if m.observer != nil {
+				m.observer.Stall(m.parStallReport(desc, stuck), stuck)
 			}
 		}
 	}()

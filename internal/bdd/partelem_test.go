@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// parTestObserver implements both Observer and ParObserver, recording every
-// STW and stall notification for assertions.
+// parTestObserver is an Observer recording every STW and stall
+// notification for assertions.
 type parTestObserver struct {
 	mu     sync.Mutex
 	stw    []string // causes, in order
@@ -206,7 +206,7 @@ func TestParTelemetrySerialManager(t *testing.T) {
 }
 
 // TestSTWAccounting checks that stop-the-world epochs land in the per-cause
-// totals, in Stats, and at a ParObserver, and that Stats.STWTime never
+// totals, in Stats, and at the Observer, and that Stats.STWTime never
 // exceeds the wall time its epochs span.
 func TestSTWAccounting(t *testing.T) {
 	obs := &parTestObserver{}
@@ -249,7 +249,7 @@ func TestSTWAccounting(t *testing.T) {
 	}
 	obs.mu.Unlock()
 	if !seen["gc"] || !seen["debug_check"] {
-		t.Errorf("ParObserver saw causes %v, want gc and debug_check", seen)
+		t.Errorf("Observer saw causes %v, want gc and debug_check", seen)
 	}
 
 	// Concurrent initiators wait through each other's pauses. Only the

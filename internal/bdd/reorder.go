@@ -141,35 +141,44 @@ func (m *Manager) Reorder(method ReorderMethod, cfg SiftConfig) int {
 }
 
 // reorderNow is the reordering body; callers own a quiescent manager.
+// Inside a Run whose context has ended it does nothing: the next
+// allocation check raises the abort.
 func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
+	if m.stopRequested() {
+		return m.liveCount
+	}
 	start := time.Now()
 	before := m.liveCount
 	// Reordering must not race a garbage collection triggered by its own
 	// makeNode calls: sweep first, then forbid GC for the duration. The
 	// cache is not swept here — swapInPlace rewrites children and frees
 	// nodes without cache maintenance, so the whole table is invalidated
-	// at the end with an O(1) generation bump instead.
-	m.gc(false)
+	// at the end with an O(1) generation bump instead. Both sweeps may
+	// stop early once the Run's context ends (see gc), leaving dead nodes
+	// to the next collection; no swap runs after a cut sweep.
+	m.gc(false, true)
 	m.noGC = true
 	defer func() { m.noGC = false }()
 
-	switch method {
-	case ReorderSift:
-		m.siftAll(cfg)
-	case ReorderSiftConverge:
-		prev := m.liveCount
-		for {
+	if !m.stopRequested() {
+		switch method {
+		case ReorderSift:
 			m.siftAll(cfg)
-			if m.liveCount >= prev || m.stopRequested() {
-				break
+		case ReorderSiftConverge:
+			prev := m.liveCount
+			for {
+				m.siftAll(cfg)
+				if m.liveCount >= prev || m.stopRequested() {
+					break
+				}
+				prev = m.liveCount
 			}
-			prev = m.liveCount
+		case ReorderWindow3:
+			for m.windowPass() {
+			}
+		case ReorderExact:
+			m.exactReorder()
 		}
-	case ReorderWindow3:
-		for m.windowPass() {
-		}
-	case ReorderExact:
-		m.exactReorder()
 	}
 	// Sweep the dead left behind by the swaps, then invalidate every
 	// cached result at once: node children were rewritten in place, so no
@@ -177,7 +186,7 @@ func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
 	// no walk over the cache happens on this path.
 	saved := m.noGC
 	m.noGC = false
-	m.gc(false)
+	m.gc(false, true)
 	m.noGC = saved
 	m.cache.invalidateAll()
 	m.stats.CacheGenerations++
@@ -203,7 +212,9 @@ func (m *Manager) SetOrder(order []int) error {
 	return err
 }
 
-// setOrderNow is the SetOrder body; callers own a quiescent manager.
+// setOrderNow is the SetOrder body; callers own a quiescent manager. It
+// installs the whole order even inside a Run whose context has ended, so
+// its sweeps never stop early (swaps follow them; see gc).
 func (m *Manager) setOrderNow(order []int) error {
 	if len(order) != len(m.vars) {
 		return fmt.Errorf("bdd: SetOrder: %d entries for %d variables", len(order), len(m.vars))
@@ -217,7 +228,7 @@ func (m *Manager) setOrderNow(order []int) error {
 	}
 	start := time.Now()
 	before := m.liveCount
-	m.gc(false)
+	m.gc(false, false)
 	m.noGC = true
 	defer func() { m.noGC = false }()
 	// Fix levels top-down: bubble each target variable up to its slot
@@ -229,7 +240,7 @@ func (m *Manager) setOrderNow(order []int) error {
 	}
 	saved := m.noGC
 	m.noGC = false
-	m.gc(false)
+	m.gc(false, false)
 	m.noGC = saved
 	m.cache.invalidateAll()
 	m.stats.CacheGenerations++
@@ -249,7 +260,7 @@ func (m *Manager) GarbageCollectDeferred() {
 	m.exclusiveCause(stwGC, func() {
 		saved := m.noGC
 		m.noGC = false
-		m.gc(true)
+		m.gc(true, false)
 		m.noGC = saved
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -210,5 +211,165 @@ func TestRunCancelMidOperation(t *testing.T) {
 			}
 			m.Deref(f)
 		})
+	}
+}
+
+// raiseStop raises the flag that context.AfterFunc raises when the
+// context of m's innermost Run ends.
+func raiseStop(m *Manager) { m.scope.ended.Store(true) }
+
+// levelOrder returns the variable at each level.
+func levelOrder(m *Manager) []int {
+	order := make([]int, m.NumVars())
+	for lev := range order {
+		order[lev] = m.VarAtLevel(lev)
+	}
+	return order
+}
+
+// TestReorderSkippedInEndedRun: a Reorder inside a Run whose context has
+// ended does nothing, on either engine. No sweep runs (Stats().GCs and
+// the dead count stay) and no swap runs (the order stays), although the
+// identity order of orOfPairs is far from the one sifting picks.
+func TestReorderSkippedInEndedRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := newPar(t, 2*k, workers)
+			f := orOfPairs(m, k)
+			defer m.Deref(f)
+			m.Deref(xnorChain(m, k, 0))
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				gcs, dead, order := m.Stats().GCs, m.DeadCount(), levelOrder(m)
+				if dead == 0 {
+					t.Fatal("no dead nodes: a sweep would not show in Stats().GCs")
+				}
+				m.Reorder(ReorderSift, SiftConfig{})
+				if got := m.Stats().GCs; got != gcs {
+					t.Errorf("Stats().GCs %d -> %d: the reorder swept", gcs, got)
+				}
+				if got := m.DeadCount(); got != dead {
+					t.Errorf("dead nodes %d -> %d", dead, got)
+				}
+				if got := levelOrder(m); !slices.Equal(got, order) {
+					t.Errorf("order %v -> %v: the reorder swapped", order, got)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestReorderSweepStopsInEndedRun: a reordering sweep (gc without the
+// cache sweep) that finds the Run's context ended stops after the
+// subtable it is in on a serial manager. The dead nodes it leaves stay
+// counted, the manager passes DebugCheck once the cache is invalidated as
+// reorderNow does, and the next collection reclaims the rest. A parallel
+// manager's sweep runs to the end: it first drops the child references of
+// every dead node (reconcileDeaths), so a dead node left chained would
+// later be taken for one that still holds them.
+func TestReorderSweepStopsInEndedRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := newPar(t, 2*k, workers)
+			base := m.ReferencedNodeCount()
+			f := orOfPairs(m, k)
+			m.Deref(xnorChain(m, k, 0))
+			var dead, swept int
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				m.exclusive(func() {
+					if m.par != nil {
+						m.reconcileDeaths()
+					}
+					dead = m.deadCount
+					swept = m.gc(false, true)
+					m.cache.invalidateAll()
+				})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 && (swept == 0 || swept >= dead) {
+				t.Fatalf("the cut sweep reclaimed %d of %d dead nodes, want some but not all", swept, dead)
+			}
+			if workers > 1 && swept != dead {
+				t.Fatalf("the sweep reclaimed %d of %d dead nodes, want all", swept, dead)
+			}
+			if got := m.DeadCount(); got != dead-swept {
+				t.Fatalf("%d dead nodes after reclaiming %d of %d", got, swept, dead)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.GarbageCollect(); got != dead-swept {
+				t.Fatalf("the next collection reclaimed %d, want the %d left", got, dead-swept)
+			}
+			checkReleased(t, m, f, base)
+		})
+	}
+}
+
+// TestSetOrderInEndedRun: SetOrder inside a Run whose context has ended
+// still installs the whole order, and the manager stays sound afterwards:
+// DebugCheck holds, rebuilding the held function finds the same node, and
+// releasing everything leaves no live node behind. The dead nodes of a
+// second function are in the table when SetOrder starts. The order keeps
+// the top half and reverses the bottom half, so the swaps free dead nodes
+// below dead parents they never touch: a sweep cut before them would
+// leave those parents pointing at freed slots. On a parallel manager the
+// dead nodes' deaths are deferred.
+func TestSetOrderInEndedRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := newPar(t, 2*k, workers)
+			base := m.ReferencedNodeCount()
+			f := orOfPairs(m, k)
+			m.Deref(xnorChain(m, k, 0))
+			order := make([]int, 2*k)
+			for i := range k {
+				order[i], order[k+i] = i, 2*k-1-i
+			}
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				return m.SetOrder(order)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := levelOrder(m); !slices.Equal(got, order) {
+				t.Fatalf("order %v, want %v", got, order)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			g := orOfPairs(m, k)
+			if g != f {
+				t.Fatal("rebuilding the held function under the new order gave another node")
+			}
+			m.Deref(g)
+			checkReleased(t, m, f, base)
+		})
+	}
+}
+
+// checkReleased releases f, collects, and checks that m is back at base
+// live internal nodes and passes DebugCheck.
+func checkReleased(t *testing.T, m *Manager, f Ref, base int) {
+	t.Helper()
+	m.Deref(f)
+	m.GarbageCollect()
+	if err := m.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.ReferencedNodeCount(); got != base {
+		t.Fatalf("leak: %d live internal nodes after release, want %d", got, base)
 	}
 }

@@ -159,7 +159,7 @@ func (m *Manager) allocNode() int32 {
 	}
 	if !m.noGC &&
 		m.deadCount > 2048 && float64(m.deadCount) > m.gcFraction*float64(len(m.nodes)) {
-		m.gc(true)
+		m.gc(true, false)
 		if m.free != nilIndex {
 			idx := m.free
 			m.free = m.nodes[idx].next
@@ -214,20 +214,33 @@ func (m *Manager) growSubtable(st *subtable) {
 // run while other operations are in flight (they park at safe points).
 func (m *Manager) GarbageCollect() int {
 	if m.par == nil {
-		return m.gc(true)
+		return m.gc(true, false)
 	}
 	e := m.par
 	e.opLease.RLock()
 	defer e.opLease.RUnlock()
 	var n int
-	e.stopTheWorldSynced(m, false, stwGC, func() { n = m.gc(true) })
+	e.stopTheWorldSynced(m, false, stwGC, func() { n = m.gc(true, false) })
 	return n
 }
 
 // gc is GarbageCollect with control over the cache sweep. Reordering
 // passes sweepCache=false: it invalidates the whole cache afterwards with
 // a generation bump, so walking it entry by entry would be wasted work.
-func (m *Manager) gc(sweepCache bool) int {
+//
+// A stoppable sweep on a serial manager also stops between subtables once
+// the enclosing Run's context has ended, since a sweep of a large arena
+// can outlast the deadline by far; the dead nodes it leaves stay counted
+// in deadCount and go to the next collection. The sweep runs top-down, so
+// every node it frees lies above every dead node it leaves, and no
+// chained node points at a freed slot. No swap may follow a cut sweep: a
+// swap frees the dead nodes of its two levels, and a dead parent left
+// above them would point at a freed slot. A
+// parallel manager's sweep always runs to the end: reconcileDeaths has
+// dropped the child references of every dead node, and one left chained
+// would be taken for a deferred death that still holds them (resurrection
+// and freeDead both assume so).
+func (m *Manager) gc(sweepCache, stoppable bool) int {
 	if m.par != nil {
 		// Restore the serial invariant (dead nodes hold no child
 		// references) before sweeping; parallel mode defers those drops.
@@ -257,6 +270,9 @@ func (m *Manager) gc(sweepCache bool) int {
 				idx = next
 			}
 			st.buckets[b] = keep
+		}
+		if stoppable && m.par == nil && m.stopRequested() {
+			break
 		}
 	}
 	m.deadCount -= collected

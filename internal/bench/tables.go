@@ -262,7 +262,7 @@ type Table1Config struct {
 	// Observe, when non-nil, is the observability session that watches
 	// every manager the table builds: each is built reporting to the
 	// session (so compilation's GCs and reorders count too), and
-	// ObserveManager points the -obs endpoint's gauges and time sampler at
+	// ObserveManager points the -obs endpoint's gauges and /parallel at
 	// the manager actually doing the work (each method runs on a fresh
 	// manager).
 	Observe *obs.Session

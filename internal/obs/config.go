@@ -17,38 +17,25 @@ import (
 //	-metrics           print the metrics registry (Prometheus text
 //	                   exposition) to stderr on exit
 //	-obs ADDR          live endpoint serving pprof, /metrics, /flight,
-//	                   /quality, /timeseries, /parallel
-//	-par-sample N      1-in-N fine-grained parallel-engine sampling
-//	-obs-sample D      time-series sampler interval for /timeseries
-//	-stall-deadline D  stall-watchdog deadline (also BDDKIT_STALL_DEADLINE)
+//	                   /quality, /parallel
+//	-stall-deadline D  stall-watchdog deadline
 //	-obs-linger D      keep the session open this long at Close
 //
 // Any one of the first three enables the session: it gets a flight
 // recorder, so a panic or node-budget exhaustion dumps the recent trace
 // events to stderr, and a Sink with a quality ledger, so the managers
 // built with the session's Observer record their events and their
-// approximation/decomposition/reach operations record their loss. The
-// parallel knobs only take effect when the session is otherwise enabled
-// and a multi-worker manager is observed; the time-series sampler runs
-// only with a live -obs endpoint.
+// approximation/decomposition/reach operations record their loss. An
+// enabled session also arms 1-in-bdd.DefaultParSampleRate fine-grained
+// parallel-engine sampling until Close. The watchdog only takes effect
+// when the session is enabled and a multi-worker manager is observed.
 type Config struct {
-	Trace      string
-	Metrics    bool
-	Addr       string
-	FlightSize int // ring capacity in events (0 = DefaultFlightSize)
+	Trace   string
+	Metrics bool
+	Addr    string
 
-	// SampleInterval is the /timeseries ring sampling period (0 =
-	// DefaultSampleInterval). Sampling starts when a manager is observed
-	// and the live endpoint is up.
-	SampleInterval time.Duration
-
-	// ParSample arms bdd.SetParSampling(ParSample) for the session (0
-	// leaves fine-grained sampling off; the previous rate is restored at
-	// Close). The default is bdd.DefaultParSampleRate.
-	ParSample int
 	// StallDeadline arms the parallel stall watchdog on observed managers
-	// (0 = off). The -stall-deadline flag defaults to the
-	// BDDKIT_STALL_DEADLINE environment variable.
+	// (0 = off).
 	StallDeadline time.Duration
 	// Linger makes Close sleep before tearing the session down, keeping
 	// the -obs endpoint scrapeable after the workload finishes (a scraper
@@ -70,28 +57,10 @@ func (c *Config) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Trace, "trace", "", "write a JSONL span trace to this `file` (\"-\" = stderr)")
 	fs.BoolVar(&c.Metrics, "metrics", false, "print the metrics registry (Prometheus text) to stderr on exit")
 	fs.StringVar(&c.Addr, "obs", "", "serve pprof/metrics on this `address` (e.g. :6060)")
-	fs.IntVar(&c.ParSample, "par-sample", bdd.DefaultParSampleRate,
-		"sample 1-in-`N` parallel lock waits and steals when obs is enabled (0 = off)")
-	fs.DurationVar(&c.SampleInterval, "obs-sample", DefaultSampleInterval,
-		"time-series sampler `interval` for the obs endpoint's /timeseries ring")
-	fs.DurationVar(&c.StallDeadline, "stall-deadline", envStallDeadline(),
-		"arm the parallel stall watchdog with this `deadline` (0 = off; default $BDDKIT_STALL_DEADLINE)")
+	fs.DurationVar(&c.StallDeadline, "stall-deadline", 0,
+		"arm the parallel stall watchdog with this `deadline` (0 = off)")
 	fs.DurationVar(&c.Linger, "obs-linger", 0,
 		"keep the obs endpoint up this `duration` after the workload finishes")
-}
-
-// envStallDeadline reads the BDDKIT_STALL_DEADLINE environment variable
-// (a Go duration, e.g. "30s"); unset or unparsable means off.
-func envStallDeadline() time.Duration {
-	v := os.Getenv("BDDKIT_STALL_DEADLINE")
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0
-	}
-	return d
 }
 
 // Enabled reports whether any observability feature was requested.
@@ -99,17 +68,10 @@ func (c *Config) Enabled() bool {
 	return c.Trace != "" || c.Metrics || c.Addr != ""
 }
 
-// Validate rejects nonsensical flag values (negative sampling rates,
-// negative durations) before they silently disable or distort the
-// telemetry they were meant to configure.
+// Validate rejects negative durations before they silently disable or
+// distort the telemetry they were meant to configure.
 func (c *Config) Validate() error {
 	switch {
-	case c.FlightSize < 0:
-		return fmt.Errorf("obs: flight-recorder size %d is negative", c.FlightSize)
-	case c.ParSample < 0:
-		return fmt.Errorf("obs: -par-sample %d is negative (0 disables sampling)", c.ParSample)
-	case c.SampleInterval < 0:
-		return fmt.Errorf("obs: -obs-sample %v is negative", c.SampleInterval)
 	case c.StallDeadline < 0:
 		return fmt.Errorf("obs: -stall-deadline %v is negative (0 disarms the watchdog)", c.StallDeadline)
 	case c.Linger < 0:
@@ -139,13 +101,10 @@ type Session struct {
 	traceFile *os.File
 	stopHTTP  func() error
 
-	// mu guards the fields the /parallel and /timeseries handlers and
-	// Close read while the workload is still installing them (mgr,
-	// samplers, watchdog).
+	// mu guards the fields the /parallel handler and Close read while
+	// the workload is still installing them (mgr, watchdog).
 	mu           sync.Mutex
 	mgr          *bdd.Manager
-	sampler      *ParSampler
-	timeSampler  *TimeSampler
 	stopWatchdog func()
 	prevSample   int
 	sampleArmed  bool
@@ -166,7 +125,7 @@ func (c Config) Start() (*Session, error) {
 	if !c.Enabled() {
 		return s, nil
 	}
-	s.Flight = NewFlightRecorder(c.FlightSize)
+	s.Flight = NewFlightRecorder(DefaultFlightSize)
 	s.Tracer.SetFlight(s.Flight)
 	switch c.Trace {
 	case "":
@@ -182,10 +141,8 @@ func (c Config) Start() (*Session, error) {
 	}
 	s.sink = NewSink(s.Registry, s.Tracer)
 	s.prevSample = bdd.ParSampling()
-	if c.ParSample > 0 {
-		bdd.SetParSampling(c.ParSample)
-		s.sampleArmed = true
-	}
+	bdd.SetParSampling(bdd.DefaultParSampleRate)
+	s.sampleArmed = true
 
 	if c.Addr != "" {
 		stop, err := s.serve(c.Addr)
@@ -235,20 +192,8 @@ func (s *Session) ObserveManager(m *bdd.Manager) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr = m
-	if s.cfg.Addr != "" {
-		if s.timeSampler == nil {
-			s.timeSampler = newTimeSampler(m, s.sink.Ledger(), s.cfg.SampleInterval)
-		} else {
-			s.timeSampler.SetManager(m)
-		}
-	}
-	if m.Workers() > 1 {
-		if s.cfg.StallDeadline > 0 && s.stopWatchdog == nil {
-			s.stopWatchdog = m.StartStallWatchdog(s.cfg.StallDeadline)
-		}
-		if s.cfg.Addr != "" && s.sampler == nil {
-			s.sampler = newParSampler(m, 0)
-		}
+	if m.Workers() > 1 && s.cfg.StallDeadline > 0 && s.stopWatchdog == nil {
+		s.stopWatchdog = m.StartStallWatchdog(s.cfg.StallDeadline)
 	}
 }
 
@@ -297,18 +242,10 @@ func (s *Session) SetDumpWriter(w io.Writer) {
 	}
 }
 
-// sampleInterval reports the effective /timeseries sampling period.
-func (s *Session) sampleInterval() time.Duration {
-	if s.cfg.SampleInterval > 0 {
-		return s.cfg.SampleInterval
-	}
-	return DefaultSampleInterval
-}
-
 // Close flushes the trace sink, stops the HTTP endpoint, and prints the
 // metrics snapshot and quality report when -metrics was given.
 // With -obs-linger it first sleeps, leaving the endpoint scrapeable; it
-// then stops the watchdog and sampler, emits the end-of-run per-subsystem
+// then stops the watchdog, emits the end-of-run per-subsystem
 // bdd.contention snapshot into the trace, and tears down.
 func (s *Session) Close() {
 	if s == nil {
@@ -321,14 +258,6 @@ func (s *Session) Close() {
 	if s.stopWatchdog != nil {
 		s.stopWatchdog()
 		s.stopWatchdog = nil
-	}
-	if s.sampler != nil {
-		s.sampler.Stop()
-		s.sampler = nil
-	}
-	if s.timeSampler != nil {
-		s.timeSampler.Stop()
-		s.timeSampler = nil
 	}
 	mgr := s.mgr
 	s.mgr = nil

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
+
+	"bddkit/internal/bdd"
 )
 
 // Live profiling endpoint: -obs :6060 serves
@@ -16,8 +18,7 @@ import (
 //	/metrics           registry snapshot in Prometheus text exposition
 //	/flight            current flight-recorder contents as JSONL
 //	/quality           operation-ledger snapshot (per-operator loss) as JSON
-//	/timeseries        time-sampler ring (gauge trajectories) as JSON
-//	/parallel          parallel-engine telemetry as JSON
+//	/parallel          the observed manager's bdd.ParTelemetry as JSON
 //	/                  an index of the above
 //
 // The endpoint is a debug surface: snapshots read live counters without
@@ -49,43 +50,16 @@ func (s *Session) serve(addr string) (func() error, error) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.sink.Ledger().Snapshot()) //nolint:errcheck // client went away
 	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.mu.Lock()
-		ts := s.timeSampler
-		s.mu.Unlock()
-		resp := struct {
-			Interval string      `json:"interval"`
-			Points   []TimePoint `json:"points"`
-		}{Interval: s.sampleInterval().String()}
-		if ts != nil {
-			resp.Points = ts.History()
-		}
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
-	})
 	mux.HandleFunc("/parallel", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		s.mu.Lock()
-		mgr, sampler := s.mgr, s.sampler
+		mgr := s.mgr
 		s.mu.Unlock()
-		resp := struct {
-			Workers int           `json:"workers"`
-			Current *ParSnapshot  `json:"current,omitempty"`
-			History []ParSnapshot `json:"history,omitempty"`
-		}{}
+		var t bdd.ParTelemetry // workers 0: no manager observed yet
 		if mgr != nil {
-			resp.Workers = mgr.Workers()
-			cur := ParSnapshot{
-				TS:        time.Now().Format(time.RFC3339Nano),
-				LiveNodes: mgr.NodeCount(),
-				Telemetry: mgr.ParTelemetry(),
-			}
-			resp.Current = &cur
+			t = mgr.ParTelemetry()
 		}
-		if sampler != nil {
-			resp.History = sampler.History()
-		}
-		json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
+		json.NewEncoder(w).Encode(t) //nolint:errcheck // client went away
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -97,7 +71,6 @@ func (s *Session) serve(addr string) (func() error, error) {
 			"  /debug/pprof  live profiling\n"+
 			"  /flight       flight-recorder contents (JSONL)\n"+
 			"  /quality      approximation-loss ledger snapshot (JSON)\n"+
-			"  /timeseries   sampled gauge trajectories (JSON)\n"+
 			"  /parallel     live parallel-engine telemetry (workers, contention, STW)\n")
 	})
 

@@ -110,10 +110,7 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error, "" = valid
 	}{
 		{"zero value", Config{}, ""},
-		{"all armed", Config{Trace: "-", Metrics: true, ParSample: 64, SampleInterval: time.Second}, ""},
-		{"negative flight size", Config{FlightSize: -1}, "flight-recorder"},
-		{"negative par sample", Config{ParSample: -2}, "par-sample"},
-		{"negative sample interval", Config{SampleInterval: -time.Second}, "obs-sample"},
+		{"all armed", Config{Trace: "-", Metrics: true, StallDeadline: time.Second, Linger: time.Second}, ""},
 		{"negative stall deadline", Config{StallDeadline: -time.Minute}, "stall-deadline"},
 		{"negative linger", Config{Linger: -time.Second}, "obs-linger"},
 		{"negative drain", Config{ShutdownDrain: -time.Second}, "shutdown drain"},
@@ -131,7 +128,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// Start must enforce Validate, not just offer it.
-	if _, err := (Config{Trace: "-", ParSample: -1}).Start(); err == nil {
+	if _, err := (Config{Trace: "-", Linger: -1}).Start(); err == nil {
 		t.Error("Start accepted a config Validate rejects")
 	}
 }

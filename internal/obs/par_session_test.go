@@ -48,16 +48,17 @@ func TestSessionParallelObservability(t *testing.T) {
 	cfg := Config{
 		Trace:         dir + "/trace.jsonl",
 		Addr:          "127.0.0.1:0",
-		ParSample:     1, // sample everything: the test wants populated histograms
 		StallDeadline: 25 * time.Millisecond,
 	}
+	prev := bdd.ParSampling()
 	s, err := cfg.Start()
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if got := bdd.ParSampling(); got != 1 {
-		t.Fatalf("session did not arm sampling: rate %d", got)
+	if got := bdd.ParSampling(); got != bdd.DefaultParSampleRate {
+		t.Fatalf("session armed sampling rate %d, want %d", got, bdd.DefaultParSampleRate)
 	}
+	bdd.SetParSampling(1) // sample everything: the test wants populated histograms
 
 	mcfg := bdd.DefaultConfig()
 	mcfg.Workers = 4
@@ -104,20 +105,17 @@ func TestSessionParallelObservability(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/parallel = %d:\n%s", resp.StatusCode, body)
 	}
-	var par struct {
-		Workers int          `json:"workers"`
-		Current *ParSnapshot `json:"current"`
-	}
+	var par bdd.ParTelemetry
 	if err := json.Unmarshal(body, &par); err != nil {
 		t.Fatalf("/parallel not JSON: %v\n%s", err, body)
 	}
-	if par.Workers != 4 || par.Current == nil {
+	if par.Workers != 4 {
 		t.Fatalf("/parallel = %s", body)
 	}
-	if par.Current.Telemetry.UniqueWait.Count == 0 {
+	if par.UniqueWait.Count == 0 {
 		t.Errorf("/parallel served empty unique-wait telemetry at sample rate 1")
 	}
-	if len(par.Current.Telemetry.STW) == 0 {
+	if len(par.STW) == 0 {
 		t.Errorf("/parallel served no STW breakdown after a GC")
 	}
 
@@ -135,8 +133,8 @@ func TestSessionParallelObservability(t *testing.T) {
 	}
 
 	s.Close()
-	if got := bdd.ParSampling(); got != 0 {
-		t.Errorf("Close did not restore sampling rate: %d", got)
+	if got := bdd.ParSampling(); got != prev {
+		t.Errorf("Close left sampling rate %d, want %d as before Start", got, prev)
 	}
 
 	// The trace file must validate as schema v2 with the full parallel
@@ -170,38 +168,5 @@ func TestSessionParallelObservability(t *testing.T) {
 	r := a.Amdahl()
 	if r.SerialNS == 0 || r.Workers != 4 {
 		t.Errorf("Amdahl from live trace = %+v, want STW time at 4 workers", r)
-	}
-}
-
-// TestParSamplerRing checks the background sampler ring fills and caps.
-func TestParSamplerRing(t *testing.T) {
-	mcfg := bdd.DefaultConfig()
-	mcfg.Workers = 2
-	m := bdd.NewWithConfig(8, mcfg)
-	ps := newParSampler(m, time.Millisecond)
-	defer ps.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(ps.History()) < 3 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	h := ps.History()
-	if len(h) < 3 {
-		t.Fatalf("sampler collected %d snapshots, want >= 3", len(h))
-	}
-	if h[0].Telemetry.Workers != 2 {
-		t.Errorf("snapshot workers = %d, want 2", h[0].Telemetry.Workers)
-	}
-	ps.Stop() // idempotent
-}
-
-// TestEnvStallDeadline checks the BDDKIT_STALL_DEADLINE default path.
-func TestEnvStallDeadline(t *testing.T) {
-	t.Setenv("BDDKIT_STALL_DEADLINE", "45s")
-	if got := envStallDeadline(); got != 45*time.Second {
-		t.Fatalf("envStallDeadline = %v, want 45s", got)
-	}
-	t.Setenv("BDDKIT_STALL_DEADLINE", "bogus")
-	if got := envStallDeadline(); got != 0 {
-		t.Fatalf("envStallDeadline = %v on bogus input, want 0", got)
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -271,52 +272,68 @@ func TestCheckCounterMonotonic(t *testing.T) {
 	}
 }
 
-func TestTimeSamplerRingAndRetarget(t *testing.T) {
-	m := bdd.New(8)
-	var buf bytes.Buffer
-	l, _ := freshLedger(&buf)
-	l.Record(OpRecord{Kind: "approx", Op: "sp", MassIn: 1, MassOut: 0.5})
+// TestManagerGaugesFollowObservedManager: the series bddtop plots read
+// the most recently observed manager. Inside a Run with a ceiling of 100
+// on m1 they report m1; after a second ObserveManager, still inside that
+// Run, they report m2, which has no ceiling. quality_last_mass_retained
+// reads the session ledger's latest record.
+func TestManagerGaugesFollowObservedManager(t *testing.T) {
+	s, err := Config{Trace: filepath.Join(t.TempDir(), "trace.jsonl")}.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	build := func(arena int) *bdd.Manager {
+		cfg := bdd.DefaultConfig()
+		cfg.InitialNodes = arena
+		cfg.Observer = s.Observer()
+		return bdd.NewWithConfig(8, cfg)
+	}
+	m1, m2 := build(1<<12), build(1<<10)
+	f := m1.And(m1.IthVar(0), m1.Or(m1.IthVar(1), m1.IthVar(2)))
+	defer m1.Deref(f)
+	Of(m1).Ledger().Record(OpRecord{Kind: "approx", Op: "sp", MassIn: 1, MassOut: 0.5})
 
-	ts := newTimeSampler(m, l, time.Hour) // manual sampling only
-	defer ts.Stop()
-	f := m.And(m.IthVar(0), m.IthVar(1))
-	defer m.Deref(f)
+	gauges := func() *PromScrape {
+		var buf bytes.Buffer
+		s.Registry.WritePrometheus(&buf)
+		p, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	check := func(who string, p *PromScrape, m *bdd.Manager, limit int) {
+		t.Helper()
+		want := map[string]float64{
+			"bdd_live_nodes":             float64(m.NodeCount()),
+			"bdd_node_limit":             float64(limit),
+			"bdd_budget_headroom":        headroom(limit, m.NodeCount()),
+			"bdd_arena_capacity":         float64(m.ArenaStats().Capacity),
+			"quality_last_mass_retained": 0.5,
+		}
+		for name, w := range want {
+			if v, ok := p.Value(name); !ok || v != w {
+				t.Errorf("%s: %s = %v (served %v), want %v", who, name, v, ok, w)
+			}
+		}
+	}
+	if m1.NodeCount() == m2.NodeCount() || m1.ArenaStats().Capacity == m2.ArenaStats().Capacity {
+		t.Fatal("m1 and m2 must differ in live nodes and arena capacity")
+	}
 
-	// Sample m under a ceiling of 100, then re-point the sampler at a
-	// fresh manager while that ceiling is still in force: a sampler that
-	// still read m would report it.
-	m2 := bdd.New(4)
-	var p, p2 TimePoint
-	if err := m.Run(context.Background(), 100, func() error {
-		p = ts.Sample()
-		ts.SetManager(m2)
-		p2 = ts.Sample()
+	s.ObserveManager(m1)
+	var before, after *PromScrape
+	if err := m1.Run(context.Background(), 100, func() error {
+		before = gauges()
+		s.ObserveManager(m2)
+		after = gauges()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if p.LiveNodes != m.NodeCount() || p.NodeLimit != 100 {
-		t.Fatalf("sample live/limit = %d/%d, want %d/100", p.LiveNodes, p.NodeLimit, m.NodeCount())
-	}
-	if want := 1 - float64(p.LiveNodes)/100; p.BudgetHeadroom != want {
-		t.Fatalf("headroom = %v, want %v", p.BudgetHeadroom, want)
-	}
-	if p.QualityOps != 1 || p.MassRetained != 0.5 {
-		t.Fatalf("quality fields = %d/%v, want 1/0.5", p.QualityOps, p.MassRetained)
-	}
-	if p.ArenaCapacity <= 0 {
-		t.Fatalf("arena capacity = %d", p.ArenaCapacity)
-	}
-
-	// newTimeSampler records a t=0 point; History is oldest-first.
-	if h := ts.History(); len(h) != 1 {
-		t.Fatalf("history len = %d, want the t=0 sample", len(h))
-	}
-
-	// Re-pointing at a fresh manager keeps sampling without restarting.
-	if p2.NodeLimit != 0 {
-		t.Fatalf("retargeted sample still reads old manager (limit %d)", p2.NodeLimit)
-	}
+	check("first manager", before, m1, 100)
+	check("second manager", after, m2, 0)
 }
 
 // TestWriteDiffOneSidedPhases: a span name present in only one trace must

@@ -70,14 +70,14 @@ func closeAndReadTrace(t *testing.T, s *obs.Session, path string) (obs.TraceSumm
 }
 
 // TestSessionWatchesParallelTraversal is `reach -in testdata/counter.net
-// -method bfs -workers 4 -par-sample 64 -obs ... -trace ...`: /parallel
+// -method bfs -workers 4 -obs ... -trace ...`: /parallel
 // reports the 4 workers, /metrics counts the manager's stop-the-world
 // epochs (compilation's included, so the manager reported from its
 // construction on), and the trace carries the end-of-run bdd.contention
 // events the Amdahl breakdown reads.
 func TestSessionWatchesParallelTraversal(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	sess, err := obs.Config{Trace: trace, Addr: "127.0.0.1:0", ParSample: 64}.Start()
+	sess, err := obs.Config{Trace: trace, Addr: "127.0.0.1:0"}.Start()
 	if err != nil {
 		t.Fatal(err)
 	}

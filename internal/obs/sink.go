@@ -165,8 +165,6 @@ func (k *Sink) DebugFailure(err error) {
 	k.dump("DebugCheck failure: " + err.Error())
 }
 
-// bdd.ParObserver implementation -----------------------------------------
-
 // STW records one write-lease / stop-the-world epoch: pause histogram,
 // total and per-cause counters, and a bdd.stw trace event carrying the
 // Amdahl attribution (cause, wait, pause, worker count).
@@ -189,4 +187,3 @@ func (k *Sink) Stall(report string, stuck time.Duration) {
 }
 
 var _ bdd.Observer = (*Sink)(nil)
-var _ bdd.ParObserver = (*Sink)(nil)

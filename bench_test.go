@@ -212,6 +212,19 @@ func BenchmarkDecomposeBand(b *testing.B) {
 	}
 }
 
+// BenchmarkDisjointPoints measures Disjoint point selection alone on one
+// corpus-sized function (bit 9 of the 9-bit multiplier, 4,398 nodes): a
+// breadth-first walk, then DagSize and SharingSize for each of up to 256
+// candidates.
+func BenchmarkDisjointPoints(b *testing.B) {
+	m, f, done := buildMultiplierBit(b, 9, 9)
+	defer done()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decomp.DisjointPoints(m, f, decomp.DefaultDisjointConfig())
+	}
+}
+
 func BenchmarkDecomposeCofactor(b *testing.B) {
 	m, f, done := buildMultiplierBit(b, 8, 7)
 	defer done()

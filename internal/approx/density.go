@@ -31,10 +31,14 @@ func Density(m *bdd.Manager, f bdd.Ref) float64 {
 }
 
 // nodeData is the per-node record of the analysis pass ("info" in Figure 2
-// of the paper).
+// of the paper). Records link to their children's records, so the passes
+// over f walk the links instead of looking nodes up by id.
 type nodeData struct {
-	funcRef int32 // arcs within f pointing at this node (root counts 1)
-	parity  uint8 // 1 = reached with even parity, 2 = odd, 3 = both
+	ref     bdd.Ref   // the node, as a regular reference
+	level   int32     // the node's level (its bucket in a levelQueue)
+	hi, lo  *nodeData // records of the then and else children (nil for the constant)
+	funcRef int32     // arcs within f pointing at this node (root counts 1)
+	parity  uint8     // 1 = reached with even parity, 2 = odd, 3 = both
 	// Fields below are used by markNodes.
 	weightE float64 // fraction of assignments whose path reaches the node uncomplemented
 	weightO float64 // same, through an odd number of complement arcs
@@ -43,6 +47,11 @@ type nodeData struct {
 	sel     bdd.Ref // replacement description (meaning depends on status)
 	selVar  int     // grandchild variable for statusGrandchild
 	selThen bool    // grandchild direction: true = y·g, false = ¬y·g
+	// Scratch of the domination walk (dominatedSet), meaningful only while
+	// the stamp equals the walk's epoch.
+	walked uint32 // epoch of the last walk that queued the node
+	domd   uint32 // epoch of the last walk that found the node dominated
+	local  int32  // arcs reaching the node from dominated nodes in that walk
 }
 
 type replStatus uint8
@@ -64,7 +73,12 @@ const (
 type info struct {
 	m     *bdd.Manager
 	cfg   RemapConfig
-	nodes map[uint32]*nodeData
+	nodes map[uint32]*nodeData // node id -> record
+	recs  []nodeData           // the records, one per node of f
+	// State of the domination walk (dominatedSet), reused across calls.
+	epoch uint32
+	domQ  *levelQueue
+	dom   []*nodeData
 	// fr holds the minterm fraction of every function reachable from f,
 	// either polarity.
 	fr *count.Fractions
@@ -103,16 +117,23 @@ func (in *info) lossScale(node bdd.Ref) float64 {
 
 // analyze performs the first pass of remapUnderApprox (Figure 2): one
 // count.Fractions sweep for the minterm fraction of every function below
-// f, then a depth-first traversal counting, for every node, the arcs
-// pointing to it and the parities it is reached with.
+// f, then a depth-first traversal that links every node's record to its
+// children's and counts the arcs pointing to it and the parities it is
+// reached with.
 func analyze(m *bdd.Manager, f bdd.Ref) *info {
-	in := &info{m: m, nodes: make(map[uint32]*nodeData), fr: count.NewFractions(m, f)}
-	in.collect(f)
-	root := in.at(f)
+	size := m.DagSize(f)
+	in := &info{
+		m:     m,
+		nodes: make(map[uint32]*nodeData, size),
+		recs:  make([]nodeData, 0, size),
+		fr:    count.NewFractions(m, f),
+		domQ:  newLevelQueue(m),
+	}
+	root := in.collect(f)
 	root.funcRef = 1
-	in.markParity(f)
+	in.markParity(root, f.IsComplement())
 	in.rootFrac = in.fr.Of(f)
-	in.rootSize = m.DagSize(f)
+	in.rootSize = size
 	in.resultSize = in.rootSize
 	in.resultFrac = in.rootFrac
 	return in
@@ -121,75 +142,75 @@ func analyze(m *bdd.Manager, f bdd.Ref) *info {
 // at returns the record of f's node (by regular id).
 func (in *info) at(f bdd.Ref) *nodeData { return in.nodes[f.ID()] }
 
-// collect fills funcRef for every node reachable from f.
+// collect creates the record of every node reachable from f, linked to its
+// children's, and fills funcRef.
 func (in *info) collect(f bdd.Ref) *nodeData {
 	if d, ok := in.nodes[f.ID()]; ok {
 		return d
 	}
-	d := &nodeData{}
+	in.recs = in.recs[:len(in.recs)+1] // DagSize(f) records: never reallocates
+	d := &in.recs[len(in.recs)-1]
+	d.ref = f.Regular()
+	d.level = int32(in.m.Level(f))
 	in.nodes[f.ID()] = d
 	if !f.IsConstant() {
-		in.collect(in.m.StructHi(f)).funcRef++
-		in.collect(in.m.StructLo(f)).funcRef++
+		d.hi = in.collect(in.m.StructHi(f))
+		d.lo = in.collect(in.m.StructLo(f))
+		d.hi.funcRef++
+		d.lo.funcRef++
 	}
 	return d
 }
 
-// markParity records, for every node, the complementation parities of the
-// paths reaching it from f.
-func (in *info) markParity(f bdd.Ref) {
+// markParity records, for every node below d, the complementation parities
+// of the paths reaching it from f; odd is the parity of the path to d.
+func (in *info) markParity(d *nodeData, odd bool) {
 	bit := uint8(parityEven)
-	if f.IsComplement() {
+	if odd {
 		bit = parityOdd
 	}
-	d := in.at(f)
 	if d.parity&bit != 0 {
 		return
 	}
 	d.parity |= bit
-	if f.IsConstant() {
+	if d.hi == nil {
 		return
 	}
-	c := bdd.Ref(0)
-	if f.IsComplement() {
-		c = 1
-	}
-	in.markParity(in.m.StructHi(f) ^ c)
-	in.markParity(in.m.StructLo(f) ^ c)
+	in.markParity(d.hi, odd)
+	in.markParity(d.lo, odd != in.m.StructLo(d.ref).IsComplement())
 }
 
-// levelQueue is the priority queue of Figures 3 and 4: nodes are dequeued
-// in increasing level order, so a node is processed only after every parent
-// within f.
+// levelQueue is the priority queue of Figures 3 and 4: records are
+// dequeued in increasing level order, so a node is processed only after
+// every parent within f. An emptied queue can be filled again.
 type levelQueue struct {
-	m       *bdd.Manager
-	buckets [][]bdd.Ref // level -> regular refs
+	buckets [][]*nodeData // level -> records
 	cur     int
-	n       int
 }
 
 func newLevelQueue(m *bdd.Manager) *levelQueue {
-	return &levelQueue{m: m, buckets: make([][]bdd.Ref, m.NumVars()+1)}
+	return &levelQueue{buckets: make([][]*nodeData, m.NumVars())}
 }
 
-func (q *levelQueue) push(f bdd.Ref, lev int) {
-	q.buckets[lev] = append(q.buckets[lev], f)
+func (q *levelQueue) push(d *nodeData) {
+	lev := int(d.level)
+	q.buckets[lev] = append(q.buckets[lev], d)
 	if lev < q.cur {
 		q.cur = lev
 	}
-	q.n++
 }
 
-func (q *levelQueue) pop() (bdd.Ref, bool) {
+// pop returns the next record in level order, or nil when the queue is
+// empty.
+func (q *levelQueue) pop() *nodeData {
 	for q.cur < len(q.buckets) {
 		b := q.buckets[q.cur]
 		if len(b) > 0 {
-			f := b[len(b)-1]
+			d := b[len(b)-1]
 			q.buckets[q.cur] = b[:len(b)-1]
-			q.n--
-			return f, true
+			return d
 		}
 		q.cur++
 	}
-	return 0, false
+	return nil
 }

@@ -90,13 +90,9 @@ func markNodes(in *info, f bdd.Ref, threshold int, quality float64) {
 		root.weightE = 1
 	}
 	root.queued = true
-	q.push(f.Regular(), m.Level(f))
-	for {
-		v, ok := q.pop()
-		if !ok {
-			break
-		}
-		d := in.at(v)
+	q.push(root)
+	for d := q.pop(); d != nil; d = q.pop() {
+		v := d.ref
 		done := threshold > 0 && in.resultSize <= threshold
 		if !done && d.parity != parityEven|parityOdd && d.weightE+d.weightO > 0 {
 			// Single-parity node: try the replacements in the order
@@ -110,10 +106,10 @@ func markNodes(in *info, f bdd.Ref, threshold int, quality float64) {
 			rep, found := findReplacement(in, seen, d)
 			rep.lost *= in.lossScale(seen)
 			if found && densityRatio(in, rep) > quality {
-				applyReplacement(in, seen, d, rep)
+				applyReplacement(in, d, rep)
 			}
 		}
-		enqueueChildren(in, q, v, d)
+		enqueueChildren(in, q, d)
 	}
 }
 
@@ -135,7 +131,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 			lost:    w * (in.fr.Of(ft) - in.fr.Of(fe)) / 2,
 			exclude: fe,
 		}
-		rep.saved = nodesSaved(in, seen, rep)
+		rep.saved = nodesSaved(in, d, rep)
 		return rep, true
 	}
 	if !in.cfg.DisableRemap && m.Leq(ft, fe) {
@@ -145,7 +141,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 			lost:    w * (in.fr.Of(fe) - in.fr.Of(ft)) / 2,
 			exclude: ft,
 		}
-		rep.saved = nodesSaved(in, seen, rep)
+		rep.saved = nodesSaved(in, d, rep)
 		return rep, true
 	}
 
@@ -165,7 +161,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 				lost:    w * (pSeen - in.fr.Of(ftt)/2),
 				exclude: ftt,
 			}
-			rep.saved = nodesSaved(in, seen, rep) - 1 // one new node
+			rep.saved = nodesSaved(in, d, rep) - 1 // one new node
 			return rep, true
 		}
 		if fte == fee {
@@ -177,7 +173,7 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 				lost:    w * (pSeen - in.fr.Of(fte)/2),
 				exclude: fte,
 			}
-			rep.saved = nodesSaved(in, seen, rep) - 1
+			rep.saved = nodesSaved(in, d, rep) - 1
 			return rep, true
 		}
 	}
@@ -188,55 +184,57 @@ func findReplacement(in *info, seen bdd.Ref, d *nodeData) (replacement, bool) {
 		lost:    w * pSeen,
 		exclude: bdd.One, // nothing survives by redirection
 	}
-	rep.saved = nodesSaved(in, seen, rep)
+	rep.saved = nodesSaved(in, d, rep)
 	return rep, true
 }
 
 // nodesSaved (Figure 4) returns the number of nodes that disappear from the
-// result if seen's node is eliminated: the node itself plus every node all
-// of whose remaining arcs come from eliminated nodes (domination), walking
+// result if d's node is eliminated: the node itself plus every node all of
+// whose remaining arcs come from eliminated nodes (domination), walking
 // top-down in level order. The node named by rep.exclude survives by
 // definition (it inherits the eliminated node's incoming arcs).
-func nodesSaved(in *info, seen bdd.Ref, rep replacement) int {
-	return len(dominatedSet(in, seen, rep.exclude))
+func nodesSaved(in *info, d *nodeData, rep replacement) int {
+	return len(dominatedSet(in, d, rep.exclude))
 }
 
-// dominatedSet returns the set of node ids eliminated together with seen's
-// node. A node is eliminated when every arc pointing to it within the
-// (current, partially reduced) BDD comes from eliminated nodes — the
-// localRef = functionRef test of Figure 4. exclude survives by definition.
-func dominatedSet(in *info, seen bdd.Ref, exclude bdd.Ref) map[uint32]bool {
-	m := in.m
-	v := seen.Regular()
+// dominatedSet returns the records of the nodes eliminated together with
+// d's node, and stamps each with the walk's epoch (in.epoch) in domd. A
+// node is eliminated when every arc pointing to it within the (current,
+// partially reduced) BDD comes from eliminated nodes — the localRef =
+// functionRef test of Figure 4. exclude survives by definition. The walk
+// follows the record links; its queue and the returned slice are reused
+// by the next call.
+//
+// The result does not depend on the order in which the queue holds the
+// nodes of one level: a node leaves the queue only after all of its
+// parents (they sit at lower levels), so its local count is final when it
+// is tested.
+func dominatedSet(in *info, d *nodeData, exclude bdd.Ref) []*nodeData {
+	in.epoch++
+	e := in.epoch
 	excl := exclude.Regular()
-	local := map[uint32]int32{v.ID(): in.at(v).funcRef}
-	dom := make(map[uint32]bool)
-	q := newLevelQueue(m)
-	q.push(v, m.Level(v))
-	queued := map[uint32]bool{v.ID(): true}
-	for {
-		u, ok := q.pop()
-		if !ok {
-			break
-		}
-		if u.IsConstant() {
+	d.walked, d.local = e, d.funcRef
+	q := in.domQ
+	q.push(d)
+	dom := in.dom[:0]
+	for u := q.pop(); u != nil; u = q.pop() {
+		if u.local != u.funcRef || (u != d && u.ref == excl) {
 			continue
 		}
-		if local[u.ID()] != in.at(u).funcRef || (u.ID() == excl.ID() && u != v) {
-			continue
-		}
-		dom[u.ID()] = true
-		for _, c := range [2]bdd.Ref{m.StructHi(u), m.StructLo(u)} {
-			if c.IsConstant() {
+		u.domd = e
+		dom = append(dom, u)
+		for _, c := range [2]*nodeData{u.hi, u.lo} {
+			if c.ref.IsConstant() {
 				continue
 			}
-			local[c.ID()]++
-			if !queued[c.ID()] {
-				queued[c.ID()] = true
-				q.push(c.Regular(), m.Level(c))
+			if c.walked != e {
+				c.walked, c.local = e, 0
+				q.push(c)
 			}
+			c.local++
 		}
 	}
+	in.dom = dom
 	return dom
 }
 
@@ -259,8 +257,7 @@ func densityRatio(in *info, rep replacement) float64 {
 // applyReplacement is updateInfo of Figure 3: it records the replacement,
 // updates the global size and minterm estimates, and maintains funcRef so
 // later domination queries see the reduced BDD.
-func applyReplacement(in *info, seen bdd.Ref, d *nodeData, rep replacement) {
-	m := in.m
+func applyReplacement(in *info, d *nodeData, rep replacement) {
 	d.status = rep.status
 	d.sel = rep.sel
 	d.selVar = rep.selVar
@@ -270,15 +267,13 @@ func applyReplacement(in *info, seen bdd.Ref, d *nodeData, rep replacement) {
 	if in.resultSize < 1 {
 		in.resultSize = 1
 	}
-	dom := dominatedSet(in, seen, rep.exclude)
 	// Remove the arcs leaving the dominated set.
-	for id := range dom {
-		u := refFromID(id)
-		for _, c := range [2]bdd.Ref{m.StructHi(u), m.StructLo(u)} {
-			if c.IsConstant() || dom[c.ID()] {
+	for _, u := range dominatedSet(in, d, rep.exclude) {
+		for _, c := range [2]*nodeData{u.hi, u.lo} {
+			if c.ref.IsConstant() || c.domd == in.epoch {
 				continue
 			}
-			in.at(c).funcRef--
+			c.funcRef--
 		}
 	}
 	// The survivor named by the replacement inherits the incoming arcs of
@@ -296,55 +291,49 @@ func applyReplacement(in *info, seen bdd.Ref, d *nodeData, rep replacement) {
 	}
 }
 
-// refFromID reconstructs a regular Ref from a node id.
-func refFromID(id uint32) bdd.Ref { return bdd.Ref(id << 1) }
-
 // enqueueChildren propagates path weights to the children that remain
 // reachable under the node's (possibly replaced) form and enqueues them.
-// Weights are deposited per seen function: a mass arriving at a child whose
-// seen reference is complemented arrives with odd parity.
-func enqueueChildren(in *info, q *levelQueue, v bdd.Ref, d *nodeData) {
-	m := in.m
-	deposit := func(childSeen bdd.Ref, mass float64) {
-		if childSeen.IsConstant() || mass == 0 {
+// Weights are deposited per seen function: a mass arriving at a child
+// through an odd number of complement arcs arrives with odd parity.
+func enqueueChildren(in *info, q *levelQueue, d *nodeData) {
+	deposit := func(cd *nodeData, odd bool, mass float64) {
+		if cd.ref.IsConstant() || mass == 0 {
 			return
 		}
-		cd := in.at(childSeen)
-		if childSeen.IsComplement() {
+		if odd {
 			cd.weightO += mass
 		} else {
 			cd.weightE += mass
 		}
 		if !cd.queued {
 			cd.queued = true
-			q.push(childSeen.Regular(), m.Level(childSeen))
+			q.push(cd)
 		}
 	}
-	v = v.Regular()
 	switch d.status {
 	case statusKeep:
 		// Children of the even-parity view and of the odd-parity view
 		// (for nodes reached with both parities) each receive half of
-		// the corresponding mass.
+		// the corresponding mass. The then arc is never complemented.
+		loOdd := in.m.StructLo(d.ref).IsComplement()
 		if d.weightE > 0 {
-			deposit(m.Hi(v), d.weightE/2)
-			deposit(m.Lo(v), d.weightE/2)
+			deposit(d.hi, false, d.weightE/2)
+			deposit(d.lo, loOdd, d.weightE/2)
 		}
 		if d.weightO > 0 {
-			vc := v.Complement()
-			deposit(m.Hi(vc), d.weightO/2)
-			deposit(m.Lo(vc), d.weightO/2)
+			deposit(d.hi, true, d.weightO/2)
+			deposit(d.lo, !loOdd, d.weightO/2)
 		}
 	case statusZero:
 		// No paths continue below.
 	case statusRemap:
 		// All paths through the node continue into the kept child,
 		// recorded as a seen function for the node's single parity.
-		deposit(d.sel, d.weightE+d.weightO)
+		deposit(in.at(d.sel), d.sel.IsComplement(), d.weightE+d.weightO)
 	case statusGrandchild:
 		// Half of the paths (those agreeing with the new literal)
 		// continue into the grandchild; the rest hit the constant.
-		deposit(d.sel, (d.weightE+d.weightO)/2)
+		deposit(in.at(d.sel), d.sel.IsComplement(), (d.weightE+d.weightO)/2)
 	}
 }
 

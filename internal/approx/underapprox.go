@@ -58,15 +58,11 @@ func uaMark(in *info, f bdd.Ref, threshold int, alpha float64) {
 		root.weightE = 1
 	}
 	root.queued = true
-	q.push(f.Regular(), m.Level(f))
+	q.push(root)
 	rootSize := float64(in.rootSize)
 	rootM := in.rootFrac
-	for {
-		v, ok := q.pop()
-		if !ok {
-			break
-		}
-		d := in.at(v)
+	for d := q.pop(); d != nil; d = q.pop() {
+		v := d.ref
 		done := threshold > 0 && in.resultSize <= threshold
 		w := d.weightE + d.weightO
 		if !done && w > 0 && v != f.Regular() {
@@ -81,12 +77,12 @@ func uaMark(in *info, f bdd.Ref, threshold int, alpha float64) {
 				lost += d.weightO * in.fr.Of(v.Complement())
 			}
 			rep := replacement{status: statusZero, exclude: bdd.One, lost: lost}
-			rep.saved = nodesSaved(in, v, rep)
+			rep.saved = nodesSaved(in, d, rep)
 			if rootM > 0 &&
 				(1-alpha)*float64(rep.saved)/rootSize >= alpha*rep.lost/rootM {
-				applyReplacement(in, v, d, rep)
+				applyReplacement(in, d, rep)
 			}
 		}
-		enqueueChildren(in, q, v, d)
+		enqueueChildren(in, q, d)
 	}
 }

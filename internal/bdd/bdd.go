@@ -32,6 +32,7 @@ package bdd
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -170,6 +171,9 @@ type Manager struct {
 	autoReorder      bool
 	reorderThreshold int
 	swapBuf          []int32 // swapInPlace's rewrite list, reused so swaps do not allocate
+
+	marksMu   sync.Mutex
+	marksFree []*Marks // released visited sets (marks.go), reused by the next traversals
 
 	scope     *runScope // innermost active Run (nil = unbounded)
 	allocTick int       // allocations since the last context-flag poll

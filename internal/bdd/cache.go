@@ -21,7 +21,12 @@ package bdd
 // The cache also resizes itself: per resize epoch (a fixed multiple of the
 // table size in lookups) the hit rate is measured, and a table that is
 // hitting well while still absorbing heavy insert traffic doubles, up to
-// the ceiling set by Config.CacheMaxBits.
+// the ceiling set by Config.CacheMaxBits. The table is stored in chunks,
+// and doubling appends as many chunks as it has and splits each set in
+// place, so a resize leaves no garbage: a contiguous table would keep the
+// old array reachable while it rehashes into one twice as large, and a Go
+// collection marking at that moment counts both as live and sets its next
+// heap goal from their sum.
 
 import "fmt"
 
@@ -58,6 +63,12 @@ const (
 	// cacheEpochHistory bounds the per-epoch hit rates retained for
 	// reporting.
 	cacheEpochHistory = 16
+	// cacheChunkBits sets the chunk size: the table is stored in chunks
+	// of 1<<cacheChunkBits entries, or in one shorter chunk while it is
+	// smaller than that.
+	cacheChunkBits = 16
+	// chunkSetBits is log2 of the number of sets per chunk.
+	chunkSetBits = cacheChunkBits - 2 // cacheWays = 1<<2
 )
 
 type cacheEntry struct {
@@ -69,12 +80,12 @@ type cacheEntry struct {
 }
 
 type computedCache struct {
-	entries []cacheEntry // cacheWays consecutive entries per set
-	setMask uint32       // number of sets - 1
-	bits    uint         // log2(len(entries))
-	maxBits uint         // resize ceiling (log2 entries)
-	gen     uint32       // current generation
-	tick    uint32       // age clock; wraps harmlessly (eviction quality only)
+	chunks  [][]cacheEntry // the table; cacheWays consecutive entries per set
+	setMask uint32         // number of sets - 1
+	bits    uint           // log2(number of entries)
+	maxBits uint           // resize ceiling (log2 entries)
+	gen     uint32         // current generation
+	tick    uint32         // age clock; wraps harmlessly (eviction quality only)
 
 	// Resize-epoch bookkeeping: snapshots of the manager's cumulative
 	// counters at the epoch and last-resize boundaries.
@@ -98,16 +109,28 @@ func (c *computedCache) init(bits, maxBits uint) {
 	c.bits = bits
 	c.maxBits = maxBits
 	n := 1 << bits
-	c.entries = make([]cacheEntry, n)
+	chunk := min(n, 1<<cacheChunkBits)
+	c.chunks = make([][]cacheEntry, n/chunk)
+	for i := range c.chunks {
+		c.chunks[i] = make([]cacheEntry, chunk)
+	}
 	c.setMask = uint32(n/cacheWays - 1)
 	c.clear()
+}
+
+// set returns the entries of set s.
+func (c *computedCache) set(s uint32) *[cacheWays]cacheEntry {
+	i := (s & (1<<chunkSetBits - 1)) * cacheWays
+	return (*[cacheWays]cacheEntry)(c.chunks[s>>chunkSetBits][i : i+cacheWays])
 }
 
 // clear erases every entry. Used at initialization and when the generation
 // counter wraps; normal invalidation goes through the generation stamp.
 func (c *computedCache) clear() {
-	for i := range c.entries {
-		c.entries[i].res = invalidRef
+	for _, ch := range c.chunks {
+		for i := range ch {
+			ch[i].res = invalidRef
+		}
 	}
 }
 
@@ -149,9 +172,9 @@ func (m *Manager) cacheLookupW(w *parWorker, op uint32, a, b, c Ref) (Ref, bool)
 	}
 	m.stats.CacheLookups++
 	cc := &m.cache
-	base := (cacheHash(op, a, b, c) & cc.setMask) * cacheWays
-	for i := uint32(0); i < cacheWays; i++ {
-		e := &cc.entries[base+i]
+	set := cc.set(cacheHash(op, a, b, c) & cc.setMask)
+	for i := range set {
+		e := &set[i]
 		if e.op == op && e.a == a && e.b == b && e.c == c &&
 			e.gen == cc.gen && e.res != invalidRef {
 			m.stats.CacheHits++
@@ -175,11 +198,11 @@ func (m *Manager) cacheInsertW(w *parWorker, op uint32, a, b, c Ref, res Ref) {
 		return
 	}
 	cc := &m.cache
-	base := (cacheHash(op, a, b, c) & cc.setMask) * cacheWays
+	set := cc.set(cacheHash(op, a, b, c) & cc.setMask)
 	var free, oldest *cacheEntry
 	var match *cacheEntry
-	for i := uint32(0); i < cacheWays; i++ {
-		e := &cc.entries[base+i]
+	for i := range set {
+		e := &set[i]
 		if e.res == invalidRef || e.gen != cc.gen {
 			if free == nil {
 				free = e
@@ -228,45 +251,55 @@ func (m *Manager) cacheEpoch() {
 	}
 	inserts := m.stats.CacheInserts - cc.resizeInserts
 	if cc.bits < cc.maxBits && rate >= cacheResizeHitRate && inserts >= int64(1)<<cc.bits {
-		m.cacheResize(cc.bits + 1)
+		m.cacheResize()
 	}
 	cc.epochLookups = m.stats.CacheLookups
 	cc.epochHits = m.stats.CacheHits
 }
 
-// cacheResize rebuilds the table at 1<<bits entries, rehashing the live
-// entries of the current generation into the new set layout.
-func (m *Manager) cacheResize(bits uint) {
+// cacheResize doubles the table. It appends as many chunks as the table
+// has (a table shorter than one chunk is copied into a longer one instead)
+// and splits every set s in place: the live entries of the current
+// generation whose hash now selects set s+oldSets move there and the rest
+// stay, each keeping its order, which is where a rehash into an empty
+// table of the new size would put them.
+func (m *Manager) cacheResize() {
 	cc := &m.cache
-	old := cc.entries
-	n := 1 << bits
-	cc.entries = make([]cacheEntry, n)
-	cc.setMask = uint32(n/cacheWays - 1)
-	cc.bits = bits
-	for i := range cc.entries {
-		cc.entries[i].res = invalidRef
+	oldSets := cc.setMask + 1
+	cc.bits++
+	n := 1 << cc.bits
+	if n <= 1<<cacheChunkBits {
+		grown := make([]cacheEntry, n)
+		copy(grown, cc.chunks[0])
+		cc.chunks[0] = grown
+	} else {
+		for k := len(cc.chunks); k > 0; k-- {
+			cc.chunks = append(cc.chunks, make([]cacheEntry, 1<<cacheChunkBits))
+		}
 	}
-	for i := range old {
-		e := &old[i]
-		if e.res == invalidRef || e.gen != cc.gen {
-			continue
-		}
-		base := (cacheHash(e.op, e.a, e.b, e.c) & cc.setMask) * cacheWays
-		var slot, oldest *cacheEntry
-		for w := uint32(0); w < cacheWays; w++ {
-			t := &cc.entries[base+w]
-			if t.res == invalidRef {
-				slot = t
-				break
+	cc.setMask = uint32(n/cacheWays - 1)
+	for s := uint32(0); s < oldSets; s++ {
+		stay, moved := cc.set(s), cc.set(s+oldSets)
+		old := *stay
+		ns, nm := 0, 0
+		for _, e := range old {
+			if e.res == invalidRef || e.gen != cc.gen {
+				continue
 			}
-			if oldest == nil || t.age < oldest.age {
-				oldest = t
+			if cacheHash(e.op, e.a, e.b, e.c)&cc.setMask == s {
+				stay[ns] = e
+				ns++
+			} else {
+				moved[nm] = e
+				nm++
 			}
 		}
-		if slot == nil {
-			slot = oldest
+		for ; ns < cacheWays; ns++ {
+			stay[ns] = cacheEntry{res: invalidRef}
 		}
-		*slot = *e
+		for ; nm < cacheWays; nm++ {
+			moved[nm] = cacheEntry{res: invalidRef}
+		}
 	}
 	cc.resizeInserts = m.stats.CacheInserts
 	m.stats.CacheResizes++
@@ -281,22 +314,24 @@ func (m *Manager) cacheResize(bits uint) {
 func (m *Manager) cacheSweepDead() {
 	cc := &m.cache
 	survived, dropped := 0, 0
-	for i := range cc.entries {
-		e := &cc.entries[i]
-		if e.res == invalidRef {
-			continue
-		}
-		if e.gen != cc.gen {
-			// Stale generation: already invisible; scrub it so later
-			// sweeps and the debug checker skip it cheaply.
-			e.res = invalidRef
-			continue
-		}
-		if m.refAlive(e.a) && m.refAlive(e.b) && m.refAlive(e.c) && m.refAlive(e.res) {
-			survived++
-		} else {
-			e.res = invalidRef
-			dropped++
+	for _, ch := range cc.chunks {
+		for i := range ch {
+			e := &ch[i]
+			if e.res == invalidRef {
+				continue
+			}
+			if e.gen != cc.gen {
+				// Stale generation: already invisible; scrub it so later
+				// sweeps and the debug checker skip it cheaply.
+				e.res = invalidRef
+				continue
+			}
+			if m.refAlive(e.a) && m.refAlive(e.b) && m.refAlive(e.c) && m.refAlive(e.res) {
+				survived++
+			} else {
+				e.res = invalidRef
+				dropped++
+			}
 		}
 	}
 	cc.lastSurvived = survived
@@ -310,15 +345,17 @@ func (m *Manager) cacheSweepDead() {
 // entry may mention a freed arena slot.
 func (m *Manager) checkCache() error {
 	cc := &m.cache
-	for i := range cc.entries {
-		e := &cc.entries[i]
-		if e.res == invalidRef || e.gen != cc.gen {
-			continue
-		}
-		for _, f := range [4]Ref{e.a, e.b, e.c, e.res} {
-			idx := f.index()
-			if int(idx) >= len(m.nodes) || m.nodes[idx].level < 0 {
-				return fmt.Errorf("cache entry %d references freed node ref %d", i, f)
+	for k, ch := range cc.chunks {
+		for i := range ch {
+			e := &ch[i]
+			if e.res == invalidRef || e.gen != cc.gen {
+				continue
+			}
+			for _, f := range [4]Ref{e.a, e.b, e.c, e.res} {
+				idx := f.index()
+				if int(idx) >= len(m.nodes) || m.nodes[idx].level < 0 {
+					return fmt.Errorf("cache entry %d references freed node ref %d", k<<cacheChunkBits+i, f)
+				}
 			}
 		}
 	}

@@ -191,3 +191,77 @@ func TestCacheOpOverflowPanics(t *testing.T) {
 	}()
 	m.CacheOp()
 }
+
+// TestCacheResizeKeepsRehashLayout checks that doubling the chunked table
+// in place leaves every entry where a rehash into an empty table of the new
+// size puts it: the live entries of the current generation, in their old
+// order within each set, and nothing else. The doublings cross the chunk
+// size, so both the copy of a short table and the appending of chunks are
+// covered.
+func TestCacheResizeKeepsRehashLayout(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheBits = cacheChunkBits - 2
+	cfg.CacheMaxBits = cacheChunkBits + 2
+	m := NewWithConfig(4, cfg)
+	cc := &m.cache
+	rng := rand.New(rand.NewSource(7))
+	fill := func(k int) {
+		for i := 0; i < k; i++ {
+			r := func() Ref { return Ref(rng.Intn(1 << 20)) }
+			m.cacheInsert(opAnd+uint32(rng.Intn(3)), r(), r(), r(), r())
+		}
+	}
+	flat := func() []cacheEntry {
+		var all []cacheEntry
+		for _, ch := range cc.chunks {
+			all = append(all, ch...)
+		}
+		return all
+	}
+	for cc.bits < cfg.CacheMaxBits {
+		// Entries of an older generation must not survive the resize.
+		fill(1 << (cc.bits - 2))
+		cc.invalidateAll()
+		fill(1 << cc.bits)
+		want := rehash(flat(), cc.bits+1, cc.gen)
+		m.cacheResize()
+		got := flat()
+		if len(got) != len(want) || 1<<cc.bits != len(want) {
+			t.Fatalf("table has %d entries (bits %d) after the resize, want %d", len(got), cc.bits, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("bits %d: entry %d is %+v, a rehash puts %+v there", cc.bits, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// rehash inserts the live entries of generation gen, in order, into an
+// empty table of 1<<bits entries, each into the first free way of its set
+// or over the set's oldest entry.
+func rehash(old []cacheEntry, bits uint, gen uint32) []cacheEntry {
+	table := make([]cacheEntry, 1<<bits)
+	for i := range table {
+		table[i].res = invalidRef
+	}
+	setMask := uint32(len(table)/cacheWays - 1)
+	for _, e := range old {
+		if e.res == invalidRef || e.gen != gen {
+			continue
+		}
+		set := table[(cacheHash(e.op, e.a, e.b, e.c)&setMask)*cacheWays:][:cacheWays]
+		var slot *cacheEntry
+		for w := range set {
+			if set[w].res == invalidRef {
+				slot = &set[w]
+				break
+			}
+			if slot == nil || set[w].age < slot.age {
+				slot = &set[w]
+			}
+		}
+		*slot = e
+	}
+	return table
+}

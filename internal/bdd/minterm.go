@@ -15,34 +15,37 @@ func (m *Manager) DagSize(f Ref) int {
 // dagSize is the lock-free body of DagSize, for internal use under a lease
 // the caller already holds.
 func (m *Manager) dagSize(f Ref) int {
-	seen := make(map[int32]struct{})
-	m.dagSizeRec(f.index(), seen)
-	return len(seen)
+	mk := m.newMarks(len(m.nodes))
+	n := m.dagSizeRec(f, mk)
+	mk.Release()
+	return n
 }
 
-func (m *Manager) dagSizeRec(idx int32, seen map[int32]struct{}) {
-	if _, ok := seen[idx]; ok {
-		return
+// dagSizeRec counts the nodes below f that mk has not marked yet, marking
+// them.
+func (m *Manager) dagSizeRec(f Ref, mk *Marks) int {
+	if !mk.Mark(f) {
+		return 0
 	}
-	seen[idx] = struct{}{}
-	n := &m.nodes[idx]
+	n := &m.nodes[f.index()]
 	if n.level == terminalLevel {
-		return
+		return 1
 	}
-	m.dagSizeRec(n.hi.index(), seen)
-	m.dagSizeRec(n.lo.index(), seen)
+	return 1 + m.dagSizeRec(n.hi, mk) + m.dagSizeRec(n.lo, mk)
 }
 
 // SharingSize returns the number of distinct nodes in the forest rooted at
 // the given functions — the "shared size" reported in Table 4 of the paper.
 func (m *Manager) SharingSize(fs []Ref) int {
-	seen := make(map[int32]struct{})
+	var n int
 	m.readLocked(func() {
+		mk := m.newMarks(len(m.nodes))
 		for _, f := range fs {
-			m.dagSizeRec(f.index(), seen)
+			n += m.dagSizeRec(f, mk)
 		}
+		mk.Release()
 	})
-	return len(seen)
+	return n
 }
 
 // CountPath returns the number of paths from f's root to the constant One

@@ -1220,7 +1220,6 @@ func (m *Manager) cacheLookupPar(w *parWorker, op uint32, a, b, c Ref) (Ref, boo
 	}
 	cc := &m.cache
 	set := cacheHash(op, a, b, c) & cc.setMask
-	base := set * cacheWays
 	mu := e.cacheStripe(set)
 	if w != nil && w.sampled() {
 		t0 := time.Now()
@@ -1231,8 +1230,9 @@ func (m *Manager) cacheLookupPar(w *parWorker, op uint32, a, b, c Ref) (Ref, boo
 	} else {
 		mu.Lock()
 	}
-	for i := uint32(0); i < cacheWays; i++ {
-		ent := &cc.entries[base+i]
+	ents := cc.set(set)
+	for i := range ents {
+		ent := &ents[i]
 		if ent.op == op && ent.a == a && ent.b == b && ent.c == c &&
 			ent.gen == cc.gen && ent.res != invalidRef {
 			ent.age = e.cacheTick.Add(1)
@@ -1256,12 +1256,12 @@ func (m *Manager) cacheInsertPar(w *parWorker, op uint32, a, b, c Ref, res Ref) 
 	e := m.par
 	cc := &m.cache
 	set := cacheHash(op, a, b, c) & cc.setMask
-	base := set * cacheWays
 	mu := e.cacheStripe(set)
 	mu.Lock()
+	ents := cc.set(set)
 	var free, oldest, match *cacheEntry
-	for i := uint32(0); i < cacheWays; i++ {
-		ent := &cc.entries[base+i]
+	for i := range ents {
+		ent := &ents[i]
 		if ent.res == invalidRef || ent.gen != cc.gen {
 			if free == nil {
 				free = ent

@@ -60,7 +60,7 @@ func (m *Manager) CacheStats() CacheStats {
 func (m *Manager) cacheStatsNow() CacheStats {
 	c := &m.cache
 	s := CacheStats{
-		Entries:    len(c.entries),
+		Entries:    1 << c.bits,
 		Ways:       cacheWays,
 		Bits:       c.bits,
 		MaxBits:    c.maxBits,

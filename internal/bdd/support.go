@@ -7,42 +7,27 @@ import "sort"
 // SupportVars returns the indices of the variables f depends on, in
 // increasing index order.
 func (m *Manager) SupportVars(f Ref) []int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
-	var vars []int
-	m.readLocked(func() {
-		m.supportRec(f.index(), seen, levels)
-		vars = make([]int, 0, len(levels))
-		for lev := range levels {
-			vars = append(vars, int(m.levToVar[lev]))
-		}
-	})
-	sort.Ints(vars)
-	return vars
+	return m.VectorSupport([]Ref{f})
 }
 
-func (m *Manager) supportRec(idx int32, seen map[int32]struct{}, levels map[int32]struct{}) {
-	if _, ok := seen[idx]; ok {
+// supportLevels marks, in inSupp (indexed by level), the level of every
+// node below f that mk has not marked yet, marking those nodes.
+func (m *Manager) supportLevels(f Ref, mk *Marks, inSupp []bool) {
+	if !mk.Mark(f) {
 		return
 	}
-	seen[idx] = struct{}{}
-	n := &m.nodes[idx]
+	n := &m.nodes[f.index()]
 	if n.level == terminalLevel {
 		return
 	}
-	levels[n.level] = struct{}{}
-	m.supportRec(n.hi.index(), seen, levels)
-	m.supportRec(n.lo.index(), seen, levels)
+	inSupp[n.level] = true
+	m.supportLevels(n.hi, mk, inSupp)
+	m.supportLevels(n.lo, mk, inSupp)
 }
 
 // SupportSize returns the number of variables f depends on.
 func (m *Manager) SupportSize(f Ref) int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
-	m.readLocked(func() {
-		m.supportRec(f.index(), seen, levels)
-	})
-	return len(levels)
+	return len(m.SupportVars(f))
 }
 
 // SupportCube returns the positive cube of f's support variables.
@@ -50,18 +35,21 @@ func (m *Manager) SupportCube(f Ref) Ref {
 	return m.CubeFromVars(m.SupportVars(f))
 }
 
-// VectorSupport returns the union of the supports of the given functions.
+// VectorSupport returns the union of the supports of the given functions,
+// in increasing index order.
 func (m *Manager) VectorSupport(fs []Ref) []int {
-	levels := make(map[int32]struct{})
-	seen := make(map[int32]struct{})
-	var vars []int
+	vars := []int{}
 	m.readLocked(func() {
+		mk := m.newMarks(len(m.nodes))
+		inSupp := make([]bool, len(m.levToVar))
 		for _, f := range fs {
-			m.supportRec(f.index(), seen, levels)
+			m.supportLevels(f, mk, inSupp)
 		}
-		vars = make([]int, 0, len(levels))
-		for lev := range levels {
-			vars = append(vars, int(m.levToVar[lev]))
+		mk.Release()
+		for lev, in := range inSupp {
+			if in {
+				vars = append(vars, int(m.levToVar[lev]))
+			}
 		}
 	})
 	sort.Ints(vars)

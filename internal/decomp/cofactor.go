@@ -72,14 +72,14 @@ func bestSplitVar(m *bdd.Manager, f bdd.Ref) (int, bool) {
 // graph would undergo, and costs one linear traversal.
 func EstimateCofactorSize(m *bdd.Manager, f bdd.Ref, v int, value bool) int {
 	lev := m.LevelOfVar(v)
-	seen := make(map[uint32]bool)
+	seen := m.NewMarks()
+	defer seen.Release()
 	count := 0
 	var walk func(r bdd.Ref)
 	walk = func(r bdd.Ref) {
-		if r.IsConstant() || seen[r.ID()] {
+		if r.IsConstant() || !seen.Mark(r) {
 			return
 		}
-		seen[r.ID()] = true
 		count++
 		if m.Level(r) == lev {
 			if value {

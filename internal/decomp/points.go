@@ -114,23 +114,20 @@ func DisjointPoints(m *bdd.Manager, f bdd.Ref, cfg DisjointConfig) Points {
 	// Sample nodes breadth-first so cuts land in the upper-middle of the
 	// BDD, where they split real mass.
 	var order []bdd.Ref
-	seen := map[uint32]bool{}
-	queue := []bdd.Ref{f.Regular()}
-	seen[f.ID()] = true
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		if r.IsConstant() {
-			continue
-		}
-		order = append(order, r)
+	seen := m.NewMarks()
+	if !f.IsConstant() {
+		seen.Mark(f)
+		order = append(order, f.Regular())
+	}
+	for i := 0; i < len(order); i++ {
+		r := order[i]
 		for _, c := range [2]bdd.Ref{m.StructHi(r), m.StructLo(r)} {
-			if !c.IsConstant() && !seen[c.ID()] {
-				seen[c.ID()] = true
-				queue = append(queue, c.Regular())
+			if !c.IsConstant() && seen.Mark(c) {
+				order = append(order, c.Regular())
 			}
 		}
 	}
+	seen.Release()
 
 	type scored struct {
 		id    uint32

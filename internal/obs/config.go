@@ -180,8 +180,10 @@ func (s *Session) Observer() bdd.Observer {
 // traffic, GC and reorder totals, and the peak ITE recursion depth. The
 // gauges read the manager without synchronization, so values served while
 // the manager is mutating are advisory. It also points the tracer's
-// node-delta attribution at this manager. Events reach the session only
-// from managers built with its Observer. No-op on a nil session.
+// node-delta attribution at this manager, and moves the stall watchdog
+// (when StallDeadline is set) onto it if it has more than one worker: the
+// watchdog follows the manager observed last. Events reach the session
+// only from managers built with its Observer. No-op on a nil session.
 func (s *Session) ObserveManager(m *bdd.Manager) {
 	if s == nil {
 		return
@@ -192,7 +194,11 @@ func (s *Session) ObserveManager(m *bdd.Manager) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mgr = m
-	if m.Workers() > 1 && s.cfg.StallDeadline > 0 && s.stopWatchdog == nil {
+	if s.stopWatchdog != nil {
+		s.stopWatchdog()
+		s.stopWatchdog = nil
+	}
+	if m.Workers() > 1 && s.cfg.StallDeadline > 0 {
 		s.stopWatchdog = m.StartStallWatchdog(s.cfg.StallDeadline)
 	}
 }

@@ -37,6 +37,31 @@ func buildParWork(m *bdd.Manager, bits int) {
 	m.GarbageCollect()
 }
 
+// TestWatchdogFollowsObservedManager: the stall watchdog watches the
+// manager a session observed last. The first Workers=2 manager finishes its
+// work; the second, observed after it, wedges its write lease for 500 ms,
+// twenty times the deadline, and must be reported.
+func TestWatchdogFollowsObservedManager(t *testing.T) {
+	s, err := Config{Trace: t.TempDir() + "/trace.jsonl", StallDeadline: 25 * time.Millisecond}.Start()
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer s.Close()
+	var ms [2]*bdd.Manager
+	for i := range ms {
+		mcfg := bdd.DefaultConfig()
+		mcfg.Workers = 2
+		mcfg.Observer = s.Observer()
+		ms[i] = bdd.NewWithConfig(8, mcfg)
+		s.ObserveManager(ms[i])
+		buildParWork(ms[i], 4)
+	}
+	ms[1].Quiesce(func() { time.Sleep(500 * time.Millisecond) })
+	if n := s.sink.stalls.Value(); n == 0 {
+		t.Fatal("no stall report for the wedged second manager")
+	}
+}
+
 // TestSessionParallelObservability is the end-to-end path of the parallel
 // observability stack: a session with sampling, watchdog, and endpoint
 // armed watches a 4-worker manager; a deliberately wedged write lease makes

@@ -175,10 +175,16 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 	for _, v := range tr.InputVars {
 		quantifiable[v] = true
 	}
+	// supports[i] is items[i]'s support, nil until a level needs it: the
+	// clusters' come from the TR, and an operand carried to the next level
+	// keeps its own.
 	items := make([]bdd.Ref, 0, len(tr.Clusters)+1)
+	supports := make([][]int, 0, len(tr.Clusters)+1)
 	items = append(items, cur)
-	for _, c := range tr.Clusters {
+	supports = append(supports, nil)
+	for k, c := range tr.Clusters {
 		items = append(items, m.Ref(c))
+		supports = append(supports, tr.supports[k])
 	}
 	release := func() {
 		for _, f := range items {
@@ -188,9 +194,10 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 	for len(items) > 1 {
 		// Support census over the remaining operands.
 		occ := make(map[int]int)
-		supports := make([][]int, len(items))
 		for i, f := range items {
-			supports[i] = m.SupportVars(f)
+			if supports[i] == nil {
+				supports[i] = m.SupportVars(f)
+			}
 			for _, v := range supports[i] {
 				if quantifiable[v] {
 					occ[v]++
@@ -243,6 +250,7 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 			}
 		}
 		merged := make([]bdd.Ref, 0, pairs+1)
+		mergedSup := make([][]int, pairs, pairs+1)
 		for p := 0; p < pairs; p++ {
 			m.Deref(items[2*p])
 			m.Deref(items[2*p+1])
@@ -254,8 +262,9 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 		}
 		if len(items)%2 == 1 {
 			merged = append(merged, items[len(items)-1])
+			mergedSup = append(mergedSup, supports[len(items)-1])
 		}
-		items = merged
+		items, supports = merged, mergedSup
 	}
 	res := items[0]
 	// The final merge quantified every remaining schedulable variable (at

@@ -166,34 +166,34 @@ func TestParallelTraversalStatsWindow(t *testing.T) {
 // TestSiftStopsAtRunDeadline: sifting suspends the allocation checks, so
 // it polls the Run's context itself. Under a 50 ms deadline the Run around
 // a sift of the 10-bit multiplier returns within 100 ms of it, with the
-// table consistent. An unbounded sift of the same instance is timed
-// first: one that ends inside four deadlines would let the bounded sift
-// finish before its deadline, and the test would pass without taking the
-// deadline path, so it fails instead.
+// table consistent. A sift of the same instance under four deadlines runs
+// first and must be cut by its deadline: one that ends inside four
+// deadlines would let the bounded sift finish before its deadline, and the
+// test would pass without taking the deadline path, so it fails instead.
 func TestSiftStopsAtRunDeadline(t *testing.T) {
 	const deadline = 50 * time.Millisecond
-	free := compile(t, model.MultiplierNetlist(10))
-	start := time.Now()
-	free.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
-	full := time.Since(start)
-	free.Release()
-	if full < 4*deadline {
-		t.Fatalf("an unbounded sift of the 10-bit multiplier took %v, under 4x the %v deadline: "+
-			"the deadline path is no longer tested; use a larger instance", full, deadline)
+	sift := func(c *circuit.Compiled, timeout time.Duration) (context.Context, time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		start := time.Now()
+		c.M.Run(ctx, 0, func() error {
+			c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
+			return nil
+		})
+		return ctx, time.Since(start)
 	}
-	t.Logf("unbounded sift: %v", full)
+	long := compile(t, model.MultiplierNetlist(10))
+	ctx, took := sift(long, 4*deadline)
+	long.Release()
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		t.Fatalf("a sift of the 10-bit multiplier ended in %v, inside 4x the %v deadline: "+
+			"the deadline path is no longer tested; use a larger instance", took, deadline)
+	}
 
 	c := compile(t, model.MultiplierNetlist(10))
 	defer c.Release()
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start = time.Now()
-	c.M.Run(ctx, 0, func() error {
-		c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{})
-		return nil
-	})
-	if over := time.Since(start) - deadline; over > 100*time.Millisecond {
-		t.Fatalf("Run returned %v after its deadline", over)
+	if _, took := sift(c, deadline); took-deadline > 100*time.Millisecond {
+		t.Fatalf("Run returned %v after its deadline", took-deadline)
 	}
 	if err := c.M.DebugCheck(); err != nil {
 		t.Fatal(err)

@@ -29,6 +29,8 @@ type TR struct {
 	Schedule []bdd.Ref // quantification cube per cluster
 	PreCube  bdd.Ref   // variables quantifiable before the first cluster
 
+	supports [][]int // SupportVars of each cluster, computed once in NewTR
+
 	StateVars []int
 	NextVars  []int
 	InputVars []int
@@ -102,6 +104,9 @@ func NewTR(c *circuit.Compiled, opts TROptions) (*TR, error) {
 	flush()
 	m.Deref(cluster)
 	csp.End(obs.Int("clusters", len(tr.Clusters)))
+	for _, c := range tr.Clusters {
+		tr.supports = append(tr.supports, m.SupportVars(c))
+	}
 
 	ssp := t.Begin("reach.schedule", obs.Int("clusters", len(tr.Clusters)))
 	tr.buildSchedule()
@@ -134,8 +139,8 @@ func (tr *TR) buildSchedule() {
 	for _, v := range tr.InputVars {
 		quantifiable[v] = true
 	}
-	for k, c := range tr.Clusters {
-		for _, v := range m.SupportVars(c) {
+	for k, sup := range tr.supports {
+		for _, v := range sup {
 			if quantifiable[v] {
 				last[v] = k
 			}
@@ -173,8 +178,8 @@ func (tr *TR) buildPreSchedule() {
 		quantifiable[v] = true
 	}
 	last := make(map[int]int)
-	for k, c := range tr.Clusters {
-		for _, v := range m.SupportVars(c) {
+	for k, sup := range tr.supports {
+		for _, v := range sup {
 			if quantifiable[v] {
 				last[v] = k
 			}

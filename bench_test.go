@@ -19,6 +19,7 @@ import (
 	"bddkit/internal/decomp"
 	"bddkit/internal/mc"
 	"bddkit/internal/model"
+	"bddkit/internal/model/gauntlet"
 	"bddkit/internal/obs"
 	"bddkit/internal/reach"
 )
@@ -170,6 +171,28 @@ func BenchmarkITEMultiplier(b *testing.B) {
 	if st.CacheLookups > 0 {
 		b.ReportMetric(float64(st.CacheHits)/float64(st.CacheLookups), "cache-hit-rate")
 	}
+}
+
+// BenchmarkGauntletBuild builds queens 8 on a fresh manager with
+// GOMAXPROCS workers. A dead node releases its children at once on either
+// engine, so every -cpu value reports the same peak-live-nodes (12,635).
+// gcs may differ by one: each worker keeps a private chunk of free slots,
+// so a parallel arena can run out a few chunks earlier (22 at one and two
+// workers, 22 or 23 at four).
+func BenchmarkGauntletBuild(b *testing.B) {
+	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 8}
+	var st bdd.Stats
+	for i := 0; i < b.N; i++ {
+		m := bdd.NewWithConfig(p.Vars(), bdd.Config{Workers: runtime.GOMAXPROCS(0)})
+		f, err := gauntlet.Build(m, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st = m.Stats()
+		m.Deref(f)
+	}
+	b.ReportMetric(float64(st.PeakLive), "peak-live-nodes")
+	b.ReportMetric(float64(st.GCs), "gcs")
 }
 
 func BenchmarkRemapUnderApprox(b *testing.B) {

@@ -210,7 +210,7 @@ type Stats struct {
 	GCs              int64 // garbage collections
 	GCNodes          int64 // nodes reclaimed by GC
 	Reorderings      int64 // sifting passes
-	Resurrected      int64 // dead nodes brought back by a unique-table hit
+	Resurrected      int64 // dead nodes brought back to life, each node of a revived cone counted
 
 	GCTime       time.Duration // total wall time spent in garbage collection
 	ReorderTime  time.Duration // total wall time spent in reordering passes
@@ -445,17 +445,6 @@ func (m *Manager) derefIndexW(w *parWorker, idx int32) {
 	if n.ref == 0 && n.level != terminalLevel {
 		m.deadCount++
 		m.liveCount--
-		if m.par != nil {
-			// Parallel managers defer death uniformly: the node keeps
-			// the references it holds on its children until the next
-			// reconcile (see reconcileDeaths), even when the deref
-			// happens in a serial exclusive section.
-			e := m.par
-			e.deadMu.Lock()
-			e.deadPending[idx] = struct{}{}
-			e.deadMu.Unlock()
-			return
-		}
 		// Recursively release the internal references this node holds
 		// on its children.
 		m.derefIndexW(nil, n.hi.index())
@@ -466,8 +455,7 @@ func (m *Manager) derefIndexW(w *parWorker, idx int32) {
 // reclaim resurrects a dead node (ref count zero): it restores the
 // references the node holds on its children, recursively resurrecting them
 // as needed. Callers ensure the node's count becomes 1 (one new owner).
-// On a parallel manager dead nodes never dropped their child references,
-// so resurrection is just the count flip.
+// It is the serial counterpart of refParIndex's 0->1 transition.
 func (m *Manager) reclaim(f Ref) {
 	idx := f.index()
 	n := &m.nodes[idx]
@@ -484,13 +472,6 @@ func (m *Manager) reclaim(f Ref) {
 		m.stats.PeakLive = m.liveCount
 	}
 	m.stats.Resurrected++
-	if m.par != nil {
-		e := m.par
-		e.deadMu.Lock()
-		delete(e.deadPending, idx)
-		e.deadMu.Unlock()
-		return
-	}
 	m.reclaim(n.hi)
 	m.reclaim(n.lo)
 }

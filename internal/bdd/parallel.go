@@ -29,11 +29,12 @@ package bdd
 //     the global free list (freeMu) or from the arena's virgin-slot cursor
 //     (atomic CAS on nodesUsed). The arena is cursor-based — len == cap at
 //     all times — so a slice header never changes outside a stop-the-world.
-//   - Reference counts: atomic CAS. A node whose count drops to zero in
-//     parallel mode keeps the references it holds on its children (deferred
-//     death); the pending-death set is reconciled to the serial invariant
-//     ("dead nodes hold no references") at the start of every GC, when the
-//     world is stopped anyway. Resurrection is then a bare 0->1 CAS.
+//   - Reference counts: atomic CAS, with the serial invariant "a dead node
+//     holds no child references" at every worker count. The CAS that takes
+//     a count from 1 to 0 releases the node's children, and the one that
+//     takes it from 0 to 1 references them again, cascading as the serial
+//     Deref and reclaim do. A cascade contains no safe point, so a
+//     stop-the-world never sees one half done.
 //   - Work stealing: recursions fork one cofactor subproblem per level into
 //     a per-worker deque while above a depth cutoff; idle thief goroutines
 //     (spawned on demand, exiting when idle) and joiners waiting on a stolen
@@ -318,9 +319,6 @@ type parEngine struct {
 
 	freeMu sync.Mutex // global free list + virgin-cursor refills
 
-	deadMu      sync.Mutex
-	deadPending map[int32]struct{} // indices whose count hit zero in parallel
-
 	// Counter mirrors: during parallel phases m.liveCount / m.deadCount are
 	// frozen at base and all movement accumulates in the atomic deltas;
 	// stop-the-world and exclusive sections fold the deltas back into the
@@ -372,9 +370,8 @@ type parEngine struct {
 
 func newParEngine(m *Manager, workers int) *parEngine {
 	e := &parEngine{
-		workers:     workers,
-		deadPending: make(map[int32]struct{}),
-		wake:        make(chan struct{}, 1),
+		workers: workers,
+		wake:    make(chan struct{}, 1),
 	}
 	e.mem.init()
 	e.tableMu = make([]padMutex, len(m.subtables))
@@ -530,53 +527,10 @@ func (m *Manager) readLocked(fn func()) {
 	fn()
 }
 
-// reconcileDeaths restores the serial reference-counting invariant: every
-// node whose count hit zero on a parallel manager still holds its child
-// references; drop them so the following sweep sees the same state a serial
-// manager would. The drops cascade (children dying here re-enter the
-// pending set), so the loop runs to fixpoint. Runs on a quiescent manager,
-// at the start of every gc.
-//
-// A record can outlive its death (a resurrection racing the deref that made
-// it, or a swap freeing the node). If its node dies again during a round,
-// the round leaves it to the next, which releases its children once.
-func (m *Manager) reconcileDeaths() {
-	e := m.par
-	for {
-		e.deadMu.Lock()
-		pend := e.deadPending
-		e.deadPending = make(map[int32]struct{})
-		e.deadMu.Unlock()
-		if len(pend) == 0 {
-			return
-		}
-		for idx := range pend {
-			n := &m.nodes[idx]
-			if n.ref != 0 || n.level < 0 {
-				continue // resurrected (or already freed) since it was recorded
-			}
-			e.deadMu.Lock()
-			_, again := e.deadPending[idx]
-			e.deadMu.Unlock()
-			if !again {
-				m.dropChildRefs(idx)
-			}
-		}
-	}
-}
-
-// dropChildRefs releases the references a dead node holds on its children.
-// The pattern (load children, then deref) is shared by reconcileDeaths and
-// the reordering sweeps that free dead nodes directly.
-func (m *Manager) dropChildRefs(idx int32) {
-	hi, lo := m.nodes[idx].hi, m.nodes[idx].lo
-	m.derefIndex(hi.index())
-	m.derefIndex(lo.index())
-}
-
-// refParIndex atomically adds one reference. Resurrection of a dead node is
-// a bare 0->1 transition: in parallel mode dead nodes keep their child
-// references, so only the counters move. Callers hold the memory lease.
+// refParIndex atomically adds one reference. The CAS that resurrects a
+// dead node (0->1) also references its children again, as the serial
+// reclaim does; the reference is handed out only once they are. Callers
+// hold the memory lease.
 func (m *Manager) refParIndex(idx int32) {
 	n := &m.nodes[idx]
 	for {
@@ -587,22 +541,21 @@ func (m *Manager) refParIndex(idx int32) {
 		if atomic.CompareAndSwapInt32(&n.ref, old, old+1) {
 			if old == 0 {
 				e := m.par
-				e.deadMu.Lock()
-				delete(e.deadPending, idx)
-				e.deadMu.Unlock()
 				e.deadDelta.Add(-1)
 				e.liveDelta.Add(1)
 				e.resurrected.Add(1)
 				e.bumpPeak()
+				m.refParIndex(n.hi.index())
+				m.refParIndex(n.lo.index())
 			}
 			return
 		}
 	}
 }
 
-// derefParIndex atomically drops one reference. A 1->0 transition records
-// the node in the pending-death set without touching its children (deferred
-// death; see reconcileDeaths). Callers hold the memory lease.
+// derefParIndex atomically drops one reference. The CAS that kills a node
+// (1->0) also releases its children, as the serial Deref does. Callers
+// hold the memory lease.
 func (m *Manager) derefParIndex(idx int32) {
 	n := &m.nodes[idx]
 	for {
@@ -616,11 +569,10 @@ func (m *Manager) derefParIndex(idx int32) {
 		if atomic.CompareAndSwapInt32(&n.ref, old, old-1) {
 			if old == 1 {
 				e := m.par
-				e.deadMu.Lock()
-				e.deadPending[idx] = struct{}{}
-				e.deadMu.Unlock()
 				e.liveDelta.Add(-1)
 				e.deadDelta.Add(1)
+				m.derefParIndex(n.hi.index())
+				m.derefParIndex(n.lo.index())
 			}
 			return
 		}

@@ -1,8 +1,10 @@
 package bdd
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // newPar returns a manager with the work-stealing engine armed, regardless
@@ -193,28 +195,84 @@ type errLeq struct{}
 
 func (errLeq) Error() string { return "Leq(g AND h, g) must hold" }
 
-// TestParallelReconcileReleasesOnce: a pending-death record can outlive
-// the death it recorded (a resurrection racing the deref that recorded it
-// leaves one for a live node). The test plants such a record on n, whose
-// only parent p then dies; whichever of the two reconcileDeaths reaches
-// first, n dies during the sweep and must release its child g once. A
-// second release would take g below zero.
-func TestParallelReconcileReleasesOnce(t *testing.T) {
-	m := newPar(t, 4, 4)
-	for trial := 0; trial < 20; trial++ {
-		g := m.And(m.IthVar(2), m.IthVar(3))
-		n := m.And(m.IthVar(1), g)
-		p := m.And(m.IthVar(0), n)
-		m.Deref(g)
-		m.Deref(n)
-		m.exclusive(func() { m.par.deadPending[n.index()] = struct{}{} })
-		m.Deref(p)
-		m.GarbageCollect()
-		if err := m.DebugCheck(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+// TestParallelEagerDeathUnderContention: the CAS that kills a node
+// releases its children and the one that resurrects it references them
+// again. Two clients share each cone: while one drops the last reference
+// to it, the other rebuilds it, reviving its dead nodes through
+// unique-table and computed-cache hits, and one goroutine collects
+// meanwhile. Every rebuilt cone must compute its function, no count may
+// go negative, and once everything is released only the projections may
+// stay referenced.
+func TestParallelEagerDeathUnderContention(t *testing.T) {
+	const n = 6 // cone c is xnorChain(m, n, c) over 2n variables
+	const cones = 4
+	const clients = 2 * cones
+	m := newPar(t, 2*n, 4)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			r := c % cones
+			a := make([]bool, 2*n)
+			for round := 0; round < 40; round++ {
+				f := xnorChain(m, n, r)
+				// f holds exactly when x_{n+i} = x_i xor bit i of r.
+				for i := 0; i < n; i++ {
+					a[i] = (round+c)>>i&1 == 1
+					a[n+i] = a[i] != (r>>i&1 == 1)
+				}
+				ok := m.Eval(f, a)
+				a[n+round%n] = !a[n+round%n]
+				if !ok || m.Eval(f, a) {
+					errs <- fmt.Errorf("client %d round %d: cone %d computes another function", c, round, r)
+					m.Deref(f)
+					return
+				}
+				m.Deref(f)
+			}
+		}(c)
 	}
-	if got := m.ReferencedNodeCount(); got != 4 {
-		t.Fatalf("%d nodes referenced after releasing everything, want the 4 projections", got)
+	done := make(chan struct{})
+	gcDone := make(chan struct{})
+	go func() {
+		defer close(gcDone)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			m.GarbageCollect()
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-gcDone
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := m.Stats().Resurrected; got == 0 {
+		t.Fatal("no dead node was resurrected: the clients never raced a death")
+	}
+	if err := m.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+	m.exclusive(func() {
+		for idx := range m.nodes {
+			if nd := &m.nodes[idx]; nd.level >= 0 && nd.ref < 0 {
+				t.Errorf("node %d has count %d", idx, nd.ref)
+			}
+		}
+	})
+	m.GarbageCollect()
+	if got := m.ReferencedNodeCount(); got != 2*n {
+		t.Fatalf("%d nodes referenced after releasing everything, want the %d projections", got, 2*n)
+	}
+	if got := m.DeadCount(); got != 0 {
+		t.Fatalf("%d dead nodes left after a collection", got)
 	}
 }

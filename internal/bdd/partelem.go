@@ -320,7 +320,6 @@ type ParTelemetry struct {
 
 	TasksLocal  int64 `json:"tasks_local"`
 	TasksStolen int64 `json:"tasks_stolen"`
-	PendingDead int64 `json:"pending_dead"` // deferred deaths awaiting GC reconcile
 }
 
 // heatTopK extracts the K hottest cells by sampled hits.
@@ -359,7 +358,6 @@ func (m *Manager) ParTelemetry() ParTelemetry {
 	t.Workers = e.workers
 	t.TasksLocal = e.tasksLocal.Load()
 	t.TasksStolen = e.tasksStolen.Load()
-	t.PendingDead = e.deadDelta.Load()
 
 	var unique, cache, lease, steal, join, deque [waitHistBuckets]int64
 	now := time.Now().UnixNano()
@@ -594,8 +592,8 @@ func (m *Manager) parStallReport(desc string, stuck time.Duration) string {
 				i, depth, w.telem.ops.Load(), w.telem.tasks.Load())
 		}
 	}
-	fmt.Fprintf(&b, "tasks: local=%d stolen=%d thieves=%d pending_dead=%d\n",
-		e.tasksLocal.Load(), e.tasksStolen.Load(), e.thieves.Load(), e.deadDelta.Load())
+	fmt.Fprintf(&b, "tasks: local=%d stolen=%d thieves=%d\n",
+		e.tasksLocal.Load(), e.tasksStolen.Load(), e.thieves.Load())
 	if heat := e.levelHeat.Load(); heat != nil {
 		if top := heatTopK(*heat, heatK); len(top) > 0 {
 			fmt.Fprintf(&b, "hot levels:")

@@ -456,13 +456,9 @@ func (m *Manager) swapInPlace(lev int) int {
 }
 
 // freeDead puts a dead node that is no longer chained in its subtable on
-// the free list. On a parallel manager a dead node still holds its child
-// references (deferred death); they are dropped first, since the slot is
-// going away.
+// the free list. A dead node holds no child references at any worker
+// count, so its children are left alone.
 func (m *Manager) freeDead(idx int32) {
-	if m.par != nil {
-		m.dropChildRefs(idx)
-	}
 	n := &m.nodes[idx]
 	n.next = m.free
 	n.level = -1

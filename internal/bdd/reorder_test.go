@@ -9,10 +9,10 @@ import (
 // TestSwapInPlacePreservesFunctions: every adjacent swap keeps each held
 // function and the table's invariants, on a serial and a parallel manager,
 // with dead nodes at the two levels it swaps. Before each swap a held
-// function rooted at each of the two levels is released. A parallel
-// manager defers death, so its dead nodes still hold their child
-// references when the swap frees them; if a pass freed one without
-// dropping them, the final leak check would see the children survive.
+// function rooted at each of the two levels is released. Dead nodes hold
+// no child references on either engine, so the swap frees them without
+// touching their children: a second release would panic, and a lost one
+// would show in the final leak check.
 func TestSwapInPlacePreservesFunctions(t *testing.T) {
 	const n = 6
 	for _, workers := range []int{1, 4} {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -171,12 +172,14 @@ func TestRunNested(t *testing.T) {
 // the running operation at the next poll of the context flag, on the
 // serial and on the parallel engine, and leaves a sound manager behind.
 // The bound is counted in work, not time, so a loaded machine cannot fail
-// it: from the cancel request to the abort the engine allocates at most
-// one poll interval (deadlineCheckInterval allocations) per worker, plus
-// one interval of slack for the goroutines that cancel and raise the flag.
-// The request comes after one chain, so the count at the request is exact
-// even on the parallel engine, whose thieves fold their counters into
-// Stats only when they go idle.
+// it: from the raised flag to the abort the engine allocates at most one
+// poll interval (deadlineCheckInterval allocations) per worker, plus one
+// interval of slack. The count starts at the flag, not at the cancel
+// request: the loop yields until the goroutines that cancel and raise the
+// flag have run, which on one P happens only when the loop lets them. The
+// flag goes up after one chain, so the count at the mark is exact even on
+// the parallel engine, whose thieves fold their counters into Stats only
+// when they go idle.
 func TestRunCancelMidOperation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -193,12 +196,15 @@ func TestRunCancelMidOperation(t *testing.T) {
 				s := m.Stats()
 				return s.UniqueLookups - s.UniqueHits
 			}
-			var mark int64 // allocations when the cancel is requested
+			var mark int64 // allocations when the Run's flag is up
 			err := m.Run(ctx, 0, func() error {
 				for r := 0; r < 1<<n; r++ {
 					if r == 1 {
-						mark = allocs()
 						close(started)
+						for !m.scope.ended.Load() {
+							runtime.Gosched()
+						}
+						mark = allocs()
 					}
 					m.Deref(xnorChain(m, n, r))
 				}
@@ -208,9 +214,9 @@ func TestRunCancelMidOperation(t *testing.T) {
 				t.Fatalf("err %v, want an abort wrapping context.Canceled", err)
 			}
 			past, bound := allocs()-mark, int64(workers+1)*deadlineCheckInterval
-			t.Logf("%d allocations past the cancel", past)
+			t.Logf("%d allocations past the flag", past)
 			if past > bound {
-				t.Fatalf("%d allocations past the cancel, bound %d", past, bound)
+				t.Fatalf("%d allocations past the flag, bound %d", past, bound)
 			}
 			if err := m.DebugCheck(); err != nil {
 				t.Fatal(err)
@@ -278,12 +284,9 @@ func TestReorderSkippedInEndedRun(t *testing.T) {
 
 // TestReorderSweepStopsInEndedRun: a reordering sweep (gc without the
 // cache sweep) that finds the Run's context ended stops after the
-// subtable it is in on a serial manager. The dead nodes it leaves stay
+// subtable it is in, on either engine. The dead nodes it leaves stay
 // counted, the manager passes DebugCheck once the cache is invalidated as
-// reorderNow does, and the next collection reclaims the rest. A parallel
-// manager's sweep runs to the end: it first drops the child references of
-// every dead node (reconcileDeaths), so a dead node left chained would
-// later be taken for one that still holds them.
+// reorderNow does, and the next collection reclaims the rest.
 func TestReorderSweepStopsInEndedRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -296,9 +299,6 @@ func TestReorderSweepStopsInEndedRun(t *testing.T) {
 			if err := m.Run(context.Background(), 0, func() error {
 				raiseStop(m)
 				m.exclusive(func() {
-					if m.par != nil {
-						m.reconcileDeaths()
-					}
 					dead = m.deadCount
 					swept = m.gc(false, true)
 					m.cache.invalidateAll()
@@ -307,11 +307,8 @@ func TestReorderSweepStopsInEndedRun(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if workers == 1 && (swept == 0 || swept >= dead) {
+			if swept == 0 || swept >= dead {
 				t.Fatalf("the cut sweep reclaimed %d of %d dead nodes, want some but not all", swept, dead)
-			}
-			if workers > 1 && swept != dead {
-				t.Fatalf("the sweep reclaimed %d of %d dead nodes, want all", swept, dead)
 			}
 			if got := m.DeadCount(); got != dead-swept {
 				t.Fatalf("%d dead nodes after reclaiming %d of %d", got, swept, dead)
@@ -334,8 +331,8 @@ func TestReorderSweepStopsInEndedRun(t *testing.T) {
 // second function are in the table when SetOrder starts. The order keeps
 // the top half and reverses the bottom half, so the swaps free dead nodes
 // below dead parents they never touch: a sweep cut before them would
-// leave those parents pointing at freed slots. On a parallel manager the
-// dead nodes' deaths are deferred.
+// leave those parents pointing at freed slots. The dead nodes hold no
+// child references on either engine.
 func TestSetOrderInEndedRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

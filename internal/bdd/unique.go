@@ -228,24 +228,15 @@ func (m *Manager) GarbageCollect() int {
 // passes sweepCache=false: it invalidates the whole cache afterwards with
 // a generation bump, so walking it entry by entry would be wasted work.
 //
-// A stoppable sweep on a serial manager also stops between subtables once
-// the enclosing Run's context has ended, since a sweep of a large arena
-// can outlast the deadline by far; the dead nodes it leaves stay counted
-// in deadCount and go to the next collection. The sweep runs top-down, so
-// every node it frees lies above every dead node it leaves, and no
-// chained node points at a freed slot. No swap may follow a cut sweep: a
-// swap frees the dead nodes of its two levels, and a dead parent left
-// above them would point at a freed slot. A
-// parallel manager's sweep always runs to the end: reconcileDeaths has
-// dropped the child references of every dead node, and one left chained
-// would be taken for a deferred death that still holds them (resurrection
-// and freeDead both assume so).
+// A stoppable sweep also stops between subtables once the enclosing
+// Run's context has ended, since a sweep of a large arena can outlast the
+// deadline by far; the dead nodes it leaves stay counted in deadCount and
+// go to the next collection. The sweep runs top-down, so every node it
+// frees lies above every dead node it leaves, and no chained node points
+// at a freed slot. No swap may follow a cut sweep: a swap frees the dead
+// nodes of its two levels, and a dead parent left above them would point
+// at a freed slot.
 func (m *Manager) gc(sweepCache, stoppable bool) int {
-	if m.par != nil {
-		// Restore the serial invariant (dead nodes hold no child
-		// references) before sweeping; parallel mode defers those drops.
-		m.reconcileDeaths()
-	}
 	if m.deadCount == 0 {
 		return 0
 	}
@@ -271,7 +262,7 @@ func (m *Manager) gc(sweepCache, stoppable bool) int {
 			}
 			st.buckets[b] = keep
 		}
-		if stoppable && m.par == nil && m.stopRequested() {
+		if stoppable && m.stopRequested() {
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package gauntlet_test
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -196,5 +197,46 @@ func TestBuildRequiresRoom(t *testing.T) {
 	m := bdd.New(3)
 	if _, err := gauntlet.Build(m, gauntlet.Params{Family: gauntlet.FamilyQueens, N: 4}); err == nil {
 		t.Fatal("Build on an undersized manager must fail")
+	}
+}
+
+// TestQueensOneLiveCountAtEveryWorkerCount: a node that dies releases its
+// children at once on either engine, so the live count that the node
+// ceiling of Run reads is the same at every worker count. Queens 9 builds
+// under a 200,000-node ceiling at Workers 1, 2 and 4 and ends with the
+// same live count, peak and number of collections each time. A manager
+// that kept a dropped cone counted as live until a collection would peak
+// near 800,000 nodes here and hit the ceiling.
+func TestQueensOneLiveCountAtEveryWorkerCount(t *testing.T) {
+	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 9}
+	type counts struct {
+		live, peak int
+		gcs        int64
+	}
+	var want counts
+	for _, workers := range []int{1, 2, 4} {
+		m := bdd.NewWithConfig(p.Vars(), bdd.Config{Workers: workers})
+		var f bdd.Ref
+		err := m.Run(context.Background(), 200000, func() error {
+			var err error
+			f, err = gauntlet.Build(m, p)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st := m.Stats()
+		got := counts{live: m.NodeCount(), peak: st.PeakLive, gcs: st.GCs}
+		t.Logf("workers=%d: %+v", workers, got)
+		if workers == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d: %+v, want the Workers=1 %+v", workers, got, want)
+		}
+		c, err := count.Minterms(m, f, p.Vars())
+		if err != nil || c.Int64() != 352 {
+			t.Errorf("workers=%d: %v solutions (%v), want 352", workers, c, err)
+		}
+		m.Deref(f)
 	}
 }

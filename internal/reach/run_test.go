@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -283,6 +284,64 @@ func TestSiftOrderUnchangedOnTRForests(t *testing.T) {
 			}
 			tr.Release()
 			c.Release()
+		}
+	}
+}
+
+// TestAutoReorderAtSamePointsAtEveryWorkerCount: the auto-reorder trigger
+// reads the live count, which counts the same nodes at every worker
+// count. So the four perfbench traversal models, compiled with dynamic
+// sifting from a 2,000-node threshold and followed by their transition
+// relations, sift at the same points at Workers 1, 2 and 4: the same
+// number of passes, live count, peak, collections and final order.
+func TestAutoReorderAtSamePointsAtEveryWorkerCount(t *testing.T) {
+	nls := []*circuit.Netlist{
+		model.S3330(model.S3330Config{Word: 5, FifoDepth: 3, CrcBits: 6}),
+		model.S1269(model.S1269Config{Width: 5}),
+		model.S5378(model.S5378Config{Units: 4, UnitWidth: 4}),
+		model.Am2910(model.Am2910Config{Width: 4, StackDepth: 2}),
+	}
+	type point struct {
+		sifts, gcs int64
+		live, peak int
+		order      []int
+	}
+	for _, nl := range nls {
+		var want point
+		for _, workers := range []int{1, 2, 4} {
+			cfg := bdd.DefaultConfig()
+			cfg.Workers = workers
+			c, err := circuit.Compile(nl, circuit.CompileOptions{
+				AutoReorder: true, ReorderThreshold: 2000, BDDConfig: &cfg,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", nl.Name, err)
+			}
+			tr, err := NewTR(c, DefaultTROptions())
+			if err != nil {
+				t.Fatalf("%s: %v", nl.Name, err)
+			}
+			st := c.M.Stats()
+			got := point{sifts: st.Reorderings, gcs: st.GCs, live: c.M.NodeCount(), peak: st.PeakLive}
+			for lev := 0; lev < c.M.NumVars(); lev++ {
+				got.order = append(got.order, c.M.VarAtLevel(lev))
+			}
+			t.Logf("%s workers=%d: %d sifts, %d GCs, %d live, peak %d",
+				nl.Name, workers, got.sifts, got.gcs, got.live, got.peak)
+			tr.Release()
+			c.Release()
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if got.sifts != want.sifts || got.gcs != want.gcs || got.live != want.live || got.peak != want.peak {
+				t.Errorf("%s workers=%d: %d sifts, %d GCs, %d live, peak %d; Workers=1 had %d, %d, %d, %d",
+					nl.Name, workers, got.sifts, got.gcs, got.live, got.peak,
+					want.sifts, want.gcs, want.live, want.peak)
+			}
+			if !slices.Equal(got.order, want.order) {
+				t.Errorf("%s workers=%d: order %v, Workers=1 chose %v", nl.Name, workers, got.order, want.order)
+			}
 		}
 	}
 }

@@ -237,6 +237,60 @@ func TestBuildOpsCountSampleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkersTwoTenantAnswersAsWorkersOne: a tenant's quota is the node
+// ceiling of its manager, which reads a live count that is the same at
+// every worker count. Two tenants at quota 8,000, one serial and one with
+// two workers, upload the 7-bit multiplier and run the same 40 xor ops
+// into one result name. Both report the same live nodes after the netlist
+// and after every op, and no answer is degraded or refused.
+func TestWorkersTwoTenantAnswersAsWorkersOne(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	base := ts.URL + "/v1/tenants/"
+	ids := []string{"w1", "w2"}
+	for i, id := range ids {
+		req := CreateTenantRequest{Quota: 8000, Workers: i + 1}
+		if st := call(t, "PUT", base+id, req, nil); st != http.StatusCreated {
+			t.Fatalf("create %s: status %d", id, st)
+		}
+	}
+	live := func(step string) {
+		t.Helper()
+		var n [2]int
+		for i, id := range ids {
+			var info TenantInfo
+			if st := call(t, "GET", base+id, nil, &info); st != http.StatusOK {
+				t.Fatalf("%s info after %s: status %d", id, step, st)
+			}
+			n[i] = info.LiveNodes
+		}
+		if n[0] != n[1] {
+			t.Fatalf("after %s: %d live nodes at workers 1, %d at workers 2", step, n[0], n[1])
+		}
+	}
+	answer := func(step, id string, st int, env Envelope) {
+		t.Helper()
+		if st != http.StatusOK || env.Degraded {
+			t.Fatalf("%s on %s: status %d, degraded %v (%s)", step, id, st, env.Degraded, env.DegradeReason)
+		}
+	}
+	nl := multiplierNetlist(t, 7)
+	for _, id := range ids {
+		var env Envelope
+		answer("netlist", id, call(t, "POST", base+id+"/netlist", nl, &env), env)
+	}
+	live("the netlist")
+	for i := 0; i < 40; i++ {
+		a := i % 14
+		op := OpRequest{Op: "xor", Args: []string{fmt.Sprintf("p%d", a), fmt.Sprintf("p%d", (a+1+i/14)%14)}, Result: "r"}
+		step := fmt.Sprintf("op %d", i)
+		for _, id := range ids {
+			var env Envelope
+			answer(step, id, call(t, "POST", base+id+"/ops", op, &env), env)
+		}
+		live(step)
+	}
+}
+
 func TestApproxDecompReach(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL + "/v1/tenants/bob"

@@ -11,11 +11,12 @@ SERVE_ADDR ?= 127.0.0.1:6173
 ## smoke the observability layer end to end (trace schema + required
 ## spans, each cmd's session wiring, structural profiler) and the
 ## multi-tenant service daemon (round trip, forced budget-degrade, tenant
-## isolation, graceful drain). Parallel telemetry, the Amdahl breakdown,
-## the quality ledger and the Prometheus exposition are checked end to end
-## by internal/obs's session tests, which `test` runs and `vet` race-tests.
-## Table 1's Workers=1/Workers=2 agreement is TestTable1SmallRuns in
-## `test`; performance is perfbench's (see BENCHMARK.json).
+## isolation, graceful drain). The quality ledger and the Prometheus
+## exposition are checked end to end by internal/obs's session tests,
+## which `test` runs and `vet` race-tests. Table 1's agreement between the
+## chain (Workers=1) and tree (Workers=2) image schedules is
+## TestTable1SmallRuns in `test`; performance is perfbench's (see
+## BENCHMARK.json).
 check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke serve-smoke
 
 ## vet: static analysis plus race-testing the obs registry/tracer, whose
@@ -33,21 +34,21 @@ vet:
 build:
 	$(GO) build ./...
 
+## test: -count=1, because Go's test cache does not key on GOMAXPROCS, so
+## a cached result made at one GOMAXPROCS would stand in for another.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 	$(GO) -C perfbench test -short ./...
 
-## race: the memory-model half of the parallel-engine checks — the BDD
-## core's own tests, the oracle differential + concurrent stress drivers
-## (several clients hammering one Workers=4 manager while GC and
-## reordering fire), the parallel image path in reach, a Workers=4
-## node-budget abort whose workers trip the budget together, the
-## traversals and the sift a Run's deadline or cancellation ends (the
-## context.AfterFunc goroutine raises the flag the traversal and siftVar
-## poll), and the Workers=4 sift-order check.
+## race: the BDD core's own tests, the oracle differential driver, the
+## counting sweeps and the service (whose HTTP handlers and admission run
+## on their own goroutines), a node-budget abort on each image schedule,
+## and the traversals and the sift a Run's deadline or cancellation ends
+## (the context.AfterFunc goroutine raises the flag the traversal and
+## siftVar poll).
 race:
 	$(GO) test -race -count=1 ./internal/bdd ./internal/oracle ./internal/count ./internal/serve
-	$(GO) test -race -count=1 -run 'Parallel|TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal|TestSift' ./internal/reach
+	$(GO) test -race -count=1 -run 'TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal|TestSift' ./internal/reach
 
 ## fuzz-smoke: run each native fuzz target briefly ($(FUZZTIME) apiece) on
 ## top of its checked-in seed corpus under testdata/fuzz/. This is a smoke
@@ -67,7 +68,7 @@ fuzz-smoke:
 gauntlet-smoke:
 	$(GO) build -o /tmp/bddkit-bddcount ./cmd/bddcount
 	/tmp/bddkit-bddcount -family queens -n 6 -check >/dev/null
-	/tmp/bddkit-bddcount -family queens -n 7 -check -workers 4 >/dev/null
+	/tmp/bddkit-bddcount -family queens -n 7 -check >/dev/null
 	/tmp/bddkit-bddcount -family life -rows 3 -cols 3 -check >/dev/null
 	/tmp/bddkit-bddcount -family hamilton-grid -rows 2 -cols 3 -check >/dev/null
 	/tmp/bddkit-bddcount -family hamilton-knight -rows 3 -cols 3 -check >/dev/null
@@ -84,6 +85,8 @@ gauntlet-smoke:
 ## that every other cmd builds its managers with its session: each
 ## -metrics counter grepped below is fed only through a manager's own
 ## observer or quality ledger, so it reads 0 if a cmd drops that wiring.
+## equiv files no ledger records, so its check reads bdd_gc_total on
+## testdata/xorpairs.net, whose garbage forces collections.
 obs-smoke:
 	$(GO) run ./cmd/reach -in testdata/counter.net -method hd-rua -threshold 20 \
 		-budget 30s -profile -trace /tmp/bddkit-obs-smoke.jsonl >/dev/null
@@ -97,8 +100,8 @@ obs-smoke:
 		| grep -q '^quality_ops_total [1-9]'
 	$(GO) run ./cmd/mc -in testdata/counter.net -ctl 'AG EF q0' -reachable -metrics 2>&1 >/dev/null \
 		| grep -q '^quality_ops_total [1-9]'
-	$(GO) run ./cmd/equiv -workers 2 -metrics testdata/mult4.net testdata/mult4.net 2>&1 >/dev/null \
-		| grep -q '^bdd_stw_total [1-9]'
+	$(GO) run ./cmd/equiv -metrics testdata/xorpairs.net testdata/xorpairs.net 2>&1 >/dev/null \
+		| grep -q '^bdd_gc_total [1-9]'
 	@echo "obs-smoke OK"
 
 ## serve-smoke: end-to-end check of the bddserve daemon — build a tenant

@@ -8,7 +8,6 @@ package bddkit_test
 
 import (
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -44,12 +43,8 @@ func sharedCorpus(b *testing.B) []bench.Fn {
 }
 
 // BenchmarkTable1Reachability regenerates Table 1 (BFS vs HD+RUA vs HD+SP)
-// at test scale. The managers are created inside RunTable1, so the worker
-// count is plumbed through the package default; -cpu 1,4 then compares the
-// serial engine against the work-stealing one.
+// at test scale, with the chain image schedule.
 func BenchmarkTable1Reachability(b *testing.B) {
-	bdd.SetDefaultWorkers(runtime.GOMAXPROCS(0))
-	defer bdd.SetDefaultWorkers(1)
 	var rows []bench.Table1Row
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -145,14 +140,10 @@ func buildMultiplierBit(b *testing.B, n, bit int) (*bdd.Manager, bdd.Ref, func()
 
 // BenchmarkITEMultiplier measures one hard ITE on a multiplier output bit.
 // The computed table is cleared every iteration so each one redoes the full
-// recursion (otherwise iteration 2 onward is a single cache probe), and the
-// manager runs with GOMAXPROCS workers so -cpu 1,4 contrasts the serial and
-// work-stealing engines on identical work.
+// recursion (otherwise iteration 2 onward is a single cache probe).
 func BenchmarkITEMultiplier(b *testing.B) {
 	nl := model.MultiplierNetlist(8)
-	cfg := bdd.DefaultConfig()
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	c, err := circuit.Compile(nl, circuit.CompileOptions{SkipNextVars: true, BDDConfig: &cfg})
+	c, err := circuit.Compile(nl, circuit.CompileOptions{SkipNextVars: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -173,17 +164,14 @@ func BenchmarkITEMultiplier(b *testing.B) {
 	}
 }
 
-// BenchmarkGauntletBuild builds queens 8 on a fresh manager with
-// GOMAXPROCS workers. A dead node releases its children at once on either
-// engine, so every -cpu value reports the same peak-live-nodes (12,635).
-// gcs may differ by one: each worker keeps a private chunk of free slots,
-// so a parallel arena can run out a few chunks earlier (22 at one and two
-// workers, 22 or 23 at four).
+// BenchmarkGauntletBuild builds queens 8 on a fresh manager. The engine
+// runs on the calling goroutine, so every -cpu value reports the same
+// peak-live-nodes (12,635) and gcs (22).
 func BenchmarkGauntletBuild(b *testing.B) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 8}
 	var st bdd.Stats
 	for i := 0; i < b.N; i++ {
-		m := bdd.NewWithConfig(p.Vars(), bdd.Config{Workers: runtime.GOMAXPROCS(0)})
+		m := bdd.New(p.Vars())
 		f, err := gauntlet.Build(m, p)
 		if err != nil {
 			b.Fatal(err)

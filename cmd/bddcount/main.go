@@ -10,7 +10,7 @@
 //	bddcount -family queens -n 8 -check                # ...verified against the published sequence
 //	bddcount -family life -rows 4 -cols 4 -mode weighted -bias 0.25
 //	bddcount -family hamilton-grid -rows 3 -cols 4 -mode sample -samples 5
-//	bddcount -family equiv-adder -n 16 -fault -workers 4
+//	bddcount -family equiv-adder -n 16 -fault
 //
 // With -obs the run serves the observability endpoint; counting and
 // sampling file quality-ledger records (kind "count"), where a sampling
@@ -47,20 +47,16 @@ func run() int {
 	seed := flag.Int64("seed", 1, "sampling RNG seed")
 	bias := flag.Float64("bias", 0.5, "per-variable true-probability (weighted mode)")
 	check := flag.Bool("check", false, "verify the count against the family's independent ground truth")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cliutil.Check(
-		cliutil.Workers(*workers),
 		cliutil.NonNegative("samples", *samples),
 		cliutil.Fraction("bias", *bias),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "bddcount:", err)
 		return 2
 	}
-	bdd.SetDefaultWorkers(*workers)
-
 	p := gauntlet.Params{Family: *family, N: *n, Rows: *rows, Cols: *cols, Fault: *fault}
 	if err := p.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "bddcount:", err)

@@ -51,12 +51,10 @@ func main() {
 	cacheBits := flag.Uint("cache-bits", 0, "initial computed-table size = 1<<bits (0 = default)")
 	cacheMaxBits := flag.Uint("cache-max-bits", 0, "adaptive computed-table growth ceiling = 1<<bits (0 = default)")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics on exit")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cliutil.Check(
-		cliutil.Workers(*workers),
 		cliutil.CacheBits("cache-bits", *cacheBits),
 		cliutil.CacheBits("cache-max-bits", *cacheMaxBits),
 		cliutil.NonNegative("threshold", *threshold),
@@ -64,7 +62,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bddlab:", err)
 		os.Exit(2)
 	}
-	bdd.SetDefaultWorkers(*workers)
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8344", "listen address")
-		workers    = flag.Int("workers", 1, "default per-tenant manager workers (0 = GOMAXPROCS, 1 = serial)")
+		workers    = flag.Int("workers", 1, "default per-tenant image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain")
 		cacheBits  = flag.Uint("cache-bits", 0, "default per-tenant computed-table size exponent (0 = library default)")
 		quota      = flag.Int("quota", serve.DefaultQuota, "default per-tenant live-node quota")
 		deadline   = flag.Duration("deadline", serve.DefaultDeadline, "default per-operation deadline")

@@ -1,21 +1,18 @@
 // Command bddtop is a live terminal console over the -obs endpoint: point
 // it at a running reach/tables/bddlab/bddcount/mc/equiv process started
-// with -obs :6060 and it polls /metrics (Prometheus exposition), /quality
-// (the approximation-loss ledger) and /parallel (work-stealing engine
-// telemetry), rendering one refreshing frame per interval:
+// with -obs :6060 and it polls /metrics (Prometheus exposition) and
+// /quality (the approximation-loss ledger), rendering one refreshing frame
+// per interval:
 //
 //   - manager gauges — live/dead nodes, node limit with a budget-headroom
-//     bar, arena occupancy, cache hit rate, GC count and STW time;
+//     bar, arena occupancy, cache hit rate and GC count;
 //   - trajectories — sparklines of live nodes, mass retained, and budget
 //     headroom over the last 48 frames; bddtop keeps this history itself,
 //     one point per frame from that frame's /metrics scrape, so it begins
 //     when bddtop attaches;
 //   - the quality ledger — loss-so-far per operator (count, aborts, mean
 //     and minimum mass retained, nodes shed) plus the most recent
-//     operation (current reach iteration, its mass trade, abort cause);
-//   - the parallel engine (when the process runs one) — workers, steal
-//     ratio, and the -topk unique-table levels with the most sampled lock
-//     waits (the engine reports at most 8).
+//     operation (current reach iteration, its mass trade, abort cause).
 //
 // Usage:
 //
@@ -40,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"bddkit/internal/bdd"
 	"bddkit/internal/cliutil"
 	"bddkit/internal/obs"
 )
@@ -49,13 +45,11 @@ func main() {
 	addr := flag.String("addr", "localhost:6060", "host:port of the -obs endpoint to watch")
 	interval := flag.Duration("interval", time.Second, "poll/refresh interval")
 	frames := flag.Int("frames", 0, "stop after this many frames (0 = run until the endpoint goes away)")
-	topK := flag.Int("topk", 5, "hot unique-table levels to show in the parallel panel (the engine reports at most 8)")
 	plain := flag.Bool("plain", false, "no ANSI control sequences; print frames sequentially")
 	flag.Parse()
 	if err := cliutil.Check(
 		cliutil.PositiveDuration("interval", *interval),
 		cliutil.NonNegative("frames", *frames),
-		cliutil.NonNegative("topk", *topK),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, "bddtop:", err)
 		os.Exit(2)
@@ -64,7 +58,6 @@ func main() {
 	c := &console{
 		base:   "http://" + *addr,
 		client: &http.Client{Timeout: 5 * time.Second},
-		topK:   *topK,
 	}
 	failures := 0
 	for frame := 1; ; frame++ {
@@ -95,7 +88,6 @@ func main() {
 type console struct {
 	base   string
 	client *http.Client
-	topK   int
 
 	// live, mass and head are the history the trajectories panel plots:
 	// one value per frame from that frame's /metrics scrape, oldest
@@ -143,20 +135,15 @@ func (c *console) renderFrame(frame int) ([]byte, error) {
 	c.record(scrape)
 	var quality obs.LedgerSnapshot
 	qualityOK := c.getJSON("/quality", &quality) == nil
-	var par bdd.ParTelemetry
-	parOK := c.getJSON("/parallel", &par) == nil
 
 	var b bytes.Buffer
-	c.header(&b, frame, scrape, quality, qualityOK)
+	c.header(&b, frame, quality, qualityOK)
 	c.gauges(&b, scrape)
 	if len(c.live) > 1 {
 		c.trajectories(&b)
 	}
 	if qualityOK {
 		c.qualityPanel(&b, quality)
-	}
-	if parOK && par.Workers > 1 {
-		c.parallelPanel(&b, par)
 	}
 	return b.Bytes(), nil
 }
@@ -184,14 +171,11 @@ func push(series []float64, v float64) []float64 {
 	return series
 }
 
-func (c *console) header(b *bytes.Buffer, frame int, scrape *obs.PromScrape, q obs.LedgerSnapshot, qOK bool) {
+func (c *console) header(b *bytes.Buffer, frame int, q obs.LedgerSnapshot, qOK bool) {
 	now := time.Now().Format("15:04:05")
 	fmt.Fprintf(b, "bddtop  %s  %s  frame %d", c.base, now, frame)
 	if qOK {
 		fmt.Fprintf(b, "  |  quality ops %d (%d aborted)", q.Ops, q.Aborts)
-	}
-	if w, ok := scrape.Value("bdd_workers"); ok && w > 0 {
-		fmt.Fprintf(b, "  |  %d workers", int(w))
 	}
 	b.WriteString("\n\n")
 }
@@ -204,7 +188,6 @@ func (c *console) gauges(b *bytes.Buffer, scrape *obs.PromScrape) {
 	occ, _ := scrape.Value("bdd_arena_occupancy")
 	hit, _ := scrape.Value("bdd_cache_hit_rate")
 	gcs, _ := scrape.Value("bdd_gc_total")
-	stw, _ := scrape.Value("bdd_stw_time_ns")
 
 	fmt.Fprintf(b, "  nodes   live %-10s dead %-10s", humanCount(live), humanCount(dead))
 	if limit > 0 {
@@ -216,8 +199,8 @@ func (c *console) gauges(b *bytes.Buffer, scrape *obs.PromScrape) {
 		fmt.Fprintf(b, " limit none")
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(b, "  engine  arena %4.0f%%       cache-hit %4.0f%%   gc %-6s stw %s\n",
-		occ*100, hit*100, humanCount(gcs), time.Duration(stw).Round(time.Millisecond))
+	fmt.Fprintf(b, "  engine  arena %4.0f%%       cache-hit %4.0f%%   gc %s\n",
+		occ*100, hit*100, humanCount(gcs))
 	b.WriteByte('\n')
 }
 
@@ -250,25 +233,6 @@ func (c *console) qualityPanel(b *bytes.Buffer, q obs.LedgerSnapshot) {
 		indented(b, func(w io.Writer) { q.WriteReport(w) })
 		b.WriteByte('\n')
 	}
-}
-
-func (c *console) parallelPanel(b *bytes.Buffer, t bdd.ParTelemetry) {
-	fmt.Fprintf(b, "  parallel  %d workers", t.Workers)
-	if total := t.TasksLocal + t.TasksStolen; total > 0 {
-		fmt.Fprintf(b, "  tasks %d (%.0f%% stolen)", total,
-			100*float64(t.TasksStolen)/float64(total))
-	}
-	b.WriteByte('\n')
-	// HotLevels comes most sampled lock waits first; keep that order.
-	if hot := t.HotLevels[:min(c.topK, len(t.HotLevels))]; len(hot) > 0 {
-		fmt.Fprintf(b, "  hot levels (top %d by sampled lock waits; total wait/waits):", len(hot))
-		for _, h := range hot {
-			fmt.Fprintf(b, "  L%d %s/%d", h.Index,
-				time.Duration(h.WaitNS).Round(time.Microsecond), h.Hits)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteByte('\n')
 }
 
 // spark renders values as a unicode sparkline, one cell per value, scaled

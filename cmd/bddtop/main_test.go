@@ -12,9 +12,8 @@ import (
 )
 
 // TestRenderFrames watches a live session through three frames. The
-// watched Workers=2 manager grows between frames and is idle during them.
-// Every frame shows the gauges, the quality panel and the parallel panel;
-// the trajectories need two frames of history, so they appear from frame
+// watched manager grows between frames and is idle during them. Every
+// frame shows the gauges and the quality panel; the trajectories need two frames of history, so they appear from frame
 // 2 on. The live-node history gains the manager's count each frame, and
 // the live-node sparkline ends with it.
 func TestRenderFrames(t *testing.T) {
@@ -23,10 +22,8 @@ func TestRenderFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	bdd.SetParSampling(1) // sample every lock wait, so the level heat fills
 
 	cfg := bdd.DefaultConfig()
-	cfg.Workers = 2
 	cfg.Observer = sess.Observer()
 	m := bdd.NewWithConfig(64, cfg)
 	sess.ObserveManager(m)
@@ -53,7 +50,6 @@ func TestRenderFrames(t *testing.T) {
 	c := &console{
 		base:   "http://" + sess.BoundAddr,
 		client: &http.Client{Timeout: 5 * time.Second},
-		topK:   3,
 	}
 	sparkLines := []string{"  live nodes    ", "  mass retained ", "  headroom      "}
 	for frame := 1; frame <= 3; frame++ {
@@ -66,7 +62,6 @@ func TestRenderFrames(t *testing.T) {
 		for _, want := range []string{
 			"  nodes   live ", "  engine  arena ", // gauges
 			"quality ops 1 (0 aborted)", "  last op  approx.rua", "retained 0.7500", // quality panel
-			"  parallel  2 workers", "  hot levels (top 3 by sampled lock waits", // parallel panel
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("frame %d lacks %q:\n%s", frame, want, out)
@@ -96,13 +91,15 @@ func TestRenderFrames(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(c.base + "/timeseries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /timeseries = %s, want 404", resp.Status)
+	for _, path := range []string{"/timeseries", "/parallel"} {
+		resp, err := http.Get(c.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %s, want 404", path, resp.Status)
+		}
 	}
 }
 

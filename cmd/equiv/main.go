@@ -7,8 +7,8 @@
 //	equiv golden.net revised.net
 //
 // The standard observability flags apply: -trace writes a JSONL trace,
-// -obs serves /metrics (Prometheus), /quality and /parallel (watch with
-// bddtop), and -metrics prints the end-of-run tables.
+// -obs serves /metrics (Prometheus) and /quality (watch with bddtop), and
+// -metrics prints the end-of-run tables.
 package main
 
 import (
@@ -17,9 +17,7 @@ import (
 	"os"
 	"sort"
 
-	"bddkit/internal/bdd"
 	"bddkit/internal/circuit"
-	"bddkit/internal/cliutil"
 	"bddkit/internal/obs"
 )
 
@@ -27,15 +25,9 @@ import (
 var sess *obs.Session
 
 func main() {
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cliutil.Workers(*workers); err != nil {
-		fmt.Fprintln(os.Stderr, "equiv:", err)
-		os.Exit(2)
-	}
-	bdd.SetDefaultWorkers(*workers)
 	if flag.NArg() != 2 {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] golden.net revised.net\n", os.Args[0])
 		os.Exit(2)

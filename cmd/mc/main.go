@@ -8,9 +8,10 @@
 //	mc -in design.net -ctl "AG(req -> AF ack)" -reachable
 //
 // The standard observability flags apply: -trace writes a JSONL trace,
-// -obs serves /metrics (Prometheus), /quality and /parallel (watch with
-// bddtop), and -metrics prints the end-of-run counter and
-// quality-ledger tables.
+// -obs serves /metrics (Prometheus) and /quality (watch with bddtop), and
+// -metrics prints the end-of-run counter and quality-ledger tables.
+// -workers picks the image schedule: 1 conjoins the clusters in a chain,
+// more in a pairwise tree.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 	ctl := flag.String("ctl", "", "CTL formula (required)")
 	reachable := flag.Bool("reachable", false, "restrict to reachable states first")
 	budget := flag.Duration("budget", 2*time.Minute, "reachability budget with -reachable")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

@@ -2,9 +2,8 @@
 //
 // In its default (trace) mode it checks a JSONL trace file produced by the
 // -trace flag: every line must be a well-formed span or event record (see
-// internal/obs), including the schema-versioned v2 parallel-engine
-// vocabulary (bdd.stw, bdd.stall, bdd.contention) and the v3 quality
-// ledger (quality.op), whose known attributes are checked field-by-field.
+// internal/obs), including the schema-v3 quality ledger (quality.op),
+// whose known attributes are checked field-by-field.
 // It prints a one-line summary and exits nonzero on the first malformed
 // line (reported with its 1-based line number), which makes it usable as a
 // smoke check in CI (see `make obs-smoke` and `make check`).

@@ -10,8 +10,9 @@
 //	reach -model counter -method bfs -trace trace.jsonl -obs :6060
 //
 // With -obs the run serves the observability endpoint (Prometheus
-// /metrics, the /quality approximation-loss ledger, and /parallel); watch
-// it live with `bddtop -addr localhost:6060`. Every traversal iteration yields a
+// /metrics and the /quality approximation-loss ledger); watch it live with
+// `bddtop -addr localhost:6060`. -workers picks the image schedule: 1
+// conjoins the clusters in a chain, more in a pairwise tree. Every traversal iteration yields a
 // quality.op ledger record (fresh mass discovered, mass the subsetted
 // frontier kept, budget headroom), filed when the traversal ends and
 // summarized at exit by -metrics.
@@ -46,7 +47,7 @@ func run() int {
 	cluster := flag.Int("cluster", 2500, "transition-relation cluster threshold")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics after a successful run (stderr)")
 	profile := flag.Bool("profile", false, "emit per-iteration frontier/reached structural profiles as reach.profile trace events (needs -trace)")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

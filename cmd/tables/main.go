@@ -5,14 +5,15 @@
 //	tables -table all                   # everything, test-scale corpus
 //	tables -table 2 -paper              # Table 2 on the paper-scale corpus
 //	tables -table 1 -paper -budget 60s  # Table 1 with a custom per-run budget
-//	tables -table 1 -workers 2 -json -  # per-method times and STW as JSON
+//	tables -table 1 -workers 2 -json -  # tree image schedule, per-method times as JSON
 //
 // The benchmark that gates performance is perfbench (see BENCHMARK.json);
-// -json and -workers are enough for a by-hand scaling comparison.
+// -json and -workers are enough for a by-hand comparison of the two image
+// schedules (-workers 1 conjoins the clusters in a chain, more in a
+// pairwise tree).
 //
 // With -obs the run serves the observability endpoint (/metrics in
-// Prometheus exposition, /quality, /parallel) for scrapers
-// and for `bddtop`. Every manager the tables build reports to the
+// Prometheus exposition, /quality) for scrapers and for `bddtop`. Every manager the tables build reports to the
 // session, so -metrics and -trace cover the corpus build and each
 // traversal's compilation as well as the approximation operators.
 //
@@ -39,7 +40,7 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper-scale corpus and circuits (slower)")
 	budget := flag.Duration("budget", 2*time.Minute, "per-traversal budget for Table 1 with -paper")
 	jsonOut := flag.String("json", "", "also write Table 1's rows with per-phase breakdowns (with -table gauntlet, the gauntlet's rows) as JSON to this `file` (\"-\" = stdout)")
-	workers := flag.Int("workers", 1, "BDD engine worker goroutines (1 = serial, 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()

@@ -5,7 +5,6 @@
 //
 //	traceview summary trace.jsonl      # per-span rollups + critical path
 //	traceview diff a.jsonl b.jsonl     # A/B comparison with signed deltas
-//	traceview amdahl trace.jsonl       # serial-fraction (STW) breakdown
 //
 // "-" reads a trace from stdin. The summary mode prints one rollup line
 // per span/event name (count, total and self wall time, p50/p95) —
@@ -14,9 +13,7 @@
 // diff mode prints the per-phase wall-time deltas of B relative to A,
 // largest change first, tolerating one-sided phases: a name present in
 // only one trace is reported with an "added"/"removed" ratio instead of
-// failing. The amdahl mode aggregates the bdd.stw events of a parallel
-// run into a per-cause stop-the-world table, the measured serial
-// fraction, and the speedup bound it implies.
+// failing.
 package main
 
 import (
@@ -61,17 +58,6 @@ func run(args []string) int {
 		}
 		obs.WriteDiff(os.Stdout, a, b, obs.DiffRollups(a, b))
 		return 0
-	case "amdahl":
-		if len(args) != 2 {
-			usage()
-			return 2
-		}
-		a, code := analyze(args[1])
-		if code != 0 {
-			return code
-		}
-		a.Amdahl().Write(os.Stdout)
-		return 0
 	default:
 		fmt.Fprintf(os.Stderr, "traceview: unknown mode %q\n", args[0])
 		usage()
@@ -104,7 +90,6 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   traceview summary <trace.jsonl>       per-span rollups and critical path
   traceview diff <a.jsonl> <b.jsonl>    A/B per-phase wall-time deltas
-  traceview amdahl <trace.jsonl>        stop-the-world / serial-fraction report
 use "-" to read a trace from stdin
 `)
 }

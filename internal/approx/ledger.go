@@ -9,7 +9,7 @@ import (
 )
 
 // Quality-ledger instrumentation shared by every approximation operator.
-// beginLedger snapshots the input side (DAG size, minterm mass, GC/STW
+// beginLedger snapshots the input side (DAG size, minterm mass, GC
 // time already accrued) and done files the obs.OpRecord in the ledger of
 // the manager's sink. The nil receiver is the disabled path: when the
 // manager has no ledger beginLedger returns nil and neither the DagSize
@@ -25,7 +25,6 @@ type opLedger struct {
 	sizeIn    int
 	massIn    float64
 	gc0       time.Duration
-	stw0      time.Duration
 }
 
 // beginLedger opens a ledger record for op applied to f. threshold is the
@@ -45,7 +44,6 @@ func beginLedger(m *bdd.Manager, op string, f bdd.Ref, threshold int) *opLedger 
 		sizeIn:    m.DagSize(f),
 		massIn:    count.Fraction(m, f),
 		gc0:       st.GCTime,
-		stw0:      st.STWTime,
 	}
 }
 
@@ -68,7 +66,6 @@ func (lg *opLedger) done(r bdd.Ref) {
 		BudgetLive:  m.NodeCount(),
 		DurNS:       time.Since(lg.start).Nanoseconds(),
 		GCNS:        (st.GCTime - lg.gc0).Nanoseconds(),
-		STWNS:       (st.STWTime - lg.stw0).Nanoseconds(),
 	}
 	if rec.SizeIn > 0 {
 		rec.DensityIn = rec.MassIn / float64(rec.SizeIn)

@@ -32,7 +32,8 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -120,17 +121,15 @@ type Config struct {
 	// GCFraction triggers garbage collection when dead nodes exceed this
 	// fraction of the arena (checked on allocation pressure).
 	GCFraction float64
-	// Workers sets how many OS threads operations may use. Both engines
-	// run the same kernel recursions over a worker context: 1 runs them
-	// with no worker (plain reference counts, no locks, no forks); larger
-	// values enable the lock-striped parallel engine and work-stealing
-	// kernels. Neither engine is the other's reference: both are checked
-	// against the truth-table oracle and the gauntlet's closed-form counts.
-	// Zero selects the package default (see SetDefaultWorkers), which
-	// starts at 1; set it to runtime.GOMAXPROCS(0) to use every core.
+	// Workers selects the image schedule of the reachability engine:
+	// reach.Image conjoins the clusters of a transition relation in a
+	// balanced pairwise tree when Workers > 1 and in the left-deep chain
+	// otherwise. Nothing else reads it; every manager runs the same
+	// single-threaded engine. Zero selects the package default (see
+	// SetDefaultWorkers), which starts at 1.
 	Workers int
-	// Observer receives the manager's GC, reorder, abort, invariant and
-	// parallel-engine events for its whole lifetime (nil = none).
+	// Observer receives the manager's GC, reorder, abort and invariant
+	// events for its whole lifetime (nil = none).
 	Observer Observer
 }
 
@@ -147,13 +146,14 @@ func DefaultConfig() Config {
 // Manager owns the node arena, the unique subtables (one per variable
 // level), the computed cache, and the variable order. All operations on Refs
 // are methods of the Manager that created them; Refs from different
-// managers must never be mixed.
+// managers must never be mixed. A Manager is not safe for concurrent use:
+// callers that share one between goroutines serialize its operations.
 type Manager struct {
 	nodes     []node
 	nodesUsed int64 // arena cursor: slots [0, nodesUsed) have been handed out
 	free      int32 // head of the free list (chained via node.next)
 
-	par *parEngine // nil on serial managers (Workers <= 1)
+	workers int // Config.Workers after defaulting; read only by Workers
 
 	subtables []subtable // one per level, index = level
 	varToLev  []int32    // variable index -> level
@@ -172,7 +172,6 @@ type Manager struct {
 	reorderThreshold int
 	swapBuf          []int32 // swapInPlace's rewrite list, reused so swaps do not allocate
 
-	marksMu   sync.Mutex
 	marksFree []*Marks // released visited sets (marks.go), reused by the next traversals
 
 	scope     *runScope // innermost active Run (nil = unbounded)
@@ -217,18 +216,10 @@ type Stats struct {
 	PeakLive     int           // high-water mark of live nodes
 	PeakITEDepth int           // deepest ITE recursion observed
 
-	TasksStolen int64 // parallel subproblems executed by a different worker
-	TasksLocal  int64 // forked subproblems reclaimed by their owner at join
-
-	// Quiescence accounting on a parallel manager: write-lease /
-	// stop-the-world epochs (GC, reorder, cache resize, load, ...) and the
-	// total wall time the engine stayed excluded, summed over their pauses
-	// (epochs never overlap, so it cannot exceed the wall time). This is
-	// the serial fraction an Amdahl breakdown attributes speedup loss to.
-	// Always zero on a serial manager. Per-cause pauses and drain waits
-	// are in Manager.ParTelemetry.
-	STWCount int64
-	STWTime  time.Duration
+	// Always 0: kept only for benchmark code compiled against them.
+	TasksStolen int64
+	TasksLocal  int64
+	STWCount    int64
 }
 
 // New creates a Manager with numVars variables (indexed 0..numVars-1, with
@@ -252,12 +243,15 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	if cfg.GCFraction <= 0 {
 		cfg.GCFraction = def.GCFraction
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = int(defaultWorkers.Load())
+	}
 	m := &Manager{
 		// The arena is cursor-based: full length from the start, with
-		// nodesUsed marking the first virgin slot. A fixed len==cap slice
-		// never reallocates outside growArena, which parallel mode runs
-		// only at stop-the-world points.
+		// nodesUsed marking the first virgin slot; only growArena
+		// reallocates it.
 		nodes:            make([]node, cfg.InitialNodes),
+		workers:          cfg.Workers,
 		nodesUsed:        1,
 		free:             nilIndex,
 		gcFraction:       cfg.GCFraction,
@@ -269,17 +263,31 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	m.cache.init(cfg.CacheBits, cfg.CacheMaxBits)
 	m.liveCount = 1
 	for i := 0; i < numVars; i++ {
-		m.addVarS()
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = int(defaultWorkers.Load())
-	}
-	if workers > 1 {
-		m.par = newParEngine(m, workers)
+		m.AddVar()
 	}
 	return m
 }
+
+// defaultWorkers is the package-wide default for Config.Workers == 0,
+// settable by command-line wiring (the cmd binaries whose image steps read
+// it expose -workers). It starts at 1: the chain schedule.
+var defaultWorkers atomic.Int32
+
+func init() { defaultWorkers.Store(1) }
+
+// SetDefaultWorkers sets the worker count recorded by managers created with
+// Config.Workers == 0 (including every bdd.New call). n <= 0 selects
+// runtime.GOMAXPROCS(0). It only affects managers created afterwards.
+func SetDefaultWorkers(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	defaultWorkers.Store(int32(n))
+}
+
+// Workers returns the manager's configured worker count, the image-schedule
+// selector described at Config.Workers.
+func (m *Manager) Workers() int { return m.workers }
 
 // NumVars returns the number of variables known to the manager.
 func (m *Manager) NumVars() int { return len(m.vars) }
@@ -288,24 +296,6 @@ func (m *Manager) NumVars() int { return len(m.vars) }
 // returns its projection function. The projection function is permanently
 // referenced.
 func (m *Manager) AddVar() Ref {
-	var v Ref
-	m.exclusive(func() { v = m.addVarLocked() })
-	return v
-}
-
-// addVarLocked is AddVar on a quiescent manager; it also grows the parallel
-// engine's per-level lock array in step with the subtables.
-func (m *Manager) addVarLocked() Ref {
-	v := m.addVarS()
-	if m.par != nil {
-		m.par.tableMu = append(m.par.tableMu, padMutex{})
-		m.par.growLevelHeat(len(m.subtables))
-	}
-	return v
-}
-
-// addVarS is the serial AddVar body.
-func (m *Manager) addVarS() Ref {
 	idx := int32(len(m.vars))
 	lev := int32(len(m.subtables))
 	m.subtables = append(m.subtables, newSubtable())
@@ -378,23 +368,6 @@ func (m *Manager) StructLo(f Ref) Ref { return m.nodes[f.index()].lo }
 // Ref increments the external reference count of f and returns f. Constants
 // and projection functions are permanent and unaffected.
 func (m *Manager) Ref(f Ref) Ref {
-	if m.par != nil {
-		return m.refPublic(f)
-	}
-	return m.refS(f)
-}
-
-// refS is the serial Ref body; internal serial code (and exclusive sections
-// on a parallel manager) must use it instead of the public dispatcher.
-func (m *Manager) refS(f Ref) Ref { return m.refW(nil, f) }
-
-// refW adds one reference to f on behalf of worker w; a nil worker runs the
-// serial body.
-func (m *Manager) refW(w *parWorker, f Ref) Ref {
-	if w != nil {
-		m.refParIndex(f.index())
-		return f
-	}
 	n := &m.nodes[f.index()]
 	if n.ref == refSaturated {
 		return f
@@ -412,28 +385,10 @@ func (m *Manager) refW(w *parWorker, f Ref) Ref {
 // Deref releases one reference to f. When the count reaches zero the node
 // becomes dead: it remains structurally valid until the next garbage
 // collection, and is resurrected if looked up again before that.
-func (m *Manager) Deref(f Ref) {
-	if m.par != nil {
-		m.derefPublic(f)
-		return
-	}
-	m.derefIndex(f.index())
-}
+func (m *Manager) Deref(f Ref) { m.derefIndex(f.index()) }
 
-// derefS is the serial Deref body, the counterpart of refS.
-func (m *Manager) derefS(f Ref) {
-	m.derefIndex(f.index())
-}
-
-func (m *Manager) derefIndex(idx int32) { m.derefIndexW(nil, idx) }
-
-// derefIndexW drops one reference on behalf of worker w; a nil worker runs
-// the serial body.
-func (m *Manager) derefIndexW(w *parWorker, idx int32) {
-	if w != nil {
-		m.derefParIndex(idx)
-		return
-	}
+// derefIndex drops one reference to the node at idx.
+func (m *Manager) derefIndex(idx int32) {
 	n := &m.nodes[idx]
 	if n.ref == refSaturated {
 		return
@@ -447,15 +402,14 @@ func (m *Manager) derefIndexW(w *parWorker, idx int32) {
 		m.liveCount--
 		// Recursively release the internal references this node holds
 		// on its children.
-		m.derefIndexW(nil, n.hi.index())
-		m.derefIndexW(nil, n.lo.index())
+		m.derefIndex(n.hi.index())
+		m.derefIndex(n.lo.index())
 	}
 }
 
 // reclaim resurrects a dead node (ref count zero): it restores the
 // references the node holds on its children, recursively resurrecting them
 // as needed. Callers ensure the node's count becomes 1 (one new owner).
-// It is the serial counterpart of refParIndex's 0->1 transition.
 func (m *Manager) reclaim(f Ref) {
 	idx := f.index()
 	n := &m.nodes[idx]
@@ -477,47 +431,14 @@ func (m *Manager) reclaim(f Ref) {
 }
 
 // NodeCount returns the number of live (externally or internally referenced)
-// nodes, including the terminal. On a parallel manager the count is
-// advisory while operations are in flight (it reads atomic mirrors) and
-// exact at quiescence.
-func (m *Manager) NodeCount() int {
-	if m.par != nil {
-		return int(m.par.liveApprox())
-	}
-	return m.liveCount
-}
+// nodes, including the terminal.
+func (m *Manager) NodeCount() int { return m.liveCount }
 
-// DeadCount returns the number of dead nodes awaiting collection (advisory
-// on a parallel manager, like NodeCount).
-func (m *Manager) DeadCount() int {
-	if m.par != nil {
-		return int(m.par.deadBase.Load() + m.par.deadDelta.Load())
-	}
-	return m.deadCount
-}
+// DeadCount returns the number of dead nodes awaiting collection.
+func (m *Manager) DeadCount() int { return m.deadCount }
 
-// Stats returns a snapshot of the manager's operation counters. On a
-// parallel manager the snapshot excludes worker-local counters of
-// operations still in flight (they merge at operation exit).
-func (m *Manager) Stats() Stats {
-	if m.par == nil {
-		return m.stats
-	}
-	e := m.par
-	e.opLease.RLock()
-	defer e.opLease.RUnlock()
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	m.foldExtraCacheStats()
-	s := m.stats
-	s.TasksStolen = e.tasksStolen.Load()
-	s.TasksLocal = e.tasksLocal.Load()
-	s.STWCount, s.STWTime = e.stwTotals()
-	if p := int(e.peakLive.Load()); p > s.PeakLive {
-		s.PeakLive = p
-	}
-	return s
-}
+// Stats returns a snapshot of the manager's operation counters.
+func (m *Manager) Stats() Stats { return m.stats }
 
 // checkArgs panics if any argument Ref is out of range; cheap insurance
 // against cross-manager mixups in debug paths.

@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -78,16 +77,9 @@ func TestCanonicity(t *testing.T) {
 }
 
 // TestOpsAgainstBruteForce checks every connective, ITE and Leq against
-// truth tables on both engines.
+// truth tables.
 func TestOpsAgainstBruteForce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opsAgainstBruteForce(t, newPar(t, 5, workers))
-		})
-	}
-}
-
-func opsAgainstBruteForce(t *testing.T, m *Manager) {
+	m := New(5)
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(42))
 	// Build 40 random functions via random expression trees and check
@@ -219,16 +211,9 @@ func TestMintermCount(t *testing.T) {
 }
 
 // TestQuantification checks Exists and ForAll against truth tables, and
-// AndExists against Exists∘And, on both engines.
+// AndExists against Exists∘And.
 func TestQuantification(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			quantification(t, newPar(t, 5, workers))
-		})
-	}
-}
-
-func quantification(t *testing.T, m *Manager) {
+	m := New(5)
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 25; iter++ {

@@ -28,11 +28,7 @@ func (m *Manager) Consensus(f Ref, v int) Ref {
 // Intersect reports whether f and g share at least one minterm, without
 // building f AND g (it stops at the first witness).
 func (m *Manager) Intersect(f, g Ref) bool {
-	var res bool
-	m.readLocked(func() {
-		res = m.intersectRec(f, g, make(map[[2]Ref]bool))
-	})
-	return res
+	return m.intersectRec(f, g, make(map[[2]Ref]bool))
 }
 
 func (m *Manager) intersectRec(f, g Ref, seen map[[2]Ref]bool) bool {

@@ -161,15 +161,6 @@ func cacheHash(op uint32, a, b, cc Ref) uint32 {
 // cacheLookup probes the cache; ok reports a hit. The result Ref may be
 // dead and must be revived by the caller before any allocation.
 func (m *Manager) cacheLookup(op uint32, a, b, c Ref) (Ref, bool) {
-	return m.cacheLookupW(nil, op, a, b, c)
-}
-
-// cacheLookupW is cacheLookup on behalf of worker w; a nil worker runs the
-// serial body.
-func (m *Manager) cacheLookupW(w *parWorker, op uint32, a, b, c Ref) (Ref, bool) {
-	if w != nil {
-		return m.cacheLookupPar(w, op, a, b, c)
-	}
 	m.stats.CacheLookups++
 	cc := &m.cache
 	set := cc.set(cacheHash(op, a, b, c) & cc.setMask)
@@ -188,15 +179,7 @@ func (m *Manager) cacheLookupW(w *parWorker, op uint32, a, b, c Ref) (Ref, bool)
 // cacheInsert records op(a,b,c) = res. Within the target set it overwrites
 // a same-key entry if present, else fills a free (or stale-generation) way,
 // else evicts the least recently touched entry.
-func (m *Manager) cacheInsert(op uint32, a, b, c Ref, res Ref) { m.cacheInsertW(nil, op, a, b, c, res) }
-
-// cacheInsertW is cacheInsert on behalf of worker w; a nil worker runs the
-// serial body.
-func (m *Manager) cacheInsertW(w *parWorker, op uint32, a, b, c Ref, res Ref) {
-	if w != nil {
-		m.cacheInsertPar(w, op, a, b, c, res)
-		return
-	}
+func (m *Manager) cacheInsert(op uint32, a, b, c Ref, res Ref) {
 	cc := &m.cache
 	set := cc.set(cacheHash(op, a, b, c) & cc.setMask)
 	var free, oldest *cacheEntry
@@ -376,10 +359,6 @@ func (m *Manager) checkCache() error {
 // per call, which allows billions of calls per manager — but callers that
 // can reuse a code across calls should.
 func (m *Manager) CacheOp() uint32 {
-	if m.par != nil {
-		m.par.statsMu.Lock()
-		defer m.par.statsMu.Unlock()
-	}
 	code := opUser + m.userOp
 	if code < opUser {
 		panic("bdd: CacheOp code space exhausted (2^32 codes allocated); " +
@@ -391,36 +370,13 @@ func (m *Manager) CacheOp() uint32 {
 
 // CacheLookup probes the computed table under a client operation code
 // obtained from CacheOp. The returned Ref, on a hit, may be dead: revive it
-// with Ref before creating any node. On a parallel manager the
-// lookup-then-revive protocol is only safe while no other goroutine runs
-// operations on the manager (a concurrent allocation could trigger a
-// collection that frees the dead node in between) — client algorithms are
-// single-threaded over their manager, so this holds in practice.
+// with Ref before creating any node.
 func (m *Manager) CacheLookup(op uint32, a, b, c Ref) (Ref, bool) {
-	if m.par != nil {
-		e := m.par
-		e.opLease.RLock()
-		e.mem.enter()
-		r, ok := m.cacheLookupPar(nil, op, a, b, c)
-		e.mem.exit()
-		e.opLease.RUnlock()
-		return r, ok
-	}
 	return m.cacheLookup(op, a, b, c)
 }
 
 // CacheInsert records a client-computed result in the computed table.
 func (m *Manager) CacheInsert(op uint32, a, b, c Ref, res Ref) {
-	if m.par != nil {
-		e := m.par
-		e.opLease.RLock()
-		e.mem.enter()
-		m.cacheInsertPar(nil, op, a, b, c, res)
-		e.mem.exit()
-		m.maybeCacheEpochPar()
-		e.opLease.RUnlock()
-		return
-	}
 	m.cacheInsert(op, a, b, c, res)
 }
 
@@ -428,8 +384,6 @@ func (m *Manager) CacheInsert(op uint32, a, b, c Ref, res Ref) {
 // bump. Benchmarks use it to measure cold-cache operation cost; client
 // algorithms can use it to drop memoized results wholesale.
 func (m *Manager) ClearCache() {
-	m.exclusiveCause(stwCacheResize, func() {
-		m.cache.invalidateAll()
-		m.stats.CacheGenerations++
-	})
+	m.cache.invalidateAll()
+	m.stats.CacheGenerations++
 }

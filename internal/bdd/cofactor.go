@@ -14,20 +14,18 @@ func (m *Manager) Constrain(f, c Ref) Ref {
 	if c == Zero {
 		panic("bdd: Constrain with empty care set")
 	}
-	var r Ref
-	m.exclusive(func() { r = m.constrainRec(f, c) })
-	return r
+	return m.constrainRec(f, c)
 }
 
 func (m *Manager) constrainRec(f, c Ref) Ref {
 	if c == One || f.IsConstant() || f == c {
-		return m.refS(f)
+		return m.Ref(f)
 	}
 	if f == c.Complement() {
 		return Zero
 	}
 	if r, ok := m.cacheLookup(opConstrain, f, c, 0); ok {
-		return m.refS(r)
+		return m.Ref(r)
 	}
 	lev := m.top2(f, c)
 	f1, f0 := m.cofs(f, lev)
@@ -42,8 +40,8 @@ func (m *Manager) constrainRec(f, c Ref) Ref {
 		t := m.constrainRec(f1, c1)
 		e := m.constrainRec(f0, c0)
 		r = m.makeNode(lev, t, e)
-		m.derefS(t)
-		m.derefS(e)
+		m.Deref(t)
+		m.Deref(e)
 	}
 	m.cacheInsert(opConstrain, f, c, 0, r)
 	return r
@@ -58,14 +56,12 @@ func (m *Manager) Restrict(f, c Ref) Ref {
 	if c == Zero {
 		panic("bdd: Restrict with empty care set")
 	}
-	var r Ref
-	m.exclusive(func() { r = m.restrictRec(f, c) })
-	return r
+	return m.restrictRec(f, c)
 }
 
 func (m *Manager) restrictRec(f, c Ref) Ref {
 	if c == One || f.IsConstant() {
-		return m.refS(f)
+		return m.Ref(f)
 	}
 	if f == c {
 		return One
@@ -79,13 +75,13 @@ func (m *Manager) restrictRec(f, c Ref) Ref {
 		// The top variable of c does not appear at the top of f:
 		// abstract it from the care set (c := c1 OR c0) and retry.
 		c1, c0 := m.cofs(c, lc)
-		cc := m.andRec(nil, c1.Complement(), c0.Complement(), 1).Complement()
+		cc := m.andRec(c1.Complement(), c0.Complement()).Complement()
 		r := m.restrictRec(f, cc)
-		m.derefS(cc)
+		m.Deref(cc)
 		return r
 	}
 	if r, ok := m.cacheLookup(opRestrict, f, c, 0); ok {
-		return m.refS(r)
+		return m.Ref(r)
 	}
 	f1, f0 := m.cofs(f, lf)
 	c1, c0 := m.cofs(c, lf)
@@ -101,8 +97,8 @@ func (m *Manager) restrictRec(f, c Ref) Ref {
 		t := m.restrictRec(f1, c1)
 		e := m.restrictRec(f0, c0)
 		r = m.makeNode(lf, t, e)
-		m.derefS(t)
-		m.derefS(e)
+		m.Deref(t)
+		m.Deref(e)
 	}
 	m.cacheInsert(opRestrict, f, c, 0, r)
 	return r
@@ -119,35 +115,33 @@ func (m *Manager) Minimize(l, u Ref) Ref {
 	if !m.Leq(l, u) {
 		panic("bdd: Minimize requires l ≤ u")
 	}
-	var best Ref
-	m.exclusive(func() { best = m.minimizeNow(l, u) })
-	return best
+	return m.minimizeNow(l, u)
 }
 
 func (m *Manager) minimizeNow(l, u Ref) Ref {
-	best := m.refS(l)
-	bestSize := m.dagSize(l)
-	if sq := m.squeezeRec(l, u); m.dagSize(sq) < bestSize {
-		m.derefS(best)
+	best := m.Ref(l)
+	bestSize := m.DagSize(l)
+	if sq := m.squeezeRec(l, u); m.DagSize(sq) < bestSize {
+		m.Deref(best)
 		best = sq
-		bestSize = m.dagSize(sq)
+		bestSize = m.DagSize(sq)
 	} else {
-		m.derefS(sq)
+		m.Deref(sq)
 	}
-	if us := m.dagSize(u); us < bestSize {
-		m.derefS(best)
-		best = m.refS(u)
+	if us := m.DagSize(u); us < bestSize {
+		m.Deref(best)
+		best = m.Ref(u)
 		bestSize = us
 	}
 	// care = l OR ¬u; don't-care region is u·¬l.
-	care := m.andRec(nil, l.Complement(), u, 1).Complement()
+	care := m.andRec(l.Complement(), u).Complement()
 	if care == One {
 		return best // no don't-cares: l == u
 	}
 	if care == Zero {
 		// Everything is a don't care (l = 0, u = 1): any function
 		// qualifies; the constant is the smallest.
-		m.derefS(best)
+		m.Deref(best)
 		return Zero
 	}
 	for _, bound := range [2]Ref{l, u} {
@@ -155,15 +149,15 @@ func (m *Manager) minimizeNow(l, u Ref) Ref {
 		// the bound on care and is arbitrary elsewhere, hence always
 		// stays inside [l, u]. Keep it if smaller.
 		cand := m.restrictRec(bound, care)
-		if cs := m.dagSize(cand); cs < bestSize {
-			m.derefS(best)
+		if cs := m.DagSize(cand); cs < bestSize {
+			m.Deref(best)
 			best = cand
 			bestSize = cs
 		} else {
-			m.derefS(cand)
+			m.Deref(cand)
 		}
 	}
-	m.derefS(care)
+	m.Deref(care)
 	return best
 }
 
@@ -180,14 +174,12 @@ func (m *Manager) CofactorVar(f Ref, v int, value bool) Ref {
 // possibly negated variables): each variable in the cube is fixed to the
 // polarity it appears with.
 func (m *Manager) CofactorCube(f, cube Ref) Ref {
-	var r Ref
-	m.exclusive(func() { r = m.cofCubeRec(f, cube) })
-	return r
+	return m.cofCubeRec(f, cube)
 }
 
 func (m *Manager) cofCubeRec(f, cube Ref) Ref {
 	if cube == One || f.IsConstant() {
-		return m.refS(f)
+		return m.Ref(f)
 	}
 	if cube == Zero {
 		panic("bdd: CofactorCube with contradictory cube")
@@ -203,7 +195,7 @@ func (m *Manager) cofCubeRec(f, cube Ref) Ref {
 		return m.cofCubeRec(f, c0)
 	}
 	if r, ok := m.cacheLookup(opCofCube, f, cube, 0); ok {
-		return m.refS(r)
+		return m.Ref(r)
 	}
 	f1, f0 := m.cofs(f, lf)
 	var r Ref
@@ -218,8 +210,8 @@ func (m *Manager) cofCubeRec(f, cube Ref) Ref {
 		t := m.cofCubeRec(f1, cube)
 		e := m.cofCubeRec(f0, cube)
 		r = m.makeNode(lf, t, e)
-		m.derefS(t)
-		m.derefS(e)
+		m.Deref(t)
+		m.Deref(e)
 	}
 	m.cacheInsert(opCofCube, f, cube, 0, r)
 	return r
@@ -235,9 +227,7 @@ func (m *Manager) Squeeze(l, u Ref) Ref {
 	if !m.Leq(l, u) {
 		panic("bdd: Squeeze requires l ≤ u")
 	}
-	var r Ref
-	m.exclusive(func() { r = m.squeezeRec(l, u) })
-	return r
+	return m.squeezeRec(l, u)
 }
 
 func (m *Manager) squeezeRec(l, u Ref) Ref {
@@ -248,10 +238,10 @@ func (m *Manager) squeezeRec(l, u Ref) Ref {
 		return One
 	}
 	if l == u {
-		return m.refS(l)
+		return m.Ref(l)
 	}
 	if r, ok := m.cacheLookup(opSqueeze, l, u, 0); ok {
-		return m.refS(r)
+		return m.Ref(r)
 	}
 	lev := m.top2(l, u)
 	l1, l0 := m.cofs(l, lev)
@@ -259,19 +249,19 @@ func (m *Manager) squeezeRec(l, u Ref) Ref {
 	var r Ref
 	// If the branch intervals intersect, drop the variable entirely:
 	// any g with l1+l0 ≤ g ≤ u1·u0 lies in both branch intervals.
-	meetL := m.andRec(nil, l1.Complement(), l0.Complement(), 1).Complement() // l1 OR l0
-	meetU := m.andRec(nil, u1, u0, 1)
-	if m.leqRec(nil, meetL, meetU) {
+	meetL := m.andRec(l1.Complement(), l0.Complement()).Complement() // l1 OR l0
+	meetU := m.andRec(u1, u0)
+	if m.leqRec(meetL, meetU) {
 		r = m.squeezeRec(meetL, meetU)
 	} else {
 		t := m.squeezeRec(l1, u1)
 		e := m.squeezeRec(l0, u0)
 		r = m.makeNode(lev, t, e)
-		m.derefS(t)
-		m.derefS(e)
+		m.Deref(t)
+		m.Deref(e)
 	}
-	m.derefS(meetL)
-	m.derefS(meetU)
+	m.Deref(meetL)
+	m.Deref(meetU)
 	m.cacheInsert(opSqueeze, l, u, 0, r)
 	return r
 }

@@ -9,8 +9,7 @@ import "fmt"
 // reported to the manager's Observer, which lets the flight recorder dump
 // the trace events leading up to the corruption.
 func (m *Manager) DebugCheck() error {
-	var err error
-	m.exclusiveCause(stwDebug, func() { err = m.debugCheck() })
+	err := m.debugCheck()
 	if err != nil && m.observer != nil {
 		m.observer.DebugFailure(err)
 	}
@@ -79,14 +78,8 @@ func (m *Manager) debugCheck() error {
 }
 
 // ReferencedNodeCount returns the number of live internal nodes (excludes
-// the terminal), for tests that assert on leak-freedom. Advisory on a
-// parallel manager while operations are in flight.
-func (m *Manager) ReferencedNodeCount() int {
-	if m.par != nil {
-		return int(m.par.liveApprox()) - 1
-	}
-	return m.liveCount - 1
-}
+// the terminal), for tests that assert on leak-freedom.
+func (m *Manager) ReferencedNodeCount() int { return m.liveCount - 1 }
 
 // PermanentNodeCount returns the number of nodes that can never be
 // reclaimed: the terminal plus one projection node per variable.

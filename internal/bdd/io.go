@@ -80,12 +80,6 @@ func (m *Manager) Save(w io.Writer, names []string, roots []Ref) error {
 	if len(names) != len(roots) {
 		return fmt.Errorf("bdd: Save: %d names for %d roots", len(names), len(roots))
 	}
-	var err error
-	m.readLocked(func() { err = m.saveLocked(w, names, roots) })
-	return err
-}
-
-func (m *Manager) saveLocked(w io.Writer, names []string, roots []Ref) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, ioMagic)
 	fmt.Fprintf(bw, "vars %d\n", m.NumVars())
@@ -152,13 +146,6 @@ func (m *Manager) saveLocked(w io.Writer, names []string, roots []Ref) error {
 // set if the file needs more variables. It returns the roots by name, each
 // carrying one reference owned by the caller.
 func (m *Manager) Load(r io.Reader) (map[string]Ref, error) {
-	var out map[string]Ref
-	var err error
-	m.exclusiveCause(stwSaveLoad, func() { out, err = m.loadLocked(r) })
-	return out, err
-}
-
-func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	// The stream earns its byte budget from its own header: a small
@@ -201,7 +188,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 		return nil, fmt.Errorf("bdd: Load: vars %d outside [0,%d]", nvars, MaxLoadVars)
 	}
 	for m.NumVars() < nvars {
-		m.addVarLocked()
+		m.AddVar()
 	}
 	var nnodes int
 	if s, err := line(); err != nil {
@@ -226,7 +213,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 	// release drops the construction references (only filled slots exist).
 	release := func() {
 		for _, f := range byID[1:] {
-			m.derefS(f)
+			m.Deref(f)
 		}
 	}
 	filled := 0
@@ -271,7 +258,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 			release()
 			return nil, err
 		}
-		byID = append(byID, m.iteRec(nil, m.IthVar(v), hi, lo, 1))
+		byID = append(byID, m.iteRec(m.IthVar(v), hi, lo, 1))
 		filled = i
 	}
 	var nroots int
@@ -292,7 +279,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 		s, err := line()
 		if err != nil {
 			for _, f := range out {
-				m.derefS(f)
+				m.Deref(f)
 			}
 			release()
 			return nil, err
@@ -300,7 +287,7 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 		fields := strings.Fields(s)
 		if len(fields) != 2 {
 			for _, f := range out {
-				m.derefS(f)
+				m.Deref(f)
 			}
 			release()
 			return nil, fmt.Errorf("bdd: Load: bad root line %q", s)
@@ -308,12 +295,12 @@ func (m *Manager) loadLocked(r io.Reader) (map[string]Ref, error) {
 		f, err := dec(fields[1])
 		if err != nil {
 			for _, fr := range out {
-				m.derefS(fr)
+				m.Deref(fr)
 			}
 			release()
 			return nil, err
 		}
-		out[fields[0]] = m.refS(f)
+		out[fields[0]] = m.Ref(f)
 	}
 	release()
 	return out, nil

@@ -14,10 +14,9 @@ import (
 // clock: context.AfterFunc raises a flag when the context ends, and
 // allocation polls that flag every deadlineCheckInterval allocations.
 // Reordering polls the same flag before it starts, between swaps, and
-// (on a serial manager) between the subtables its sweeps visit (see
-// reorderNow, gc and siftVar). When a limit
-// trips, allocation panics with OpAborted and Run converts the panic into
-// its returned error.
+// between the subtables its sweeps visit (see Reorder, gc and siftVar).
+// When a limit trips, allocation panics with OpAborted and Run converts
+// the panic into its returned error.
 //
 // Runs nest. An inner Run only tightens: the smaller node ceiling applies,
 // the outer context still ends the inner work, and the outer limits are
@@ -99,16 +98,12 @@ func (m *Manager) Run(ctx context.Context, nodeLimit int, fn func() error) (err 
 		return ab
 	}
 	defer context.AfterFunc(ctx, func() { s.ended.Store(true) })()
-	m.exclusive(func() {
-		m.scope, m.nodeLimit, m.allocTick = s, s.limit, 0
-	})
+	m.scope, m.nodeLimit, m.allocTick = s, s.limit, 0
 	defer func() {
-		m.exclusive(func() {
-			m.scope, m.nodeLimit = s.outer, 0
-			if s.outer != nil {
-				m.nodeLimit = s.outer.limit
-			}
-		})
+		m.scope, m.nodeLimit = s.outer, 0
+		if s.outer != nil {
+			m.nodeLimit = s.outer.limit
+		}
 		if r := recover(); r != nil {
 			ab, ok := r.(OpAborted)
 			if !ok {
@@ -131,11 +126,6 @@ func (m *Manager) NodeLimit() int { return m.nodeLimit }
 // subtables.
 func (m *Manager) stopRequested() bool { return m.scope.stopped() }
 
-// ceilingAbort is the abort for a live count above the node ceiling.
-func (m *Manager) ceilingAbort(live int64) OpAborted {
-	return OpAborted{Reason: fmt.Sprintf("live nodes %d exceed limit %d", live, m.nodeLimit)}
-}
-
 // checkLimits is called from node allocation.
 func (m *Manager) checkLimits() {
 	if m.noGC {
@@ -146,7 +136,7 @@ func (m *Manager) checkLimits() {
 		return
 	}
 	if m.nodeLimit > 0 && m.liveCount > m.nodeLimit {
-		ab := m.ceilingAbort(int64(m.liveCount))
+		ab := OpAborted{Reason: fmt.Sprintf("live nodes %d exceed limit %d", m.liveCount, m.nodeLimit)}
 		if m.observer != nil {
 			// Node-budget exhaustion is a diagnosis-worthy event (unlike
 			// routine deadline aborts): give the flight recorder a chance

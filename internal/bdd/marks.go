@@ -7,10 +7,8 @@ package bdd
 // hands them out again, so a traversal costs no allocation once the pool
 // holds a set as large as the arena.
 //
-// A Marks belongs to one traversal on one goroutine: never share one
-// between concurrent readers. Concurrent traversals each take their own
-// (NewMarks is safe to call concurrently), so a parallel manager pays
-// 4 bytes per arena slot for every traversal in flight.
+// A Marks belongs to one traversal: traversals in flight at once (nested
+// ones, say) each take their own, at 4 bytes per arena slot.
 type Marks struct {
 	m     *Manager
 	stamp []uint32
@@ -21,25 +19,14 @@ type Marks struct {
 // grows on demand when Mark meets a node past that size. Call Release when
 // the traversal is done.
 func (m *Manager) NewMarks() *Marks {
-	var n int
-	m.readLocked(func() { n = len(m.nodes) })
-	return m.newMarks(n)
-}
-
-// newMarks is NewMarks for callers that already hold a lease (or a
-// quiescent serial manager) and pass the arena length themselves.
-func (m *Manager) newMarks(n int) *Marks {
-	m.marksMu.Lock()
 	var s *Marks
 	if k := len(m.marksFree); k > 0 {
 		s = m.marksFree[k-1]
 		m.marksFree = m.marksFree[:k-1]
-	}
-	m.marksMu.Unlock()
-	if s == nil {
+	} else {
 		s = &Marks{m: m}
 	}
-	if len(s.stamp) < n {
+	if n := len(m.nodes); len(s.stamp) < n {
 		s.stamp = make([]uint32, n)
 		s.epoch = 0
 	}
@@ -79,9 +66,4 @@ func (s *Marks) grow(i int) {
 
 // Release returns the set to its manager for the next traversal. The
 // caller must not use it afterwards.
-func (s *Marks) Release() {
-	m := s.m
-	m.marksMu.Lock()
-	m.marksFree = append(m.marksFree, s)
-	m.marksMu.Unlock()
-}
+func (s *Marks) Release() { s.m.marksFree = append(s.m.marksFree, s) }

@@ -7,15 +7,7 @@ package bdd
 // DagSize returns |f|: the number of distinct nodes in the BDD rooted at f,
 // including the constant node (the CUDD convention).
 func (m *Manager) DagSize(f Ref) int {
-	var n int
-	m.readLocked(func() { n = m.dagSize(f) })
-	return n
-}
-
-// dagSize is the lock-free body of DagSize, for internal use under a lease
-// the caller already holds.
-func (m *Manager) dagSize(f Ref) int {
-	mk := m.newMarks(len(m.nodes))
+	mk := m.NewMarks()
 	n := m.dagSizeRec(f, mk)
 	mk.Release()
 	return n
@@ -37,14 +29,12 @@ func (m *Manager) dagSizeRec(f Ref, mk *Marks) int {
 // SharingSize returns the number of distinct nodes in the forest rooted at
 // the given functions — the "shared size" reported in Table 4 of the paper.
 func (m *Manager) SharingSize(fs []Ref) int {
-	var n int
-	m.readLocked(func() {
-		mk := m.newMarks(len(m.nodes))
-		for _, f := range fs {
-			n += m.dagSizeRec(f, mk)
-		}
-		mk.Release()
-	})
+	mk := m.NewMarks()
+	n := 0
+	for _, f := range fs {
+		n += m.dagSizeRec(f, mk)
+	}
+	mk.Release()
 	return n
 }
 
@@ -74,7 +64,5 @@ func (m *Manager) CountPath(f Ref) float64 {
 		memo[k] = v
 		return v
 	}
-	var out float64
-	m.readLocked(func() { out = rec(f) })
-	return out
+	return rec(f)
 }

@@ -15,9 +15,9 @@ import (
 // The Table 1 experiments of the paper run with dynamic reordering always
 // on; clients get the same effect by enabling auto-reordering, which
 // triggers at the entry of an operation once the live node count crosses a
-// threshold. One rule covers both engines: every binary Boolean
-// connective, ITE and quantifier takes the hook; Not (a free complement),
-// Leq, Compose, Permute and CubeFromVars do not.
+// threshold. Every binary Boolean connective, ITE and quantifier takes the
+// hook; Not (a free complement), Leq, Compose, Permute and CubeFromVars do
+// not.
 
 // ReorderMethod selects a reordering algorithm.
 type ReorderMethod int
@@ -44,26 +44,18 @@ const siftMaxGrowth = 2.0
 
 // EnableAutoReorder arms automatic sifting: whenever a hooked operation
 // starts and the live node count exceeds threshold, the manager sifts and
-// doubles the threshold. Refs held by callers stay valid. At any worker
-// count the hooked operations are every binary Boolean connective, ITE and
-// quantifier; Not, Leq, Compose, Permute and CubeFromVars never reorder.
+// doubles the threshold. Refs held by callers stay valid. The hooked
+// operations are every binary Boolean connective, ITE and quantifier; Not,
+// Leq, Compose, Permute and CubeFromVars never reorder.
 func (m *Manager) EnableAutoReorder(threshold int) {
-	m.exclusive(func() {
-		if threshold > 0 {
-			m.reorderThreshold = threshold
-		}
-		m.autoReorder = true
-		m.syncReorderMirrors()
-	})
+	if threshold > 0 {
+		m.reorderThreshold = threshold
+	}
+	m.autoReorder = true
 }
 
 // DisableAutoReorder turns automatic sifting off.
-func (m *Manager) DisableAutoReorder() {
-	m.exclusive(func() {
-		m.autoReorder = false
-		m.syncReorderMirrors()
-	})
-}
+func (m *Manager) DisableAutoReorder() { m.autoReorder = false }
 
 // PauseAutoReorder disables automatic sifting and returns a function that
 // restores the previous setting. Algorithms that hold a structural view of
@@ -71,28 +63,9 @@ func (m *Manager) DisableAutoReorder() {
 // must pause reordering, because an in-place swap rewrites node children
 // under them.
 func (m *Manager) PauseAutoReorder() (restore func()) {
-	var prev bool
-	m.exclusive(func() {
-		prev = m.autoReorder
-		m.autoReorder = false
-		m.syncReorderMirrors()
-	})
-	return func() {
-		m.exclusive(func() {
-			m.autoReorder = prev
-			m.syncReorderMirrors()
-		})
-	}
-}
-
-// syncReorderMirrors re-publishes the reordering tunables into the parallel
-// engine's pre-lease atomics. Callers own a quiescent manager.
-func (m *Manager) syncReorderMirrors() {
-	if m.par == nil {
-		return
-	}
-	m.par.autoReorderA.Store(m.autoReorder)
-	m.par.reorderThresholdA.Store(int64(m.reorderThreshold))
+	prev := m.autoReorder
+	m.autoReorder = false
+	return func() { m.autoReorder = prev }
 }
 
 // autoSiftMaxVars bounds how many variables one automatic sifting pass
@@ -101,28 +74,12 @@ func (m *Manager) syncReorderMirrors() {
 const autoSiftMaxVars = 64
 
 // maybeReorder is the auto-reorder hook run at the entry of the hooked
-// operations (see EnableAutoReorder). On a parallel manager the fast path
-// reads two atomics; arming takes the write lease and re-checks, then sifts
-// the quiescent manager. That epoch is attributed to the reorder cause even
-// when the re-check declines: the exclusion really happened and operations
-// really waited.
+// operations (see EnableAutoReorder): it sifts once and doubles the
+// threshold when automatic reordering is armed and the live count exceeds
+// it.
 func (m *Manager) maybeReorder() {
-	e := m.par
-	if e == nil {
-		m.autoSift()
-		return
-	}
-	if !e.autoReorderA.Load() || e.liveApprox() <= e.reorderThresholdA.Load() {
-		return
-	}
-	m.exclusiveCause(stwReorder, m.autoSift)
-}
-
-// autoSift sifts once and doubles the threshold when automatic reordering
-// is armed and the live count exceeds it. Callers own a quiescent manager.
-func (m *Manager) autoSift() {
 	if m.autoReorder && m.liveCount > m.reorderThreshold {
-		m.reorderNow(ReorderSift, SiftConfig{MaxVars: autoSiftMaxVars})
+		m.Reorder(ReorderSift, SiftConfig{MaxVars: autoSiftMaxVars})
 		next := 2 * m.liveCount
 		if next < m.reorderThreshold {
 			next = m.reorderThreshold
@@ -132,18 +89,9 @@ func (m *Manager) autoSift() {
 }
 
 // Reorder runs the given reordering method now. It returns the live node
-// count after reordering. On a parallel manager the pass waits for every
-// in-flight operation to finish and runs with the manager to itself.
+// count after reordering. Inside a Run whose context has ended it does
+// nothing: the next allocation check raises the abort.
 func (m *Manager) Reorder(method ReorderMethod, cfg SiftConfig) int {
-	var n int
-	m.exclusiveCause(stwReorder, func() { n = m.reorderNow(method, cfg) })
-	return n
-}
-
-// reorderNow is the reordering body; callers own a quiescent manager.
-// Inside a Run whose context has ended it does nothing: the next
-// allocation check raises the abort.
-func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
 	if m.stopRequested() {
 		return m.liveCount
 	}
@@ -205,17 +153,9 @@ func (m *Manager) reorderNow(method ReorderMethod, cfg SiftConfig) int {
 // under Reorder; the computed cache is wholesale-invalidated at the end.
 // Differential tests use this to reload a saved forest under a
 // deliberately different order; clients can use it to restore a known
-// good order.
+// good order. It installs the whole order even inside a Run whose context
+// has ended, so its sweeps never stop early (swaps follow them; see gc).
 func (m *Manager) SetOrder(order []int) error {
-	var err error
-	m.exclusiveCause(stwReorder, func() { err = m.setOrderNow(order) })
-	return err
-}
-
-// setOrderNow is the SetOrder body; callers own a quiescent manager. It
-// installs the whole order even inside a Run whose context has ended, so
-// its sweeps never stop early (swaps follow them; see gc).
-func (m *Manager) setOrderNow(order []int) error {
 	if len(order) != len(m.vars) {
 		return fmt.Errorf("bdd: SetOrder: %d entries for %d variables", len(order), len(m.vars))
 	}
@@ -257,12 +197,10 @@ func (m *Manager) setOrderNow(order []int) error {
 // collection inside allocation; used when the table is consistent again
 // after a pass that suspended collection.
 func (m *Manager) GarbageCollectDeferred() {
-	m.exclusiveCause(stwGC, func() {
-		saved := m.noGC
-		m.noGC = false
-		m.gc(true, false)
-		m.noGC = saved
-	})
+	saved := m.noGC
+	m.noGC = false
+	m.gc(true, false)
+	m.noGC = saved
 }
 
 // siftAll sifts variables in decreasing order of subtable population. It
@@ -456,8 +394,8 @@ func (m *Manager) swapInPlace(lev int) int {
 }
 
 // freeDead puts a dead node that is no longer chained in its subtable on
-// the free list. A dead node holds no child references at any worker
-// count, so its children are left alone.
+// the free list. A dead node holds no child references, so its children
+// are left alone.
 func (m *Manager) freeDead(idx int32) {
 	n := &m.nodes[idx]
 	n.next = m.free

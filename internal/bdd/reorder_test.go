@@ -1,92 +1,86 @@
 package bdd
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // TestSwapInPlacePreservesFunctions: every adjacent swap keeps each held
-// function and the table's invariants, on a serial and a parallel manager,
-// with dead nodes at the two levels it swaps. Before each swap a held
-// function rooted at each of the two levels is released. Dead nodes hold
-// no child references on either engine, so the swap frees them without
-// touching their children: a second release would panic, and a lost one
-// would show in the final leak check.
+// function and the table's invariants, with dead nodes at the two levels
+// it swaps. Before each swap a held function rooted at each of the two
+// levels is released. Dead nodes hold no child references, so the swap
+// frees them without touching their children: a second release would
+// panic, and a lost one would show in the final leak check.
 func TestSwapInPlacePreservesFunctions(t *testing.T) {
 	const n = 6
-	for _, workers := range []int{1, 4} {
-		m := NewWithConfig(n, Config{Workers: workers})
-		rng := rand.New(rand.NewSource(31))
-		// Random functions with the top k variables quantified away, so
-		// their roots sit at every level but the last.
-		var fs []Ref
-		var tts [][]bool
-		for i := 0; i < 30; i++ {
-			f := randomOnSet(m, rng, n, 0.5)
-			if k := i % (n - 1); k > 0 {
-				top := make([]int, k)
-				for v := range top {
-					top[v] = v
-				}
-				g := m.Exists(f, top)
-				m.Deref(f)
-				f = g
+	m := New(n)
+	rng := rand.New(rand.NewSource(31))
+	// Random functions with the top k variables quantified away, so
+	// their roots sit at every level but the last.
+	var fs []Ref
+	var tts [][]bool
+	for i := 0; i < 30; i++ {
+		f := randomOnSet(m, rng, n, 0.5)
+		if k := i % (n - 1); k > 0 {
+			top := make([]int, k)
+			for v := range top {
+				top[v] = v
 			}
-			fs = append(fs, f)
-			tts = append(tts, truthTable(m, f, n))
-		}
-		m.GarbageCollect()
-		m.exclusive(m.cache.clear)
-		// Sweep the order down and back up.
-		var swaps []int
-		for lev := 0; lev < n-1; lev++ {
-			swaps = append(swaps, lev)
-		}
-		for lev := n - 2; lev >= 0; lev-- {
-			swaps = append(swaps, lev)
-		}
-		var deadX, deadY int
-		for _, lev := range swaps {
-			m.exclusive(func() {
-				for _, l := range []int32{int32(lev), int32(lev + 1)} {
-					for i, f := range fs {
-						if nd := &m.nodes[f.index()]; nd.level == l && nd.ref == 1 {
-							m.derefIndex(f.index())
-							fs = append(fs[:i], fs[i+1:]...)
-							tts = append(tts[:i], tts[i+1:]...)
-							break
-						}
-					}
-				}
-				deadX += m.deadAtLevel(lev)
-				deadY += m.deadAtLevel(lev + 1)
-				m.noGC = true
-				m.swapInPlace(lev)
-				m.noGC = false
-			})
-			if err := m.DebugCheck(); err != nil {
-				t.Fatalf("workers=%d, after swap at level %d: %v", workers, lev, err)
-			}
-			for i, f := range fs {
-				got := truthTable(m, f, n)
-				for x := range got {
-					if got[x] != tts[i][x] {
-						t.Fatalf("workers=%d: swap at level %d changed a function at minterm %d", workers, lev, x)
-					}
-				}
-			}
-		}
-		if deadX == 0 || deadY == 0 {
-			t.Fatalf("workers=%d: the swaps met %d dead x nodes and %d dead y nodes, want both", workers, deadX, deadY)
-		}
-		for _, f := range fs {
+			g := m.Exists(f, top)
 			m.Deref(f)
+			f = g
 		}
-		m.GarbageCollect()
-		if got := m.ReferencedNodeCount(); got != n {
-			t.Fatalf("workers=%d: %d nodes referenced after releasing everything, want the %d projections", workers, got, n)
+		fs = append(fs, f)
+		tts = append(tts, truthTable(m, f, n))
+	}
+	m.GarbageCollect()
+	m.cache.clear()
+	// Sweep the order down and back up.
+	var swaps []int
+	for lev := 0; lev < n-1; lev++ {
+		swaps = append(swaps, lev)
+	}
+	for lev := n - 2; lev >= 0; lev-- {
+		swaps = append(swaps, lev)
+	}
+	var deadX, deadY int
+	for _, lev := range swaps {
+		for _, l := range []int32{int32(lev), int32(lev + 1)} {
+			for i, f := range fs {
+				if nd := &m.nodes[f.index()]; nd.level == l && nd.ref == 1 {
+					m.derefIndex(f.index())
+					fs = append(fs[:i], fs[i+1:]...)
+					tts = append(tts[:i], tts[i+1:]...)
+					break
+				}
+			}
 		}
+		deadX += m.deadAtLevel(lev)
+		deadY += m.deadAtLevel(lev + 1)
+		m.noGC = true
+		m.swapInPlace(lev)
+		m.noGC = false
+		if err := m.DebugCheck(); err != nil {
+			t.Fatalf("after swap at level %d: %v", lev, err)
+		}
+		for i, f := range fs {
+			got := truthTable(m, f, n)
+			for x := range got {
+				if got[x] != tts[i][x] {
+					t.Fatalf("swap at level %d changed a function at minterm %d", lev, x)
+				}
+			}
+		}
+	}
+	if deadX == 0 || deadY == 0 {
+		t.Fatalf("the swaps met %d dead x nodes and %d dead y nodes, want both", deadX, deadY)
+	}
+	for _, f := range fs {
+		m.Deref(f)
+	}
+	m.GarbageCollect()
+	if got := m.ReferencedNodeCount(); got != n {
+		t.Fatalf("%d nodes referenced after releasing everything, want the %d projections", got, n)
 	}
 }
 
@@ -275,10 +269,10 @@ func randFromTrees(m *Manager, rng *rand.Rand, n, d int) Ref {
 }
 
 // TestForAllCubeTriggersAutoReorder is the regression test for operations
-// that skipped the maybeReorder entry hook: ForAllCube on both engines, and
-// Nand, Nor, Xnor, Implies and Diff on a Workers=1 manager. A loop doing
-// nothing but one of them on an over-threshold manager must trip automatic
-// sifting at every worker count, like every other hooked operation.
+// that skipped the maybeReorder entry hook: ForAllCube, Nand, Nor, Xnor,
+// Implies and Diff. A loop doing nothing but one of them on an
+// over-threshold manager must trip automatic sifting, like every other
+// hooked operation.
 func TestForAllCubeTriggersAutoReorder(t *testing.T) {
 	ops := []struct {
 		name string
@@ -292,48 +286,46 @@ func TestForAllCubeTriggersAutoReorder(t *testing.T) {
 		{"Diff", (*Manager).Diff},
 	}
 	for _, tc := range ops {
-		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				const k = 6
-				m := newPar(t, 2*k, workers)
-				// Build a function whose live count exceeds the threshold
-				// while auto reordering is still off, plus the cubes used
-				// as second operands, so the only operation that can
-				// possibly trigger a reorder below is tc.op.
-				f := Zero
-				for i := 0; i < k; i++ {
-					p := m.And(m.IthVar(i), m.IthVar(k+i))
-					nf := m.Or(f, p)
-					m.Deref(p)
-					m.Deref(f)
-					f = nf
-				}
-				cubes := make([]Ref, k)
-				for i := range cubes {
-					cubes[i] = m.CubeFromVars([]int{i, k + i})
-				}
-				want := tc.op(m, f, cubes[0])
-				m.EnableAutoReorder(1) // live count is already far above this
-				before := m.Stats().Reorderings
-				for _, cube := range cubes {
-					m.Deref(tc.op(m, f, cube))
-				}
-				if m.Stats().Reorderings == before {
-					t.Fatalf("%s never entered maybeReorder on an over-threshold manager", tc.name)
-				}
-				// Refs survive sifting and stay canonical, so recomputing
-				// the first result must land on the same Ref.
-				m.DisableAutoReorder()
-				got := tc.op(m, f, cubes[0])
-				if got != want {
-					t.Fatalf("%s result changed across sifting", tc.name)
-				}
-				m.Deref(got)
-				m.Deref(want)
-				if err := m.DebugCheck(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			const k = 6
+			m := New(2 * k)
+			// Build a function whose live count exceeds the threshold
+			// while auto reordering is still off, plus the cubes used
+			// as second operands, so the only operation that can
+			// possibly trigger a reorder below is tc.op.
+			f := Zero
+			for i := 0; i < k; i++ {
+				p := m.And(m.IthVar(i), m.IthVar(k+i))
+				nf := m.Or(f, p)
+				m.Deref(p)
+				m.Deref(f)
+				f = nf
+			}
+			cubes := make([]Ref, k)
+			for i := range cubes {
+				cubes[i] = m.CubeFromVars([]int{i, k + i})
+			}
+			want := tc.op(m, f, cubes[0])
+			m.EnableAutoReorder(1) // live count is already far above this
+			before := m.Stats().Reorderings
+			for _, cube := range cubes {
+				m.Deref(tc.op(m, f, cube))
+			}
+			if m.Stats().Reorderings == before {
+				t.Fatalf("%s never entered maybeReorder on an over-threshold manager", tc.name)
+			}
+			// Refs survive sifting and stay canonical, so recomputing
+			// the first result must land on the same Ref.
+			m.DisableAutoReorder()
+			got := tc.op(m, f, cubes[0])
+			if got != want {
+				t.Fatalf("%s result changed across sifting", tc.name)
+			}
+			m.Deref(got)
+			m.Deref(want)
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

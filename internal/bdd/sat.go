@@ -6,30 +6,25 @@ package bdd
 // variable (assignment[v] is the value of variable v). Variables beyond
 // len(assignment) are treated as false.
 func (m *Manager) Eval(f Ref, assignment []bool) bool {
-	var res bool
-	m.readLocked(func() {
-		neg := f.IsComplement()
-		idx := f.index()
-		for {
-			n := &m.nodes[idx]
-			if n.level == terminalLevel {
-				res = !neg
-				return
-			}
-			v := int(m.levToVar[n.level])
-			var child Ref
-			if v < len(assignment) && assignment[v] {
-				child = n.hi
-			} else {
-				child = n.lo
-			}
-			if child.IsComplement() {
-				neg = !neg
-			}
-			idx = child.index()
+	neg := f.IsComplement()
+	idx := f.index()
+	for {
+		n := &m.nodes[idx]
+		if n.level == terminalLevel {
+			return !neg
 		}
-	})
-	return res
+		v := int(m.levToVar[n.level])
+		var child Ref
+		if v < len(assignment) && assignment[v] {
+			child = n.hi
+		} else {
+			child = n.lo
+		}
+		if child.IsComplement() {
+			neg = !neg
+		}
+		idx = child.index()
+	}
 }
 
 // Literal polarity markers used in cube slices.
@@ -49,19 +44,17 @@ func (m *Manager) PickOneCube(f Ref) []int8 {
 	for i := range cube {
 		cube[i] = LitDontCare
 	}
-	m.readLocked(func() {
-		for !f.IsConstant() {
-			v := m.Var(f)
-			hi, lo := m.Hi(f), m.Lo(f)
-			if hi != Zero {
-				cube[v] = LitPos
-				f = hi
-			} else {
-				cube[v] = LitNeg
-				f = lo
-			}
+	for !f.IsConstant() {
+		v := m.Var(f)
+		hi, lo := m.Hi(f), m.Lo(f)
+		if hi != Zero {
+			cube[v] = LitPos
+			f = hi
+		} else {
+			cube[v] = LitNeg
+			f = lo
 		}
-	})
+	}
 	return cube
 }
 
@@ -82,11 +75,6 @@ func (m *Manager) PickOneMinterm(f Ref, nVars int) []bool {
 // ForEachCube calls fn for every cube (prime-free path enumeration: one
 // cube per BDD path to One). The slice passed to fn is reused between
 // calls; copy it to retain. Iteration stops early if fn returns false.
-//
-// On a parallel manager the walk is not synchronized against concurrent
-// operations (the callback may itself call back into the manager, so no
-// lease can be held across it); do not run it while other goroutines
-// mutate the same manager.
 func (m *Manager) ForEachCube(f Ref, fn func(cube []int8) bool) {
 	cube := make([]int8, m.NumVars())
 	for i := range cube {
@@ -120,22 +108,18 @@ func (m *Manager) cubeRec(f Ref, cube []int8, fn func([]int8) bool) bool {
 // CubeToRef converts a cube slice (as produced by PickOneCube) back to the
 // BDD of the corresponding conjunction of literals.
 func (m *Manager) CubeToRef(cube []int8) Ref {
-	var out Ref
-	m.exclusive(func() {
-		r := One
-		for v := len(cube) - 1; v >= 0; v-- {
-			if v >= m.NumVars() || cube[v] == LitDontCare {
-				continue
-			}
-			lit := m.vars[v]
-			if cube[v] == LitNeg {
-				lit = lit.Complement()
-			}
-			nr := m.andRec(nil, r, lit, 1)
-			m.derefS(r)
-			r = nr
+	r := One
+	for v := len(cube) - 1; v >= 0; v-- {
+		if v >= m.NumVars() || cube[v] == LitDontCare {
+			continue
 		}
-		out = r
-	})
-	return out
+		lit := m.vars[v]
+		if cube[v] == LitNeg {
+			lit = lit.Complement()
+		}
+		nr := m.andRec(r, lit)
+		m.Deref(r)
+		r = nr
+	}
+	return r
 }

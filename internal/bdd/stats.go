@@ -43,21 +43,6 @@ type CacheStats struct {
 
 // CacheStats returns a snapshot of the computed-table statistics.
 func (m *Manager) CacheStats() CacheStats {
-	if m.par == nil {
-		return m.cacheStatsNow()
-	}
-	e := m.par
-	e.opLease.RLock()
-	defer e.opLease.RUnlock()
-	// Epoch events (resize, generation bump) run under statsMu, so holding
-	// it here yields a consistent snapshot without stopping the world.
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	m.foldExtraCacheStats()
-	return m.cacheStatsNow()
-}
-
-func (m *Manager) cacheStatsNow() CacheStats {
 	c := &m.cache
 	s := CacheStats{
 		Entries:    1 << c.bits,
@@ -124,16 +109,9 @@ func (s ArenaStats) Occupancy() float64 {
 	return float64(s.Live+s.Dead) / float64(s.Capacity)
 }
 
-// ArenaStats returns the arena-occupancy snapshot. On a parallel manager
-// the counts are advisory (like NodeCount), but the capacity read holds
-// the memory lease so a concurrent arena growth cannot swap the slice
-// header mid-read.
+// ArenaStats returns the arena-occupancy snapshot.
 func (m *Manager) ArenaStats() ArenaStats {
-	var s ArenaStats
-	m.readLocked(func() { s.Capacity = len(m.nodes) })
-	s.Live = m.NodeCount()
-	s.Dead = m.DeadCount()
-	return s
+	return ArenaStats{Capacity: len(m.nodes), Live: m.liveCount, Dead: m.deadCount}
 }
 
 // UniqueStats is a snapshot of the unique table across all levels,
@@ -159,16 +137,13 @@ type UniqueStats struct {
 // that a structural profile over every live root must reproduce. Linear in
 // the arena; intended for reporting and cross-checks, not hot paths.
 func (m *Manager) LiveLevelCounts() []int {
-	var counts []int
-	m.exclusive(func() {
-		counts = make([]int, len(m.subtables))
-		for idx := 1; idx < len(m.nodes); idx++ {
-			n := &m.nodes[idx]
-			if n.ref != 0 && n.level >= 0 && n.level != terminalLevel {
-				counts[n.level]++
-			}
+	counts := make([]int, len(m.subtables))
+	for idx := 1; idx < len(m.nodes); idx++ {
+		n := &m.nodes[idx]
+		if n.ref != 0 && n.level >= 0 && n.level != terminalLevel {
+			counts[n.level]++
 		}
-	})
+	}
 	return counts
 }
 
@@ -176,12 +151,6 @@ func (m *Manager) LiveLevelCounts() []int {
 // linear in the number of buckets plus stored nodes; intended for
 // reporting, not hot paths.
 func (m *Manager) UniqueStats() UniqueStats {
-	var s UniqueStats
-	m.exclusive(func() { s = m.uniqueStatsNow() })
-	return s
-}
-
-func (m *Manager) uniqueStatsNow() UniqueStats {
 	s := UniqueStats{
 		Subtables: len(m.subtables),
 		Live:      m.liveCount,

@@ -38,20 +38,18 @@ func (m *Manager) SupportCube(f Ref) Ref {
 // VectorSupport returns the union of the supports of the given functions,
 // in increasing index order.
 func (m *Manager) VectorSupport(fs []Ref) []int {
+	mk := m.NewMarks()
+	inSupp := make([]bool, len(m.levToVar))
+	for _, f := range fs {
+		m.supportLevels(f, mk, inSupp)
+	}
+	mk.Release()
 	vars := []int{}
-	m.readLocked(func() {
-		mk := m.newMarks(len(m.nodes))
-		inSupp := make([]bool, len(m.levToVar))
-		for _, f := range fs {
-			m.supportLevels(f, mk, inSupp)
+	for lev, in := range inSupp {
+		if in {
+			vars = append(vars, int(m.levToVar[lev]))
 		}
-		mk.Release()
-		for lev, in := range inSupp {
-			if in {
-				vars = append(vars, int(m.levToVar[lev]))
-			}
-		}
-	})
+	}
 	sort.Ints(vars)
 	return vars
 }

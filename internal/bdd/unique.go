@@ -64,16 +64,9 @@ func hash2(hi, lo Ref) uint32 {
 // Contract: hi and lo must be alive (the caller owns references on them, or
 // they are permanent). The returned Ref carries one reference owned by the
 // caller.
-func (m *Manager) makeNode(level int32, hi, lo Ref) Ref { return m.makeNodeW(nil, level, hi, lo) }
-
-// makeNodeW is makeNode on behalf of worker w; a nil worker (serial manager
-// or exclusive section) runs the serial body.
-func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
-	if w != nil {
-		return m.makeNodePar(w, level, hi, lo)
-	}
+func (m *Manager) makeNode(level int32, hi, lo Ref) Ref {
 	if hi == lo {
-		return m.refS(hi)
+		return m.Ref(hi)
 	}
 	// Normalize: the then edge must be regular.
 	complement := hi.IsComplement()
@@ -90,7 +83,7 @@ func (m *Manager) makeNodeW(w *parWorker, level int32, hi, lo Ref) Ref {
 		n := &m.nodes[idx]
 		if n.hi == hi && n.lo == lo {
 			m.stats.UniqueHits++
-			return m.refS(makeRef(idx, complement))
+			return m.Ref(makeRef(idx, complement))
 		}
 	}
 	idx := m.allocNode() // may GC; hi and lo are protected by the caller
@@ -173,9 +166,7 @@ func (m *Manager) allocNode() int32 {
 }
 
 // growArena doubles the node arena. The slice header swap invalidates every
-// *node pointer into the old backing array, so callers must own a quiescent
-// manager (the serial path trivially does; parallel mode grows only inside
-// a stop-the-world).
+// *node pointer into the old backing array.
 func (m *Manager) growArena() {
 	grown := make([]node, 2*len(m.nodes))
 	copy(grown, m.nodes)
@@ -183,8 +174,7 @@ func (m *Manager) growArena() {
 }
 
 // growSubtable doubles a subtable's bucket array and rehashes its chains.
-// Stats are the caller's job (the parallel path counts into worker-local
-// stats instead of the shared struct).
+// Stats are the caller's job.
 func (m *Manager) growSubtable(st *subtable) {
 	nb := len(st.buckets) * 2
 	buckets := make([]int32, nb)
@@ -210,19 +200,8 @@ func (m *Manager) growSubtable(st *subtable) {
 // to the free list, and selectively invalidates the computed cache: only
 // entries that mention a reclaimed node are dropped, the rest stay valid.
 // Refs to live nodes are unaffected. It returns the number of nodes
-// reclaimed. On a parallel manager this is a stop-the-world event that may
-// run while other operations are in flight (they park at safe points).
-func (m *Manager) GarbageCollect() int {
-	if m.par == nil {
-		return m.gc(true, false)
-	}
-	e := m.par
-	e.opLease.RLock()
-	defer e.opLease.RUnlock()
-	var n int
-	e.stopTheWorldSynced(m, false, stwGC, func() { n = m.gc(true, false) })
-	return n
-}
+// reclaimed.
+func (m *Manager) GarbageCollect() int { return m.gc(true, false) }
 
 // gc is GarbageCollect with control over the cache sweep. Reordering
 // passes sweepCache=false: it invalidates the whole cache afterwards with

@@ -202,11 +202,12 @@ func TestAblationDecompPairing(t *testing.T) {
 	}
 }
 
-// TestTable1SmallRuns executes the scaled-down Table 1 at Workers=1 and
-// at Workers=2 and requires both engines to complete every traversal and
-// to agree on what the table reports. HD iteration counts and final and
-// peak node counts are not compared: the two runs reorder differently,
-// which legitimately moves them.
+// TestTable1SmallRuns executes the scaled-down Table 1 at Workers=1 (the
+// chain image schedule) and at Workers=2 (the pairwise tree) and requires
+// both schedules to complete every traversal and to agree on what the
+// table reports. HD iteration counts and final and peak node counts are
+// not compared: the two runs reorder differently, which legitimately moves
+// them.
 func TestTable1SmallRuns(t *testing.T) {
 	defer bdd.SetDefaultWorkers(1)
 	var runs [2][]Table1Row
@@ -225,7 +226,6 @@ func TestTable1SmallRuns(t *testing.T) {
 	if len(serial) != len(par) {
 		t.Fatalf("Workers=1 gave %d rows, Workers=2 gave %d", len(serial), len(par))
 	}
-	var parSTW int64
 	for i, s := range serial {
 		p := par[i]
 		if s.Ckt != p.Ckt {
@@ -248,15 +248,6 @@ func TestTable1SmallRuns(t *testing.T) {
 			if m.s.States != m.p.States {
 				t.Errorf("%s %s: states %g at Workers=1, %g at Workers=2", s.Ckt, m.name, m.s.States, m.p.States)
 			}
-			if m.s.STWCount != 0 {
-				t.Errorf("%s %s: %d stop-the-world epochs at Workers=1", s.Ckt, m.name, m.s.STWCount)
-			}
-			parSTW += m.p.STWCount
 		}
-	}
-	// Only a parallel manager counts stop-the-world epochs, so none at
-	// Workers=2 means the worker count never reached the managers.
-	if parSTW <= 0 {
-		t.Error("no stop-the-world epochs at Workers=2: the runs were serial")
 	}
 }

@@ -209,11 +209,6 @@ type MethodResult struct {
 	ImageTime   time.Duration `json:"image_time_ns"`
 	SubsetTime  time.Duration `json:"subset_time_ns,omitempty"`
 	ClosureTime time.Duration `json:"closure_time_ns,omitempty"`
-
-	// Stop-the-world accounting (parallel engine only; absent on serial
-	// runs): how much of Time was spent in the engine's serial sections.
-	STWCount int64         `json:"stw_count,omitempty"`
-	STWTime  time.Duration `json:"stw_ns,omitempty"`
 }
 
 // Table1Row mirrors one row of the paper's Table 1, extended with the
@@ -262,7 +257,7 @@ type Table1Config struct {
 	// Observe, when non-nil, is the observability session that watches
 	// every manager the table builds: each is built reporting to the
 	// session (so compilation's GCs and reorders count too), and
-	// ObserveManager points the -obs endpoint's gauges and /parallel at
+	// ObserveManager points the -obs endpoint's gauges at
 	// the manager actually doing the work (each method runs on a fresh
 	// manager).
 	Observe *obs.Session
@@ -413,8 +408,6 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 				ImageTime:   r.Stats.ImageTime,
 				SubsetTime:  r.Stats.SubsetTime,
 				ClosureTime: r.Stats.ClosureTime,
-				STWCount:    r.Stats.STWCount,
-				STWTime:     r.Stats.STWTime,
 			}
 			if r.Stats.CacheLookups > 0 {
 				mr.CacheHit = float64(r.Stats.CacheHits) / float64(r.Stats.CacheLookups)
@@ -592,8 +585,8 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintf(w, "%-8s %4s %12s | %10s | %6s %5s %13s %10s | %6s %13s %10s\n",
 		"Ckt", "FF", "States", "BFS time", "Th", "Qual", "PImg", "RUA time", "Th", "PImg", "SP time")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %4d %12.4g | %10s | %6d %5.1f %13s %10s | %6d %13s %10s\n",
-			r.Ckt, r.FF, r.States, fmtDur(r.BFS.Time, r.BFS.Done),
+		fmt.Fprintf(w, "%-8s %4d %12s | %10s | %6d %5.1f %13s %10s | %6d %13s %10s\n",
+			r.Ckt, r.FF, fmtStates(r), fmtDur(r.BFS.Time, r.BFS.Done),
 			r.RUATh, r.RUAQual, r.RUAPImg, fmtDur(r.RUA.Time, r.RUA.Done),
 			r.SPTh, r.SPPImg, fmtDur(r.SP.Time, r.SP.Done))
 	}
@@ -615,6 +608,16 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// fmtStates renders a row's state count: exact when some method completed,
+// and otherwise "> N", N being the most states any method explored, as the
+// time columns print "> t" for a run cut at its budget.
+func fmtStates(r Table1Row) string {
+	if r.BFS.Done || r.RUA.Done || r.SP.Done {
+		return fmt.Sprintf("%.4g", r.States)
+	}
+	return fmt.Sprintf("> %.4g", max(r.BFS.States, r.RUA.States, r.SP.States))
 }
 
 func fmtDur(d time.Duration, completed bool) string {

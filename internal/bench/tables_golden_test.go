@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,5 +131,23 @@ func TestWriteTable1JSONRoundTrip(t *testing.T) {
 				t.Fatalf("row %d: phase times exceed total: %+v", i, m)
 			}
 		}
+	}
+}
+
+// TestPrintTable1PartialRow: a row on which no method completes has no
+// exact state count, so its States column prints "> N", N being the most
+// states any method explored, as its time columns print "> t".
+func TestPrintTable1PartialRow(t *testing.T) {
+	row := syntheticRow("am2910", 1.0)
+	row.States = 0
+	for i, m := range []*MethodResult{&row.BFS, &row.RUA, &row.SP} {
+		m.Done = false
+		m.States = float64(100000 * (i + 1))
+	}
+	var buf bytes.Buffer
+	PrintTable1(&buf, []Table1Row{row})
+	line := strings.Split(buf.String(), "\n")[1]
+	if cols := strings.Split(line, "|"); !strings.HasSuffix(strings.TrimSpace(cols[0]), " 16      > 3e+05") {
+		t.Fatalf("partial row prints %q, want the States column \"> 3e+05\"", line)
 	}
 }

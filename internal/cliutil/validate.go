@@ -1,5 +1,5 @@
 // Package cliutil holds the flag-validation helpers shared by the cmd
-// binaries. Every command accepts some mix of -workers, -cache-bits, and
+// binaries. The commands accept some mix of -workers, -cache-bits, and
 // budget/threshold values; validating them in one place means a typo like
 // "-workers -3" or "-cache-bits 99" fails fast with the same message
 // everywhere instead of silently misconfiguring the engine (fuzzing of the
@@ -16,11 +16,12 @@ import (
 // typo, not a tuning choice.
 const MaxCacheBits = 30
 
-// Workers validates a -workers flag: 0 means GOMAXPROCS, positive is a
-// worker count, negative is nonsense.
+// Workers validates a -workers flag, the image-schedule selector of the
+// commands that compute images: 0 means GOMAXPROCS, positive is a worker
+// count, negative is nonsense.
 func Workers(n int) error {
 	if n < 0 {
-		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS, 1 = serial)", n)
+		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS, 1 = the chain schedule)", n)
 	}
 	return nil
 }

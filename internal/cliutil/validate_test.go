@@ -11,29 +11,27 @@ import (
 // a test the next flag addition has to keep honest.
 func TestCommandFlagProfiles(t *testing.T) {
 	type flags struct {
-		workers                        int
-		cacheBits, cacheMaxBits        uint
-		threshold, pimgLimit, pimgTh   int
-		samples, frames, topK, cluster int
-		bias                           float64
-		budget, interval               time.Duration
+		workers                      int
+		cacheBits, cacheMaxBits      uint
+		threshold, pimgLimit, pimgTh int
+		samples, frames, cluster     int
+		bias                         float64
+		budget, interval             time.Duration
 	}
 	good := flags{workers: 1, samples: 10, bias: 0.5, budget: time.Minute,
-		interval: time.Second, topK: 5, cluster: 2500}
+		interval: time.Second, cluster: 2500}
 
 	profile := map[string]func(f flags) error{
 		"bddlab": func(f flags) error {
-			return Check(Workers(f.workers), CacheBits("cache-bits", f.cacheBits),
+			return Check(CacheBits("cache-bits", f.cacheBits),
 				CacheBits("cache-max-bits", f.cacheMaxBits), NonNegative("threshold", f.threshold))
 		},
 		"bddcount": func(f flags) error {
-			return Check(Workers(f.workers), NonNegative("samples", f.samples), Fraction("bias", f.bias))
+			return Check(NonNegative("samples", f.samples), Fraction("bias", f.bias))
 		},
 		"bddtop": func(f flags) error {
-			return Check(PositiveDuration("interval", f.interval),
-				NonNegative("frames", f.frames), NonNegative("topk", f.topK))
+			return Check(PositiveDuration("interval", f.interval), NonNegative("frames", f.frames))
 		},
-		"equiv": func(f flags) error { return Workers(f.workers) },
 		"mc": func(f flags) error {
 			return Check(Workers(f.workers), NonNegativeDuration("budget", f.budget))
 		},
@@ -58,7 +56,7 @@ func TestCommandFlagProfiles(t *testing.T) {
 		want   string
 	}{
 		{"negative workers",
-			[]string{"bddlab", "bddcount", "equiv", "mc", "reach", "tables", "bddserve"},
+			[]string{"mc", "reach", "tables", "bddserve"},
 			func(f *flags) { f.workers = -3 }, "-workers -3 is negative"},
 		{"oversized cache bits",
 			[]string{"bddlab", "bddserve"},

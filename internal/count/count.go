@@ -21,14 +21,11 @@
 //
 // Every entry point does one iterative post-order sweep over the DAG —
 // no recursion, so chain-shaped BDDs of 10^5+ levels cannot overflow the
-// goroutine stack — and holds the manager's read lease
-// (bdd.Manager.ReadLocked) for the duration, so counting is safe while
-// other goroutines operate on a parallel (Workers > 1) manager.
+// goroutine stack.
 //
 // Counts are functions of the Boolean function alone: they are invariant
-// under variable reordering, garbage collection, Save/Load round trips,
-// and the worker count that built the diagram (the ROBDD is canonical
-// for a fixed order). internal/oracle pins this down against closed-form
+// under variable reordering, garbage collection and Save/Load round trips
+// (the ROBDD is canonical for a fixed order). internal/oracle pins this down against closed-form
 // ground truths (N-Queens solution counts and friends).
 package count
 
@@ -53,8 +50,7 @@ func levelOf(m *bdd.Manager, f bdd.Ref, n int) int {
 // reachable from f, counted over the variable space strictly below the
 // sub-function's own root level (so memo[One] = 1: the empty space has
 // one assignment). Keys are function refs with the complement bit folded
-// in; both polarities of a shared node get their own entry. Must run
-// under the manager's read lease.
+// in; both polarities of a shared node get their own entry.
 func sweep(m *bdd.Manager, f bdd.Ref, n int, memo map[bdd.Ref]*big.Int) {
 	if memo[bdd.One] == nil {
 		memo[bdd.One] = big.NewInt(1)
@@ -110,13 +106,10 @@ func Minterms(m *bdd.Manager, f bdd.Ref, nVars int) (*big.Int, error) {
 			}
 		}
 	}
-	var total *big.Int
-	m.ReadLocked(func() {
-		memo := make(map[bdd.Ref]*big.Int)
-		sweep(m, f, n, memo)
-		// Levels above the root are free.
-		total = new(big.Int).Lsh(memo[f], uint(levelOf(m, f, n)))
-	})
+	memo := make(map[bdd.Ref]*big.Int)
+	sweep(m, f, n, memo)
+	// Levels above the root are free.
+	total := new(big.Int).Lsh(memo[f], uint(levelOf(m, f, n)))
 	if nVars >= n {
 		total.Lsh(total, uint(nVars-n))
 	} else {
@@ -164,8 +157,7 @@ func MintermsOver(m *bdd.Manager, f bdd.Ref, vars []int) (*big.Int, error) {
 // as in sweep: the two polarities of a shared node are two entries, each
 // summed from its own children, never one entry and its complement
 // 1 − p. Variables skipped between a node and a child integrate out
-// (w·p + (1−w)·p = p), so no level correction is needed. Must run under
-// the manager's read lease.
+// (w·p + (1−w)·p = p), so no level correction is needed.
 func fsweep(m *bdd.Manager, f bdd.Ref, weight func(v int) float64, memo map[bdd.Ref]float64) {
 	if _, ok := memo[bdd.One]; !ok {
 		memo[bdd.One] = 1
@@ -236,7 +228,7 @@ func (t *Fractions) Of(g bdd.Ref) float64 {
 	if p, ok := t.memo[g]; ok {
 		return p
 	}
-	t.m.ReadLocked(func() { fsweep(t.m, g, nil, t.memo) })
+	fsweep(t.m, g, nil, t.memo)
 	return t.memo[g]
 }
 
@@ -248,6 +240,6 @@ func Weighted(m *bdd.Manager, f bdd.Ref, weight func(v int) float64) float64 {
 		return math.Min(1, math.Max(0, weight(v)))
 	}
 	memo := make(map[bdd.Ref]float64)
-	m.ReadLocked(func() { fsweep(m, f, clamped, memo) })
+	fsweep(m, f, clamped, memo)
 	return memo[f]
 }

@@ -51,7 +51,7 @@ func NewSampler(m *bdd.Manager, f bdd.Ref, nVars int, seed int64) (*Sampler, err
 		memo:  make(map[bdd.Ref]*big.Int),
 		total: total,
 	}
-	m.ReadLocked(func() { sweep(m, f, s.n, s.memo) })
+	sweep(m, f, s.n, s.memo)
 	return s, nil
 }
 
@@ -74,38 +74,36 @@ func (s *Sampler) coin(a []bool, v int) {
 func (s *Sampler) Sample() []bool {
 	a := make([]bool, s.nVars)
 	m := s.m
-	m.ReadLocked(func() {
-		r := s.f
-		lev := 0
-		for r != bdd.One && r != bdd.Zero {
-			l := levelOf(m, r, s.n)
-			// Levels above/skipped-to this node are unconstrained.
-			for ; lev < l; lev++ {
-				s.coin(a, m.VarAtLevel(lev))
-			}
-			hi, lo := m.Hi(r), m.Lo(r)
-			lh, ll := levelOf(m, hi, s.n), levelOf(m, lo, s.n)
-			wh := new(big.Int).Lsh(s.memo[hi], uint(lh-l-1))
-			wl := new(big.Int).Lsh(s.memo[lo], uint(ll-l-1))
-			tot := new(big.Int).Add(wh, wl) // > 0: we never enter a 0-count branch
-			u := new(big.Int).Rand(s.rng, tot)
-			// Branch variables are always in f's support, which NewSampler
-			// verified lies inside the sample space.
-			if u.Cmp(wh) < 0 {
-				a[m.VarAtLevel(l)] = true
-				r = hi
-			} else {
-				a[m.VarAtLevel(l)] = false
-				r = lo
-			}
-			lev = l + 1
-		}
-		// r == One (a Zero branch has weight 0 and is never drawn);
-		// everything below the final node is unconstrained.
-		for ; lev < s.n; lev++ {
+	r := s.f
+	lev := 0
+	for r != bdd.One && r != bdd.Zero {
+		l := levelOf(m, r, s.n)
+		// Levels above/skipped-to this node are unconstrained.
+		for ; lev < l; lev++ {
 			s.coin(a, m.VarAtLevel(lev))
 		}
-	})
+		hi, lo := m.Hi(r), m.Lo(r)
+		lh, ll := levelOf(m, hi, s.n), levelOf(m, lo, s.n)
+		wh := new(big.Int).Lsh(s.memo[hi], uint(lh-l-1))
+		wl := new(big.Int).Lsh(s.memo[lo], uint(ll-l-1))
+		tot := new(big.Int).Add(wh, wl) // > 0: we never enter a 0-count branch
+		u := new(big.Int).Rand(s.rng, tot)
+		// Branch variables are always in f's support, which NewSampler
+		// verified lies inside the sample space.
+		if u.Cmp(wh) < 0 {
+			a[m.VarAtLevel(l)] = true
+			r = hi
+		} else {
+			a[m.VarAtLevel(l)] = false
+			r = lo
+		}
+		lev = l + 1
+	}
+	// r == One (a Zero branch has weight 0 and is never drawn);
+	// everything below the final node is unconstrained.
+	for ; lev < s.n; lev++ {
+		s.coin(a, m.VarAtLevel(lev))
+	}
 	// Free variables beyond the manager's space.
 	for v := s.n; v < s.nVars; v++ {
 		s.coin(a, v)

@@ -126,10 +126,10 @@ func TestSampleFrequencies(t *testing.T) {
 }
 
 // TestCountDeterminism: counts and sample streams must be bit-identical
-// whether the diagram was built by the serial engine or the Workers=4
-// parallel engine — canonicity makes the ROBDD, and therefore everything
-// derived from it, scheduling-independent. Runs under -race in the CI
-// GOMAXPROCS matrix.
+// whether the diagram was built on a default manager or on one whose
+// small arena and cache force growth, collections and evictions along the
+// way — canonicity makes the ROBDD, and therefore everything derived from
+// it, independent of the manager's memory history.
 func TestCountDeterminism(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 6}
 	m1, f1, err := gauntlet.New(p, nil)
@@ -137,9 +137,7 @@ func TestCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m1.Deref(f1)
-	cfg := bdd.DefaultConfig()
-	cfg.Workers = 4
-	m4 := bdd.NewWithConfig(p.Vars(), cfg)
+	m4 := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64, CacheBits: 4, CacheMaxBits: 4})
 	f4, err := gauntlet.Build(m4, p)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +153,7 @@ func TestCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c1.Cmp(c4) != 0 {
-		t.Fatalf("Workers=1 counts %v, Workers=4 counts %v", c1, c4)
+		t.Fatalf("default manager counts %v, small manager counts %v", c1, c4)
 	}
 	s1, err := count.NewSampler(m1, f1, p.Vars(), 42)
 	if err != nil {
@@ -169,7 +167,7 @@ func TestCountDeterminism(t *testing.T) {
 		a, b := s1.Sample(), s4.Sample()
 		for v := range a {
 			if a[v] != b[v] {
-				t.Fatalf("sample %d diverges at variable %d across worker counts", i, v)
+				t.Fatalf("sample %d diverges at variable %d across managers", i, v)
 			}
 		}
 	}

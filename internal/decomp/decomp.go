@@ -106,7 +106,6 @@ type decompLedger struct {
 	sizeIn int
 	massIn float64
 	gc0    time.Duration
-	stw0   time.Duration
 }
 
 func beginLedger(m *bdd.Manager, op string, f bdd.Ref) *decompLedger {
@@ -118,7 +117,7 @@ func beginLedger(m *bdd.Manager, op string, f bdd.Ref) *decompLedger {
 	return &decompLedger{
 		ledger: ledger, m: m, op: op, start: time.Now(),
 		sizeIn: m.DagSize(f), massIn: count.Fraction(m, f),
-		gc0: st.GCTime, stw0: st.STWTime,
+		gc0: st.GCTime,
 	}
 }
 
@@ -141,7 +140,6 @@ func (lg *decompLedger) done(sizeOut int) {
 		BudgetLive:   lg.m.NodeCount(),
 		DurNS:        time.Since(lg.start).Nanoseconds(),
 		GCNS:         (st.GCTime - lg.gc0).Nanoseconds(),
-		STWNS:        (st.STWTime - lg.stw0).Nanoseconds(),
 	}
 	if rec.SizeIn > 0 {
 		rec.DensityIn = rec.MassIn / float64(rec.SizeIn)

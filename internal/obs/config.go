@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"bddkit/internal/bdd"
@@ -17,26 +16,19 @@ import (
 //	-metrics           print the metrics registry (Prometheus text
 //	                   exposition) to stderr on exit
 //	-obs ADDR          live endpoint serving pprof, /metrics, /flight,
-//	                   /quality, /parallel
-//	-stall-deadline D  stall-watchdog deadline
+//	                   /quality
 //	-obs-linger D      keep the session open this long at Close
 //
 // Any one of the first three enables the session: it gets a flight
 // recorder, so a panic or node-budget exhaustion dumps the recent trace
 // events to stderr, and a Sink with a quality ledger, so the managers
 // built with the session's Observer record their events and their
-// approximation/decomposition/reach operations record their loss. An
-// enabled session also arms 1-in-bdd.DefaultParSampleRate fine-grained
-// parallel-engine sampling until Close. The watchdog only takes effect
-// when the session is enabled and a multi-worker manager is observed.
+// approximation/decomposition/reach operations record their loss.
 type Config struct {
 	Trace   string
 	Metrics bool
 	Addr    string
 
-	// StallDeadline arms the parallel stall watchdog on observed managers
-	// (0 = off).
-	StallDeadline time.Duration
 	// Linger makes Close sleep before tearing the session down, keeping
 	// the -obs endpoint scrapeable after the workload finishes (a scraper
 	// or bddtop can take its last reading in that window).
@@ -57,8 +49,6 @@ func (c *Config) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Trace, "trace", "", "write a JSONL span trace to this `file` (\"-\" = stderr)")
 	fs.BoolVar(&c.Metrics, "metrics", false, "print the metrics registry (Prometheus text) to stderr on exit")
 	fs.StringVar(&c.Addr, "obs", "", "serve pprof/metrics on this `address` (e.g. :6060)")
-	fs.DurationVar(&c.StallDeadline, "stall-deadline", 0,
-		"arm the parallel stall watchdog with this `deadline` (0 = off)")
 	fs.DurationVar(&c.Linger, "obs-linger", 0,
 		"keep the obs endpoint up this `duration` after the workload finishes")
 }
@@ -72,8 +62,6 @@ func (c *Config) Enabled() bool {
 // distort the telemetry they were meant to configure.
 func (c *Config) Validate() error {
 	switch {
-	case c.StallDeadline < 0:
-		return fmt.Errorf("obs: -stall-deadline %v is negative (0 disarms the watchdog)", c.StallDeadline)
 	case c.Linger < 0:
 		return fmt.Errorf("obs: -obs-linger %v is negative", c.Linger)
 	case c.ShutdownDrain < 0:
@@ -100,14 +88,6 @@ type Session struct {
 	cfg       Config
 	traceFile *os.File
 	stopHTTP  func() error
-
-	// mu guards the fields the /parallel handler and Close read while
-	// the workload is still installing them (mgr, watchdog).
-	mu           sync.Mutex
-	mgr          *bdd.Manager
-	stopWatchdog func()
-	prevSample   int
-	sampleArmed  bool
 }
 
 // Start arms the observability layer described by c. With no flags set it
@@ -140,9 +120,6 @@ func (c Config) Start() (*Session, error) {
 		s.Tracer.SetSink(f)
 	}
 	s.sink = NewSink(s.Registry, s.Tracer)
-	s.prevSample = bdd.ParSampling()
-	bdd.SetParSampling(bdd.DefaultParSampleRate)
-	s.sampleArmed = true
 
 	if c.Addr != "" {
 		stop, err := s.serve(c.Addr)
@@ -180,27 +157,14 @@ func (s *Session) Observer() bdd.Observer {
 // traffic, GC and reorder totals, and the peak ITE recursion depth. The
 // gauges read the manager without synchronization, so values served while
 // the manager is mutating are advisory. It also points the tracer's
-// node-delta attribution at this manager, and moves the stall watchdog
-// (when StallDeadline is set) onto it if it has more than one worker: the
-// watchdog follows the manager observed last. Events reach the session
-// only from managers built with its Observer. No-op on a nil session.
+// node-delta attribution at this manager. Events reach the session only
+// from managers built with its Observer. No-op on a nil session.
 func (s *Session) ObserveManager(m *bdd.Manager) {
 	if s == nil {
 		return
 	}
 	RegisterManagerGauges(s.Registry, m)
 	s.Tracer.LiveNodes = m.NodeCount
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mgr = m
-	if s.stopWatchdog != nil {
-		s.stopWatchdog()
-		s.stopWatchdog = nil
-	}
-	if m.Workers() > 1 && s.cfg.StallDeadline > 0 {
-		s.stopWatchdog = m.StartStallWatchdog(s.cfg.StallDeadline)
-	}
 }
 
 // RegisterManagerGauges installs the standard per-manager gauge set on any
@@ -233,11 +197,6 @@ func RegisterManagerGauges(r *Registry, m *bdd.Manager) {
 	r.SetHelp("bdd_budget_headroom", "remaining node-budget fraction (1 = unconstrained)")
 	r.SetHelp("bdd_arena_capacity", "node-arena slot capacity")
 	r.SetHelp("bdd_arena_occupancy", "fraction of arena slots holding live or dead nodes")
-	r.GaugeFunc("bdd_workers", func() float64 { return float64(m.Workers()) })
-	r.GaugeFunc("bdd_tasks_stolen", func() float64 { return float64(m.Stats().TasksStolen) })
-	r.GaugeFunc("bdd_tasks_local", func() float64 { return float64(m.Stats().TasksLocal) })
-	r.GaugeFunc("bdd_stw_epochs", func() float64 { return float64(m.Stats().STWCount) })
-	r.GaugeFunc("bdd_stw_time_ns", func() float64 { return float64(m.Stats().STWTime) })
 }
 
 // SetDumpWriter redirects the session's flight-recorder dumps; see
@@ -250,30 +209,13 @@ func (s *Session) SetDumpWriter(w io.Writer) {
 
 // Close flushes the trace sink, stops the HTTP endpoint, and prints the
 // metrics snapshot and quality report when -metrics was given.
-// With -obs-linger it first sleeps, leaving the endpoint scrapeable; it
-// then stops the watchdog, emits the end-of-run per-subsystem
-// bdd.contention snapshot into the trace, and tears down.
+// With -obs-linger it first sleeps, leaving the endpoint scrapeable.
 func (s *Session) Close() {
 	if s == nil {
 		return
 	}
 	if s.cfg.Linger > 0 {
 		time.Sleep(s.cfg.Linger)
-	}
-	s.mu.Lock()
-	if s.stopWatchdog != nil {
-		s.stopWatchdog()
-		s.stopWatchdog = nil
-	}
-	mgr := s.mgr
-	s.mgr = nil
-	s.mu.Unlock()
-	if mgr != nil && mgr.Workers() > 1 {
-		s.emitContention(mgr.ParTelemetry())
-	}
-	if s.sampleArmed {
-		bdd.SetParSampling(s.prevSample)
-		s.sampleArmed = false
 	}
 	if s.stopHTTP != nil {
 		if err := s.stopHTTP(); err != nil {
@@ -312,22 +254,4 @@ func (s *Session) DumpOnPanic() {
 		}
 		panic(r)
 	}
-}
-
-// emitContention writes one bdd.contention trace event per instrumented
-// subsystem from a final telemetry snapshot, so post-hoc analysis gets the
-// merged wait distributions without scraping /parallel.
-func (s *Session) emitContention(t bdd.ParTelemetry) {
-	emit := func(subsystem string, ws bdd.WaitStats) {
-		s.Tracer.Event("bdd.contention",
-			Str("subsystem", subsystem),
-			I64("count", ws.Count), I64("sum_ns", ws.SumNS), I64("max_ns", ws.MaxNS),
-			I64("p50_ns", ws.P50NS), I64("p95_ns", ws.P95NS), I64("p99_ns", ws.P99NS))
-	}
-	emit("unique", t.UniqueWait)
-	emit("cache", t.CacheWait)
-	emit("lease", t.LeaseWait)
-	emit("steal", t.StealLatency)
-	emit("join", t.JoinWait)
-	emit("deque", t.DequeDepth)
 }

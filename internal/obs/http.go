@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
-
-	"bddkit/internal/bdd"
 )
 
 // Live profiling endpoint: -obs :6060 serves
@@ -18,11 +16,10 @@ import (
 //	/metrics           registry snapshot in Prometheus text exposition
 //	/flight            current flight-recorder contents as JSONL
 //	/quality           operation-ledger snapshot (per-operator loss) as JSON
-//	/parallel          the observed manager's bdd.ParTelemetry as JSON
 //	/                  an index of the above
 //
 // The endpoint is a debug surface: snapshots read live counters without
-// synchronization and are advisory while the engines are running.
+// synchronization and are advisory while the engine is running.
 // /metrics is additionally a production surface — standard Prometheus
 // scrapers consume it directly, and `obscheck -prom` lints it.
 
@@ -50,17 +47,6 @@ func (s *Session) serve(addr string) (func() error, error) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(s.sink.Ledger().Snapshot()) //nolint:errcheck // client went away
 	})
-	mux.HandleFunc("/parallel", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		s.mu.Lock()
-		mgr := s.mgr
-		s.mu.Unlock()
-		var t bdd.ParTelemetry // workers 0: no manager observed yet
-		if mgr != nil {
-			t = mgr.ParTelemetry()
-		}
-		json.NewEncoder(w).Encode(t) //nolint:errcheck // client went away
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
@@ -70,8 +56,7 @@ func (s *Session) serve(addr string) (func() error, error) {
 			"  /metrics      Prometheus text exposition (scrape me)\n"+
 			"  /debug/pprof  live profiling\n"+
 			"  /flight       flight-recorder contents (JSONL)\n"+
-			"  /quality      approximation-loss ledger snapshot (JSON)\n"+
-			"  /parallel     live parallel-engine telemetry (workers, contention, STW)\n")
+			"  /quality      approximation-loss ledger snapshot (JSON)\n")
 	})
 
 	ln, err := net.Listen("tcp", addr)

@@ -110,8 +110,7 @@ func TestConfigValidate(t *testing.T) {
 		want string // substring of the error, "" = valid
 	}{
 		{"zero value", Config{}, ""},
-		{"all armed", Config{Trace: "-", Metrics: true, StallDeadline: time.Second, Linger: time.Second}, ""},
-		{"negative stall deadline", Config{StallDeadline: -time.Minute}, "stall-deadline"},
+		{"all armed", Config{Trace: "-", Metrics: true, Linger: time.Second}, ""},
 		{"negative linger", Config{Linger: -time.Second}, "obs-linger"},
 		{"negative drain", Config{ShutdownDrain: -time.Second}, "shutdown drain"},
 	}

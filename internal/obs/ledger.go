@@ -12,7 +12,7 @@ import (
 // Every top-level approximation, decomposition, and reachability iteration
 // emits one OpRecord describing what the operation traded — DAG size in
 // and out, minterm mass retained, density before and after, how close the
-// run is to its node budget, and the attributed time/GC/STW cost. Records
+// run is to its node budget, and the attributed time and GC cost. Records
 // flow three ways:
 //
 //   - into the trace as schema-v3 "quality.op" events (and thereby into
@@ -62,8 +62,7 @@ type OpRecord struct {
 	BudgetHeadroom float64 `json:"budget_headroom"`
 
 	DurNS int64 `json:"dur_ns"`
-	GCNS  int64 `json:"gc_ns,omitempty"`  // GC time attributed to this operation
-	STWNS int64 `json:"stw_ns,omitempty"` // stop-the-world time attributed to this operation
+	GCNS  int64 `json:"gc_ns,omitempty"` // GC time attributed to this operation
 
 	Abort string `json:"abort,omitempty"` // abort/recovery cause ("" = clean)
 }
@@ -207,7 +206,7 @@ func (l *Ledger) Record(rec OpRecord) {
 		Int("threshold", rec.Threshold),
 		Int("budget_limit", rec.BudgetLimit), Int("budget_live", rec.BudgetLive),
 		F64("budget_headroom", rec.BudgetHeadroom),
-		I64("dur_ns", rec.DurNS), I64("gc_ns", rec.GCNS), I64("stw_ns", rec.STWNS),
+		I64("dur_ns", rec.DurNS), I64("gc_ns", rec.GCNS),
 		Str("abort", rec.Abort))
 }
 

@@ -53,24 +53,12 @@ type IterationSummary struct {
 	Reached  int64        `json:"reached_nodes,omitempty"`
 }
 
-// STWAgg is the per-cause aggregation of bdd.stw events in a trace.
-type STWAgg struct {
-	Cause   string `json:"cause"`
-	Count   int64  `json:"count"`
-	WaitNS  int64  `json:"wait_ns"`  // drain / acquisition before exclusion held
-	PauseNS int64  `json:"pause_ns"` // exclusive (serial) time
-}
-
 // TraceAnalysis is the full aggregation of one trace file.
 type TraceAnalysis struct {
 	Lines      int                `json:"lines"`
 	Spans      int                `json:"spans"`
 	Events     int                `json:"events"`
 	WallNS     int64              `json:"wall_ns"`              // summed duration of root spans
-	EnvelopeNS int64              `json:"envelope_ns"`          // last emission minus earliest span start
-	Workers    int                `json:"workers,omitempty"`    // max workers seen on bdd.stw events
-	STW        []STWAgg           `json:"stw,omitempty"`        // per-cause stop-the-world totals
-	Stalls     int64              `json:"stalls,omitempty"`     // bdd.stall events
 	Rollups    []Rollup           `json:"rollups"`              // sorted by Total descending
 	Iterations []IterationSummary `json:"iterations,omitempty"` //
 }
@@ -113,9 +101,6 @@ func AnalyzeTrace(r io.Reader) (*TraceAnalysis, error) {
 	childNS := make(map[uint64]int64)        // span id -> summed direct-child span time
 	childPhases := make(map[uint64][]uint64) // span id -> direct-child span indices in spans
 
-	stwByCause := make(map[string]*STWAgg)
-	var envStart, envEnd time.Time
-
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	for sc.Scan() {
@@ -123,15 +108,6 @@ func AnalyzeTrace(r io.Reader) (*TraceAnalysis, error) {
 		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			return nil, fmt.Errorf("line %d: invalid JSON: %v", a.Lines, err)
-		}
-		if ts, err := time.Parse(time.RFC3339Nano, ev.TS); err == nil {
-			start := ts.Add(-time.Duration(ev.DurNS)) // spans are emitted at End
-			if envStart.IsZero() || start.Before(envStart) {
-				envStart = start
-			}
-			if ts.After(envEnd) {
-				envEnd = ts
-			}
 		}
 		switch ev.Kind {
 		case "span":
@@ -151,28 +127,7 @@ func AnalyzeTrace(r io.Reader) (*TraceAnalysis, error) {
 			spans = append(spans, spanRec{ev: ev})
 		case "event":
 			a.Events++
-			agg := get(ev.Name, "event")
-			agg.count++
-			switch ev.Name {
-			case "bdd.stw":
-				cause := attrStr(ev.Attrs, "cause")
-				if cause == "" {
-					cause = "unknown"
-				}
-				st, ok := stwByCause[cause]
-				if !ok {
-					st = &STWAgg{Cause: cause}
-					stwByCause[cause] = st
-				}
-				st.Count++
-				st.WaitNS += attrI64(ev.Attrs, "wait_ns")
-				st.PauseNS += attrI64(ev.Attrs, "pause_ns")
-				if w := int(attrI64(ev.Attrs, "workers")); w > a.Workers {
-					a.Workers = w
-				}
-			case "bdd.stall":
-				a.Stalls++
-			}
+			get(ev.Name, "event").count++
 		default:
 			return nil, fmt.Errorf("line %d: unknown kind %q", a.Lines, ev.Kind)
 		}
@@ -180,18 +135,6 @@ func AnalyzeTrace(r io.Reader) (*TraceAnalysis, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if !envStart.IsZero() {
-		a.EnvelopeNS = envEnd.Sub(envStart).Nanoseconds()
-	}
-	for _, st := range stwByCause {
-		a.STW = append(a.STW, *st)
-	}
-	sort.Slice(a.STW, func(i, j int) bool {
-		if a.STW[i].PauseNS != a.STW[j].PauseNS {
-			return a.STW[i].PauseNS > a.STW[j].PauseNS
-		}
-		return a.STW[i].Cause < a.STW[j].Cause
-	})
 
 	// Self time and wall time.
 	for _, s := range spans {
@@ -381,10 +324,6 @@ func (a *TraceAnalysis) WriteSummary(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if len(a.STW) > 0 {
-		fmt.Fprintln(w, "stop-the-world (Amdahl breakdown):")
-		a.Amdahl().Write(w)
-	}
 	if len(a.Iterations) > 0 {
 		fmt.Fprintln(w, "iterations (critical path):")
 		// Long traversals (the 16-bit counter runs 65536 iterations) would
@@ -445,85 +384,5 @@ func WriteDiff(w io.Writer, a, b *TraceAnalysis, deltas []RollupDelta) {
 			time.Duration(d.TotalB).Round(time.Microsecond),
 			time.Duration(d.Delta).Round(time.Microsecond),
 			ratio)
-	}
-}
-
-// AmdahlReport is the serial-fraction breakdown of a parallel run: the
-// stop-the-world pauses recorded by bdd.stw events are exactly the serial
-// sections of the engine, so their share of the trace's wall envelope is
-// the s in Amdahl's law, bounding attainable speedup at 1/s.
-type AmdahlReport struct {
-	WallNS         int64    `json:"wall_ns"`   // envelope the fraction is measured against
-	SerialNS       int64    `json:"serial_ns"` // summed STW pause time
-	WaitNS         int64    `json:"wait_ns"`   // summed drain/acquisition overhead
-	SerialFraction float64  `json:"serial_fraction"`
-	Workers        int      `json:"workers,omitempty"`
-	MaxSpeedup     float64  `json:"max_speedup"`                    // 1/s (0 = unbounded: no serial time seen)
-	PredictedAtW   float64  `json:"predicted_at_workers,omitempty"` // 1/(s + (1-s)/W)
-	STW            []STWAgg `json:"stw,omitempty"`
-	Stalls         int64    `json:"stalls,omitempty"`
-}
-
-// Amdahl derives the serial-fraction report from the analysis. The wall
-// base is the trace envelope (earliest span start to last emission), which
-// covers concurrent spans exactly once; WallNS (summed root spans) is the
-// fallback for traces without parseable timestamps.
-func (a *TraceAnalysis) Amdahl() AmdahlReport {
-	r := AmdahlReport{WallNS: a.EnvelopeNS, Workers: a.Workers, STW: a.STW, Stalls: a.Stalls}
-	if r.WallNS <= 0 {
-		r.WallNS = a.WallNS
-	}
-	for _, st := range a.STW {
-		r.SerialNS += st.PauseNS
-		r.WaitNS += st.WaitNS
-	}
-	if r.WallNS > 0 && r.SerialNS > 0 {
-		s := float64(r.SerialNS) / float64(r.WallNS)
-		if s > 1 {
-			s = 1 // clock skew or sub-envelope wall; clamp rather than report >100%
-		}
-		r.SerialFraction = s
-		if s > 0 {
-			r.MaxSpeedup = 1 / s
-			if r.Workers > 1 {
-				r.PredictedAtW = 1 / (s + (1-s)/float64(r.Workers))
-			}
-		}
-	}
-	return r
-}
-
-// Write renders the Amdahl breakdown as the traceview "amdahl" report.
-func (r AmdahlReport) Write(w io.Writer) {
-	fmt.Fprintf(w, "wall %v, stop-the-world %v serial (%.3f%%), drain overhead %v\n",
-		time.Duration(r.WallNS).Round(time.Microsecond),
-		time.Duration(r.SerialNS).Round(time.Microsecond),
-		100*r.SerialFraction,
-		time.Duration(r.WaitNS).Round(time.Microsecond))
-	if len(r.STW) == 0 {
-		fmt.Fprintln(w, "no bdd.stw events in trace (serial run, or obs was armed without a parallel manager)")
-		return
-	}
-	fmt.Fprintf(w, "%-14s %8s %12s %12s %8s\n", "cause", "count", "pause", "wait", "share")
-	for _, st := range r.STW {
-		share := 0.0
-		if r.SerialNS > 0 {
-			share = 100 * float64(st.PauseNS) / float64(r.SerialNS)
-		}
-		fmt.Fprintf(w, "%-14s %8d %12v %12v %7.1f%%\n",
-			st.Cause, st.Count,
-			time.Duration(st.PauseNS).Round(time.Microsecond),
-			time.Duration(st.WaitNS).Round(time.Microsecond),
-			share)
-	}
-	if r.MaxSpeedup > 0 {
-		fmt.Fprintf(w, "implied max speedup %.1fx", r.MaxSpeedup)
-		if r.PredictedAtW > 0 {
-			fmt.Fprintf(w, "; Amdahl predicts %.2fx at %d workers", r.PredictedAtW, r.Workers)
-		}
-		fmt.Fprintln(w)
-	}
-	if r.Stalls > 0 {
-		fmt.Fprintf(w, "WARNING: %d stall-watchdog report(s) in trace\n", r.Stalls)
 	}
 }

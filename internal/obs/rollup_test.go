@@ -128,3 +128,83 @@ func TestDiffRollupsSignedDeltas(t *testing.T) {
 		t.Fatalf("diff output malformed:\n%s", out.String())
 	}
 }
+
+// overlapFixture is a hand-built v2 trace of one operation: a 100ms parent
+// span whose two children ran on different goroutines and OVERLAP in wall
+// time (80ms and 70ms — 150ms of child time inside a 100ms parent), plus a
+// "bdd.stw" event of the v2 vocabulary, which readers now pass unchecked.
+// Parent started at 12:00:00.000; children end before it.
+const overlapFixture = `{"ts":"2026-08-08T12:00:00.080Z","v":2,"kind":"span","name":"op.child","id":2,"parent":1,"dur_ns":80000000}
+{"ts":"2026-08-08T12:00:00.090Z","v":2,"kind":"span","name":"op.child","id":3,"parent":1,"dur_ns":70000000}
+{"ts":"2026-08-08T12:00:00.050Z","v":2,"kind":"event","name":"bdd.stw","id":4,"parent":1,"attrs":{"cause":"gc","workers":4,"wait_ns":1000000,"pause_ns":10000000}}
+{"ts":"2026-08-08T12:00:00.100Z","v":2,"kind":"span","name":"op.parent","id":1,"dur_ns":100000000}
+`
+
+// TestRollupOverlappingWorkerSpans checks self-time attribution when child
+// spans from concurrent goroutines overlap: the parent's self time must clamp
+// to zero rather than double-count (or go negative), and the wall time must
+// count the parent once, not the sum of overlapping children.
+func TestRollupOverlappingWorkerSpans(t *testing.T) {
+	a, err := AnalyzeTrace(strings.NewReader(overlapFixture))
+	if err != nil {
+		t.Fatalf("AnalyzeTrace: %v", err)
+	}
+	var parent, child *Rollup
+	for i := range a.Rollups {
+		switch a.Rollups[i].Name {
+		case "op.parent":
+			parent = &a.Rollups[i]
+		case "op.child":
+			child = &a.Rollups[i]
+		}
+	}
+	if parent == nil || child == nil {
+		t.Fatalf("missing rollups: %+v", a.Rollups)
+	}
+	if parent.Total != 100000000 {
+		t.Errorf("parent total = %d, want 100ms", parent.Total)
+	}
+	if parent.Self != 0 {
+		t.Errorf("parent self = %d with overlapping children, want clamp to 0", parent.Self)
+	}
+	if child.Total != 150000000 || child.Count != 2 {
+		t.Errorf("child rollup = total %d count %d, want 150ms over 2 spans", child.Total, child.Count)
+	}
+	if a.WallNS != 100000000 {
+		t.Errorf("WallNS = %d, want the 100ms root span only", a.WallNS)
+	}
+}
+
+// TestValidateSchemaVersions checks the version gate: v2 lines pass,
+// unversioned v1 lines and future versions are rejected, and the v3
+// quality.op vocabulary is checked attribute-by-attribute.
+func TestValidateSchemaVersions(t *testing.T) {
+	sum, err := ValidateJSONL(strings.NewReader(overlapFixture))
+	if err != nil {
+		t.Fatalf("v2 fixture rejected: %v", err)
+	}
+	if sum.Version != 2 {
+		t.Errorf("Version = %d, want 2", sum.Version)
+	}
+
+	legacy := `{"ts":"2026-08-08T12:00:00Z","kind":"span","name":"op","id":1,"dur_ns":5}` + "\n"
+	if _, err = ValidateJSONL(strings.NewReader(legacy)); err == nil {
+		t.Fatal("unversioned v1 line accepted")
+	}
+
+	future := `{"ts":"2026-08-08T12:00:00Z","v":99,"kind":"span","name":"op","id":1,"dur_ns":5}` + "\n"
+	if _, err = ValidateJSONL(strings.NewReader(future)); err == nil {
+		t.Fatal("future schema version accepted")
+	}
+
+	bad := []string{
+		`{"ts":"2026-08-08T12:00:00Z","v":3,"kind":"event","name":"quality.op","id":1,"attrs":{"op":"rua","size_in":5,"size_out":3,"dur_ns":1,"mass_retained":0.5}}`,
+		`{"ts":"2026-08-08T12:00:00Z","v":3,"kind":"event","name":"quality.op","id":1,"attrs":{"op_kind":"approx","op":"rua","size_in":-5,"size_out":3,"dur_ns":1,"mass_retained":0.5}}`,
+		`{"ts":"2026-08-08T12:00:00Z","v":3,"kind":"event","name":"quality.op","id":1,"attrs":{"op_kind":"approx","op":"rua","size_in":5,"size_out":3,"dur_ns":1,"mass_retained":-0.5}}`,
+	}
+	for _, line := range bad {
+		if _, err := ValidateJSONL(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("malformed v3 event accepted: %s", line)
+		}
+	}
+}

@@ -17,16 +17,14 @@ import (
 //	v1 (unversioned; "v" absent) — the original span/event record, no
 //	     longer read.
 //	v2 — adds the "v" field itself and the parallel-engine event
-//	     vocabulary: "bdd.stw" (write-lease / stop-the-world epochs with
-//	     cause, wait_ns, pause_ns, workers attrs), "bdd.stall" (watchdog
-//	     reports with report, stuck_ns attrs), and "bdd.contention"
-//	     (end-of-run per-subsystem wait summaries).
+//	     vocabulary ("bdd.stw", "bdd.stall", "bdd.contention"), which
+//	     went with that engine; readers pass those names unchecked.
 //	v3 — adds the quality-of-result vocabulary: "quality.op", the
 //	     operation-ledger record every top-level approximation,
 //	     decomposition, and reach iteration emits (kind, op, op_id,
 //	     input/result DAG sizes, minterm mass before/after and retained,
 //	     densities, threshold, budget limit/live/headroom, attributed
-//	     dur/gc/stw cost, abort cause).
+//	     dur/gc cost, abort cause).
 //
 // Readers accept versions 2 up to their own: a line without "v" (v1) or
 // from a future writer is rejected.
@@ -109,9 +107,9 @@ func ValidateJSONL(r io.Reader) (TraceSummary, error) {
 	return sum, nil
 }
 
-// validateKnownEvent applies per-name attribute checks to the v2 parallel-
-// engine and v3 quality vocabularies. Unknown names pass — traces may
-// carry domain-specific events the validator has never heard of.
+// validateKnownEvent applies per-name attribute checks to the v3 quality
+// vocabulary. Unknown names pass — traces may carry domain-specific events
+// the validator has never heard of.
 func validateKnownEvent(ev *Event) error {
 	num := func(key string) (float64, bool) {
 		switch v := ev.Attrs[key].(type) {
@@ -129,30 +127,6 @@ func validateKnownEvent(ev *Event) error {
 		return s
 	}
 	switch ev.Name {
-	case "bdd.stw":
-		if str("cause") == "" {
-			return fmt.Errorf("bdd.stw event %d has no cause attr", ev.ID)
-		}
-		if v, ok := num("pause_ns"); !ok || v < 0 {
-			return fmt.Errorf("bdd.stw event %d has bad pause_ns %v", ev.ID, ev.Attrs["pause_ns"])
-		}
-		if v, ok := num("wait_ns"); ok && v < 0 {
-			return fmt.Errorf("bdd.stw event %d has negative wait_ns", ev.ID)
-		}
-	case "bdd.stall":
-		if str("report") == "" {
-			return fmt.Errorf("bdd.stall event %d has no report attr", ev.ID)
-		}
-		if v, ok := num("stuck_ns"); !ok || v < 0 {
-			return fmt.Errorf("bdd.stall event %d has bad stuck_ns %v", ev.ID, ev.Attrs["stuck_ns"])
-		}
-	case "bdd.contention":
-		if str("subsystem") == "" {
-			return fmt.Errorf("bdd.contention event %d has no subsystem attr", ev.ID)
-		}
-		if v, ok := num("count"); !ok || v < 0 {
-			return fmt.Errorf("bdd.contention event %d has bad count %v", ev.ID, ev.Attrs["count"])
-		}
 	case "quality.op":
 		if str("op_kind") == "" || str("op") == "" {
 			return fmt.Errorf("quality.op event %d lacks op_kind/op attrs", ev.ID)

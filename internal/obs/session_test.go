@@ -15,10 +15,8 @@ import (
 	"bddkit/internal/approx"
 	"bddkit/internal/bdd"
 	"bddkit/internal/bench"
-	"bddkit/internal/circuit"
 	"bddkit/internal/model"
 	"bddkit/internal/obs"
-	"bddkit/internal/reach"
 )
 
 // End-to-end checks that a session reaches the managers built deep inside
@@ -67,74 +65,6 @@ func closeAndReadTrace(t *testing.T, s *obs.Session, path string) (obs.TraceSumm
 		t.Fatalf("trace invalid: %v", err)
 	}
 	return sum, data
-}
-
-// TestSessionWatchesParallelTraversal is `reach -in testdata/counter.net
-// -method bfs -workers 4 -obs ... -trace ...`: /parallel
-// reports the 4 workers, /metrics counts the manager's stop-the-world
-// epochs (compilation's included, so the manager reported from its
-// construction on), and the trace carries the end-of-run bdd.contention
-// events the Amdahl breakdown reads.
-func TestSessionWatchesParallelTraversal(t *testing.T) {
-	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	sess, err := obs.Config{Trace: trace, Addr: "127.0.0.1:0"}.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	f, err := os.Open("../../testdata/counter.net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nl, err := circuit.Parse(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := circuit.Compile(nl, circuit.CompileOptions{
-		AutoReorder: true,
-		BDDConfig:   &bdd.Config{Workers: 4, Observer: sess.Observer()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Release()
-	sess.ObserveManager(c.M)
-	tr, err := reach.NewTR(c, reach.DefaultTROptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Release()
-	res := tr.BFS(c.Init, reach.Options{})
-	defer c.M.Deref(res.Reached)
-	if !res.Completed {
-		t.Fatal("BFS did not complete")
-	}
-
-	var par struct {
-		Workers int `json:"workers"`
-	}
-	if err := json.Unmarshal(fetch(t, sess, "/parallel"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if par.Workers != 4 {
-		t.Fatalf("/parallel workers = %d, want 4", par.Workers)
-	}
-	if v, ok := scrape(t, sess).Value("bdd_stw_total"); !ok || v == 0 {
-		t.Fatalf("/metrics bdd_stw_total = %v (present %v), want > 0", v, ok)
-	}
-
-	sum, data := closeAndReadTrace(t, sess, trace)
-	if sum.ByName["bdd.contention"] == 0 {
-		t.Fatalf("trace has no bdd.contention events: %v", sum.ByName)
-	}
-	a, err := obs.AnalyzeTrace(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := a.Amdahl(); r.Workers != 4 {
-		t.Fatalf("Amdahl report over %d workers, want 4", r.Workers)
-	}
 }
 
 // TestSessionWatchesTable2 is `tables -table 2 -obs ... -trace ...`: the

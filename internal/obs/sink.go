@@ -11,10 +11,9 @@ import (
 
 // Sink is the telemetry a BDD manager reports to, attached when the
 // manager is built (bdd.Config.Observer) and fixed for its lifetime. As
-// the manager's bdd.Observer it counts GC, reorder, abort and
-// stop-the-world events in its registry, writes them to its tracer, and
-// dumps the tracer's flight recorder on node-budget aborts, invariant
-// failures and stalls. It also carries the quality ledger that the
+// the manager's bdd.Observer it counts GC, reorder, abort and invariant
+// events in its registry, writes them to its tracer, and dumps the
+// tracer's flight recorder on node-budget aborts and invariant failures. It also carries the quality ledger that the
 // approximation, decomposition, traversal and counting operators file
 // their loss in. A cmd session owns one sink for every manager it
 // watches; each bddserve tenant owns one for its own managers, so no
@@ -34,9 +33,6 @@ type Sink struct {
 	reorders   *Counter
 	aborts     *Counter
 	debugFails *Counter
-	stwPause   *Histogram
-	stwCount   *Counter
-	stalls     *Counter
 }
 
 // NewSink registers the bdd_* event metrics and a quality ledger on reg.
@@ -55,9 +51,6 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 		reorders:   reg.Counter("bdd_reorder_total"),
 		aborts:     reg.Counter("bdd_budget_aborts_total"),
 		debugFails: reg.Counter("bdd_debug_failures_total"),
-		stwPause:   reg.Histogram("bdd_stw_pause_ns"),
-		stwCount:   reg.Counter("bdd_stw_total"),
-		stalls:     reg.Counter("bdd_stall_reports_total"),
 	}
 	for name, text := range map[string]string{
 		"bdd_gc_pause_ns":          "garbage-collection pause durations",
@@ -67,9 +60,6 @@ func NewSink(reg *Registry, tracer *Tracer) *Sink {
 		"bdd_reorder_total":        "variable-reordering passes observed",
 		"bdd_budget_aborts_total":  "node-budget aborts observed",
 		"bdd_debug_failures_total": "DebugCheck invariant failures observed",
-		"bdd_stw_pause_ns":         "write-lease stop-the-world pause durations",
-		"bdd_stw_total":            "write-lease stop-the-world epochs observed",
-		"bdd_stall_reports_total":  "parallel stall-watchdog reports",
 	} {
 		reg.SetHelp(name, text)
 	}
@@ -163,27 +153,6 @@ func (k *Sink) DebugFailure(err error) {
 	k.debugFails.Inc()
 	k.tracer.Event("bdd.debug_failure", Str("error", err.Error()))
 	k.dump("DebugCheck failure: " + err.Error())
-}
-
-// STW records one write-lease / stop-the-world epoch: pause histogram,
-// total and per-cause counters, and a bdd.stw trace event carrying the
-// Amdahl attribution (cause, wait, pause, worker count).
-func (k *Sink) STW(cause string, workers int, wait, pause time.Duration) {
-	k.stwPause.Observe(pause.Nanoseconds())
-	k.stwCount.Inc()
-	k.reg.Counter("bdd_stw_" + cause + "_total").Inc()
-	k.tracer.Event("bdd.stw",
-		Str("cause", cause), Int("workers", workers),
-		Dur("wait_ns", wait), Dur("pause_ns", pause))
-}
-
-// Stall records a stall-watchdog firing: the report goes into the trace
-// (and thereby the flight recorder), and the flight recorder dumps
-// immediately — a stuck engine may never reach a clean exit.
-func (k *Sink) Stall(report string, stuck time.Duration) {
-	k.stalls.Inc()
-	k.tracer.Event("bdd.stall", Str("report", report), Dur("stuck_ns", stuck))
-	k.dump("parallel engine stalled for " + stuck.String() + ":\n" + report)
 }
 
 var _ bdd.Observer = (*Sink)(nil)

@@ -24,8 +24,7 @@ import (
 // (Of(m).Tracer()). Emissions are serialized with a mutex, so any number
 // of goroutines may emit events. Span nesting, though, is tracked in one
 // stack per tracer, so spans nest correctly only when one logical thread
-// of work opens them: the caller of a manager's operations. The parallel
-// engine's workers never open spans; they run inside the caller's.
+// of work opens them: the caller of a manager's operations.
 
 // Attr is one key/value attribute on a span or event.
 type Attr struct {

@@ -237,10 +237,11 @@ func CheckSamplerUniform(m *bdd.Manager, f bdd.Ref, nVars, samples int, seed int
 }
 
 // CheckCountInvariance pins down that the exact count is a function of
-// the Boolean function alone: building the instance serially and with
-// Workers=4, sifting to a reversed variable order, garbage-collecting,
-// and a Save/Load round trip into a reversed-order manager must all
-// report the bit-identical count — which must also equal the family's
+// the Boolean function alone: building the instance on a default manager
+// and on one whose small arena and cache force collections, growth and
+// evictions, sifting to a reversed variable order, garbage-collecting,
+// and a Save/Load round trip into a fresh manager must all report the
+// bit-identical count — which must also equal the family's
 // independent ground truth when one is in range.
 func CheckCountInvariance(p gauntlet.Params) error {
 	m, f, err := gauntlet.New(p, nil)
@@ -302,18 +303,16 @@ func CheckCountInvariance(p gauntlet.Params) error {
 		return fmt.Errorf("%s: %v", name, err)
 	}
 
-	// Rebuild with the parallel engine.
-	cfg := bdd.DefaultConfig()
-	cfg.Workers = 4
-	m4 := bdd.NewWithConfig(p.Vars(), cfg)
-	f4, err := gauntlet.Build(m4, p)
+	// Rebuild on a manager with a small arena and cache.
+	ms := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64, CacheBits: 10})
+	fs, err := gauntlet.Build(ms, p)
 	if err != nil {
 		return fmt.Errorf("%s: %v", name, err)
 	}
-	c, err = count.Minterms(m4, f4, p.Vars())
-	if err := check("Workers=4 rebuild", c, err); err != nil {
+	c, err = count.Minterms(ms, fs, p.Vars())
+	if err := check("small-manager rebuild", c, err); err != nil {
 		return err
 	}
-	m4.Deref(f4)
-	return m4.DebugCheck()
+	ms.Deref(fs)
+	return ms.DebugCheck()
 }

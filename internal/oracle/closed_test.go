@@ -42,7 +42,7 @@ func TestSamplerUniformity(t *testing.T) {
 }
 
 // TestCountInvarianceGauntlet runs the full invariance battery (ground
-// truth, reorder, GC, Save/Load, Workers=4 rebuild) on every smoke
+// truth, reorder, GC, Save/Load, small-manager rebuild) on every smoke
 // instance.
 func TestCountInvarianceGauntlet(t *testing.T) {
 	for _, p := range gauntlet.SmallInstances() {

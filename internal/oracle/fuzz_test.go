@@ -139,24 +139,16 @@ func FuzzITESequence(f *testing.F) {
 }
 
 // iteSequenceBody is the FuzzITESequence harness, split out so ordinary
-// tests can drive it with chosen inputs. Each input runs on a Workers=1
-// manager and then on a Workers=2 one, so fuzzing reaches the atomic,
-// striped and forking primitives the kernel recursions call on a worker.
+// tests can drive it with chosen inputs.
 func iteSequenceBody(t testing.TB, data []byte) {
 	if len(data) > 512 {
 		data = data[:512]
 	}
-	for _, workers := range []int{1, 2} {
-		iteSequenceRun(t, data, workers)
-	}
-}
-
-func iteSequenceRun(t testing.TB, data []byte, workers int) {
 	const nv = 6
 	// A tiny pinned computed table keeps each exec fast: DebugCheck
 	// scans the whole cache, and at the default 2^18 entries that scan
 	// would dominate the harness and starve the fuzzer of throughput.
-	m := bdd.NewWithConfig(nv, bdd.Config{CacheBits: 8, CacheMaxBits: 8, Workers: workers})
+	m := bdd.NewWithConfig(nv, bdd.Config{CacheBits: 8, CacheMaxBits: 8})
 	m.EnableAutoReorder(64)
 	vars := make([]int, nv)
 	for i := range vars {
@@ -177,7 +169,7 @@ func iteSequenceRun(t testing.TB, data []byte, workers int) {
 				a[j] = i>>uint(j)&1 == 1
 			}
 			if Eval(m, r, a) != want.Get(i) {
-				t.Fatalf("workers=%d: operation diverges from shadow semantics at %s", workers, formatAssignment(a, vars))
+				t.Fatalf("operation diverges from shadow semantics at %s", formatAssignment(a, vars))
 			}
 		}
 	}
@@ -252,7 +244,7 @@ func iteSequenceRun(t testing.TB, data []byte, workers int) {
 		}
 		if pos&7 == 0 {
 			if err := m.DebugCheck(); err != nil {
-				t.Fatalf("workers=%d: DebugCheck after byte %d: %v", workers, pos, err)
+				t.Fatalf("DebugCheck after byte %d: %v", pos, err)
 			}
 		}
 	}
@@ -261,9 +253,9 @@ func iteSequenceRun(t testing.TB, data []byte, workers int) {
 	}
 	m.GarbageCollect()
 	if got := m.ReferencedNodeCount(); got != nv {
-		t.Fatalf("workers=%d: %d nodes stay referenced after release, want %d", workers, got, nv)
+		t.Fatalf("%d nodes stay referenced after release, want %d", got, nv)
 	}
 	if err := m.DebugCheck(); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("%v", err)
 	}
 }

@@ -34,12 +34,6 @@ type StressConfig struct {
 	// ReorderThreshold arms automatic sifting at this live-node count
 	// (default 256, low enough to fire many times per run).
 	ReorderThreshold int
-	// Workers configures the manager's parallel engine (default 0: the
-	// package default, serial unless changed). The driver itself stays
-	// single-threaded, so with Workers > 1 it exercises the kernels on a
-	// parallel worker and the quiescence interop of GC/reorder/save-load
-	// without scheduling nondeterminism.
-	Workers int
 }
 
 func (cfg *StressConfig) normalize() {
@@ -85,9 +79,7 @@ type poolEntry struct {
 func RunStress(cfg StressConfig) (StressResult, error) {
 	cfg.normalize()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	bcfg := bdd.DefaultConfig()
-	bcfg.Workers = cfg.Workers
-	m := bdd.NewWithConfig(cfg.Vars, bcfg)
+	m := bdd.New(cfg.Vars)
 	m.EnableAutoReorder(cfg.ReorderThreshold)
 	res := StressResult{Ops: make(map[string]int)}
 

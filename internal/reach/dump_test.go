@@ -20,9 +20,9 @@ import (
 // dump must carry (a) the bdd.abort event with the open-span stack — that
 // is the only record naming *where* the run died, since open spans have
 // not written themselves yet — and (b) the most recent quality.op ledger
-// record, the last quality decision made before death. Checked on the
-// serial engine and on Workers=4 (the parallel allocator has its own
-// limit-check path).
+// record, the last quality decision made before death. Checked with the
+// chain image schedule (Workers=1) and the pairwise tree (Workers=4),
+// whose abort path releases its finished pairs before the panic goes on.
 func TestBudgetAbortDumpHasStackAndLedger(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -1,7 +1,6 @@
 package reach
 
 import (
-	"sync"
 	"time"
 
 	"bddkit/internal/approx"
@@ -58,12 +57,6 @@ type ImageStats struct {
 	CacheLookups int64 // computed-table probes
 	CacheHits    int64 // computed-table hits
 
-	// Stop-the-world accounting during the traversal (parallel engine
-	// only; zero on the serial engine): the serial sections that bound the
-	// run's attainable speedup under Amdahl's law.
-	STWCount int64         // write-lease / stop-the-world epochs
-	STWTime  time.Duration // pauses summed over those epochs (waits excluded)
-
 	// Per-phase wall-time breakdown of the traversal, accumulated by the
 	// traversal loops and Image: where a Table 1 timing column actually
 	// went.
@@ -76,6 +69,14 @@ type ImageStats struct {
 // present-state variables), expressed again over the present-state
 // variables. With a non-nil pimg the result may be a dense subset of the
 // exact image (partial image computation, Section 4 of the paper).
+//
+// The manager's worker count picks the conjunction schedule, and nothing
+// else does: with Workers() > 1 an exact image conjoins the clusters in a
+// balanced pairwise tree (imageTree), otherwise in the left-deep chain
+// (imageChain). Both run on the calling goroutine. The image is exact
+// either way, so canonicity makes the two agree Ref for Ref. Partial-image
+// cuts depend on the conjunction order, so a non-nil pimg always takes the
+// chain.
 //
 // A limit that trips inside (see bdd.OpAborted) unwinds through Image to
 // the bdd.Manager.Run that armed it; the image span still closes, marked
@@ -100,10 +101,6 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) bdd.Ref {
 	st.Images++
 	cur := m.ExistsCube(from, tr.PreCube)
 	if pimg == nil && len(tr.Clusters) > 1 && m.Workers() > 1 {
-		// Concurrent path: the image is exact either way, so canonicity
-		// makes the tree agree Ref-for-Ref with the serial chain below.
-		// Partial-image cuts depend on the conjunction order, so a non-nil
-		// pimg keeps the serial schedule.
 		cur = tr.imageTree(cur, st)
 	} else {
 		cur = tr.imageChain(cur, pimg, st)
@@ -153,19 +150,14 @@ func (tr *TR) imageChain(cur bdd.Ref, pimg *PImg, st *ImageStats) bdd.Ref {
 }
 
 // imageTree conjoins the frontier with the clusters by a balanced pairwise
-// reduction tree instead of the serial left-deep chain: each level merges
-// adjacent operands with AndExists in concurrent goroutines on the shared
-// manager, so independent relational products overlap. The quantification
-// schedule is recomputed per level from the live supports: a present-state
-// or input variable is abstracted inside the pair that holds its last
-// remaining occurrences (∃v.(f∧g) = (∃v.f)∧g needs v ∉ supp(g), so a
-// variable may only be quantified once its support collapses into a single
-// pair). Takes ownership of cur; returns the exact image frontier over the
-// next-state variables, before the Permute back to present-state.
-//
-// A bdd.OpAborted raised inside a worker goroutine is captured and
-// re-panicked on the calling goroutine after the level joins, so it
-// reaches the enclosing bdd.Manager.Run exactly as on the serial path.
+// reduction tree instead of the left-deep chain: each level merges
+// adjacent operands with AndExists. The quantification schedule is
+// recomputed per level from the live supports: a present-state or input
+// variable is abstracted inside the pair that holds its last remaining
+// occurrences (∃v.(f∧g) = (∃v.f)∧g needs v ∉ supp(g), so a variable may
+// only be quantified once its support collapses into a single pair). Takes
+// ownership of cur; returns the exact image frontier over the next-state
+// variables, before the Permute back to present-state.
 func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 	m := tr.M
 	quantifiable := make(map[int]bool, len(tr.StateVars)+len(tr.InputVars))
@@ -186,11 +178,6 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 		items = append(items, m.Ref(c))
 		supports = append(supports, tr.supports[k])
 	}
-	release := func() {
-		for _, f := range items {
-			m.Deref(f)
-		}
-	}
 	for len(items) > 1 {
 		// Support census over the remaining operands.
 		occ := make(map[int]int)
@@ -205,8 +192,6 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 			}
 		}
 		pairs := len(items) / 2
-		next := make([]bdd.Ref, pairs)
-		panics := make([]any, pairs)
 		cubes := make([]bdd.Ref, pairs)
 		for p := 0; p < pairs; p++ {
 			inPair := make(map[int]int)
@@ -225,29 +210,9 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 			}
 			cubes[p] = m.CubeFromVars(qv)
 		}
-		var wg sync.WaitGroup
-		for p := 0; p < pairs; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				defer func() { panics[p] = recover() }()
-				next[p] = m.AndExists(items[2*p], items[2*p+1], cubes[p])
-			}(p)
-		}
-		wg.Wait()
-		for p := 0; p < pairs; p++ {
-			m.Deref(cubes[p])
-		}
-		for _, r := range panics {
-			if r != nil {
-				for p := 0; p < pairs; p++ {
-					if panics[p] == nil {
-						m.Deref(next[p])
-					}
-				}
-				release()
-				panic(r)
-			}
+		next := conjoinPairs(m, items, cubes)
+		for _, c := range cubes {
+			m.Deref(c)
 		}
 		merged := make([]bdd.Ref, 0, pairs+1)
 		mergedSup := make([][]int, pairs, pairs+1)
@@ -284,4 +249,31 @@ func (tr *TR) imageTree(cur bdd.Ref, st *ImageStats) bdd.Ref {
 		res = out
 	}
 	return res
+}
+
+// conjoinPairs returns AndExists(items[2p], items[2p+1], cubes[p]) for
+// every pair p, in order. When a product aborts (a bdd.OpAborted from the
+// enclosing bdd.Manager.Run, or any other panic) it releases the products
+// already finished, the cubes and every operand before the panic
+// continues.
+func conjoinPairs(m *bdd.Manager, items, cubes []bdd.Ref) []bdd.Ref {
+	next := make([]bdd.Ref, 0, len(cubes))
+	defer func() {
+		if r := recover(); r != nil {
+			for _, f := range next {
+				m.Deref(f)
+			}
+			for _, f := range cubes {
+				m.Deref(f)
+			}
+			for _, f := range items {
+				m.Deref(f)
+			}
+			panic(r)
+		}
+	}()
+	for p, c := range cubes {
+		next = append(next, m.AndExists(items[2*p], items[2*p+1], c))
+	}
+	return next
 }

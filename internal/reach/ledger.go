@@ -40,7 +40,6 @@ type iterLedger struct {
 	sizeIn    int
 	massIn    float64
 	gc0       time.Duration
-	stw0      time.Duration
 }
 
 // beginIterLedger opens a ledger record for one iteration; frontier is the
@@ -59,7 +58,6 @@ func (tr *TR) beginIterLedger(mode string, iter, threshold int, frontier bdd.Ref
 		sizeIn:    tr.M.DagSize(frontier),
 		massIn:    tr.stateFraction(frontier),
 		gc0:       st.GCTime,
-		stw0:      st.STWTime,
 	}
 }
 
@@ -81,7 +79,6 @@ func (lg *iterLedger) record(fresh, frontierOut bdd.Ref, abort string) obs.OpRec
 		TS:          time.Now().Format(time.RFC3339Nano),
 		DurNS:       time.Since(lg.start).Nanoseconds(),
 		GCNS:        (st.GCTime - lg.gc0).Nanoseconds(),
-		STWNS:       (st.STWTime - lg.stw0).Nanoseconds(),
 		Abort:       abort,
 	}
 	if abort == "" {

@@ -3,7 +3,6 @@ package reach
 import (
 	"context"
 	"errors"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -128,15 +127,12 @@ func TestCancelledTraversal(t *testing.T) {
 	}
 }
 
-// TestParallelTraversalStatsWindow: a traversal's stop-the-world and
-// computed-table counters cover the traversal, not the compile and
-// transition-relation build that ran on the manager before it, so its
-// pauses fit inside its wall time. s3330 at the Table1Small scale sifts
-// during compile and TR build at Workers=2.
-func TestParallelTraversalStatsWindow(t *testing.T) {
-	cfg := bdd.Config{Workers: 2}
+// TestTraversalStatsWindow: a traversal's computed-table counters cover
+// the traversal, not the compile and transition-relation build that ran on
+// the manager before it.
+func TestTraversalStatsWindow(t *testing.T) {
 	c, err := circuit.Compile(model.S3330(model.S3330Config{Word: 4, FifoDepth: 2, CrcBits: 4}),
-		circuit.CompileOptions{AutoReorder: true, BDDConfig: &cfg})
+		circuit.CompileOptions{AutoReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,15 +148,15 @@ func TestParallelTraversalStatsWindow(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("s3330 BFS did not complete")
 	}
-	if res.Stats.STWTime > res.Elapsed {
-		t.Fatalf("traversal STW %v exceeds its wall time %v", res.Stats.STWTime, res.Elapsed)
-	}
 	after := c.M.Stats()
 	if res.Stats.CacheLookups != after.CacheLookups-before.CacheLookups ||
-		res.Stats.STWCount != after.STWCount-before.STWCount {
-		t.Fatalf("traversal counters %d lookups / %d STW, manager moved %d / %d",
-			res.Stats.CacheLookups, res.Stats.STWCount,
-			after.CacheLookups-before.CacheLookups, after.STWCount-before.STWCount)
+		res.Stats.CacheHits != after.CacheHits-before.CacheHits {
+		t.Fatalf("traversal counters %d lookups / %d hits, manager moved %d / %d",
+			res.Stats.CacheLookups, res.Stats.CacheHits,
+			after.CacheLookups-before.CacheLookups, after.CacheHits-before.CacheHits)
+	}
+	if before.CacheLookups == 0 {
+		t.Fatal("no cache traffic before the traversal: the window would not be tested")
 	}
 }
 
@@ -231,7 +227,7 @@ func TestSiftOrderUnchanged(t *testing.T) {
 // TestSiftOrderUnchangedOnTRForests: on traversal-shaped forests (a
 // Table1Small model's compiled circuit plus its transition relation), the
 // auto-sift configuration and then a window pass choose the orders they
-// always chose, at one worker and at four.
+// always chose.
 func TestSiftOrderUnchangedOnTRForests(t *testing.T) {
 	type step struct {
 		order []int
@@ -257,91 +253,69 @@ func TestSiftOrderUnchangedOnTRForests(t *testing.T) {
 			win3: step{[]int{17, 5, 39, 8, 10, 11, 12, 13, 14, 4, 21, 16, 25, 20, 24, 29, 28, 23, 22, 31, 30, 33, 32, 35, 34, 27, 38, 36, 37, 40, 26, 9, 43, 41, 42, 44, 0, 2, 6, 18, 1, 3, 19, 15, 7}, 2546},
 		},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, tc := range cases {
-			c := compilePar(t, tc.nl, workers)
-			tr, err := NewTR(c, DefaultTROptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(name string, live int, want step) {
-				t.Helper()
-				for lev, v := range want.order {
-					if got := c.M.VarAtLevel(lev); got != v {
-						t.Fatalf("%s workers=%d after %s: level %d holds variable %d, want %d",
-							tc.nl.Name, workers, name, lev, got, v)
-					}
-				}
-				if live != want.live {
-					t.Fatalf("%s workers=%d after %s: %d live nodes, want %d",
-						tc.nl.Name, workers, name, live, want.live)
-				}
-			}
-			check("sift", c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{MaxVars: 64}), tc.sift)
-			check("window3", c.M.Reorder(bdd.ReorderWindow3, bdd.SiftConfig{}), tc.win3)
-			if err := c.M.DebugCheck(); err != nil {
-				t.Fatal(err)
-			}
-			tr.Release()
-			c.Release()
+	for _, tc := range cases {
+		c := compile(t, tc.nl)
+		tr, err := NewTR(c, DefaultTROptions())
+		if err != nil {
+			t.Fatal(err)
 		}
+		check := func(name string, live int, want step) {
+			t.Helper()
+			for lev, v := range want.order {
+				if got := c.M.VarAtLevel(lev); got != v {
+					t.Fatalf("%s after %s: level %d holds variable %d, want %d",
+						tc.nl.Name, name, lev, got, v)
+				}
+			}
+			if live != want.live {
+				t.Fatalf("%s after %s: %d live nodes, want %d",
+					tc.nl.Name, name, live, want.live)
+			}
+		}
+		check("sift", c.M.Reorder(bdd.ReorderSift, bdd.SiftConfig{MaxVars: 64}), tc.sift)
+		check("window3", c.M.Reorder(bdd.ReorderWindow3, bdd.SiftConfig{}), tc.win3)
+		if err := c.M.DebugCheck(); err != nil {
+			t.Fatal(err)
+		}
+		tr.Release()
+		c.Release()
 	}
 }
 
-// TestAutoReorderAtSamePointsAtEveryWorkerCount: the auto-reorder trigger
-// reads the live count, which counts the same nodes at every worker
-// count. So the four perfbench traversal models, compiled with dynamic
-// sifting from a 2,000-node threshold and followed by their transition
-// relations, sift at the same points at Workers 1, 2 and 4: the same
-// number of passes, live count, peak, collections and final order.
-func TestAutoReorderAtSamePointsAtEveryWorkerCount(t *testing.T) {
-	nls := []*circuit.Netlist{
-		model.S3330(model.S3330Config{Word: 5, FifoDepth: 3, CrcBits: 6}),
-		model.S1269(model.S1269Config{Width: 5}),
-		model.S5378(model.S5378Config{Units: 4, UnitWidth: 4}),
-		model.Am2910(model.Am2910Config{Width: 4, StackDepth: 2}),
-	}
+// TestAutoReorderAtRecordedPoints: the four perfbench traversal models,
+// compiled with dynamic sifting from a 2,000-node threshold and followed
+// by their transition relations, sift and collect at the recorded points
+// and end at the recorded live count and peak.
+func TestAutoReorderAtRecordedPoints(t *testing.T) {
 	type point struct {
 		sifts, gcs int64
 		live, peak int
-		order      []int
 	}
-	for _, nl := range nls {
-		var want point
-		for _, workers := range []int{1, 2, 4} {
-			cfg := bdd.DefaultConfig()
-			cfg.Workers = workers
-			c, err := circuit.Compile(nl, circuit.CompileOptions{
-				AutoReorder: true, ReorderThreshold: 2000, BDDConfig: &cfg,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", nl.Name, err)
-			}
-			tr, err := NewTR(c, DefaultTROptions())
-			if err != nil {
-				t.Fatalf("%s: %v", nl.Name, err)
-			}
-			st := c.M.Stats()
-			got := point{sifts: st.Reorderings, gcs: st.GCs, live: c.M.NodeCount(), peak: st.PeakLive}
-			for lev := 0; lev < c.M.NumVars(); lev++ {
-				got.order = append(got.order, c.M.VarAtLevel(lev))
-			}
-			t.Logf("%s workers=%d: %d sifts, %d GCs, %d live, peak %d",
-				nl.Name, workers, got.sifts, got.gcs, got.live, got.peak)
-			tr.Release()
-			c.Release()
-			if workers == 1 {
-				want = got
-				continue
-			}
-			if got.sifts != want.sifts || got.gcs != want.gcs || got.live != want.live || got.peak != want.peak {
-				t.Errorf("%s workers=%d: %d sifts, %d GCs, %d live, peak %d; Workers=1 had %d, %d, %d, %d",
-					nl.Name, workers, got.sifts, got.gcs, got.live, got.peak,
-					want.sifts, want.gcs, want.live, want.peak)
-			}
-			if !slices.Equal(got.order, want.order) {
-				t.Errorf("%s workers=%d: order %v, Workers=1 chose %v", nl.Name, workers, got.order, want.order)
-			}
+	for _, tc := range []struct {
+		nl   *circuit.Netlist
+		want point
+	}{
+		{model.S3330(model.S3330Config{Word: 5, FifoDepth: 3, CrcBits: 6}), point{5, 5, 2558, 5523}},
+		{model.S1269(model.S1269Config{Width: 5}), point{1, 1, 1721, 4079}},
+		{model.S5378(model.S5378Config{Units: 4, UnitWidth: 4}), point{0, 0, 1824, 3224}},
+		{model.Am2910(model.Am2910Config{Width: 4, StackDepth: 2}), point{4, 4, 2862, 6143}},
+	} {
+		c, err := circuit.Compile(tc.nl, circuit.CompileOptions{AutoReorder: true, ReorderThreshold: 2000})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.nl.Name, err)
 		}
+		tr, err := NewTR(c, DefaultTROptions())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.nl.Name, err)
+		}
+		st := c.M.Stats()
+		got := point{sifts: st.Reorderings, gcs: st.GCs, live: c.M.NodeCount(), peak: st.PeakLive}
+		if got != tc.want {
+			t.Errorf("%s: %d sifts, %d GCs, %d live, peak %d; want %d, %d, %d, %d",
+				tc.nl.Name, got.sifts, got.gcs, got.live, got.peak,
+				tc.want.sifts, tc.want.gcs, tc.want.live, tc.want.peak)
+		}
+		tr.Release()
+		c.Release()
 	}
 }

@@ -240,8 +240,8 @@ type traversal struct {
 // the caller holds, and an abort anywhere in it ends the traversal with
 // the states found so far: a sound under-approximation of the reachable
 // set, reported with Completed false and the abort's reason. loop reports
-// whether it reached the fixpoint. The computed-table and stop-the-world
-// counters in the Result cover the traversal alone, not the compile and
+// whether it reached the fixpoint. The computed-table counters in the
+// Result cover the traversal alone, not the compile and
 // transition-relation build that ran on the manager before it.
 //
 // The iterations' ledger records are filed when the traversal ends, and
@@ -277,8 +277,6 @@ func (tr *TR) traverse(mode string, init bdd.Ref, opts Options, loop func(tv *tr
 	s := m.Stats()
 	tv.st.CacheLookups = s.CacheLookups - s0.CacheLookups
 	tv.st.CacheHits = s.CacheHits - s0.CacheHits
-	tv.st.STWCount = s.STWCount - s0.STWCount
-	tv.st.STWTime = s.STWTime - s0.STWTime
 	return Result{
 		Reached:     tv.reached,
 		States:      tr.StateCount(tv.reached),

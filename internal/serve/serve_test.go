@@ -238,11 +238,11 @@ func TestBuildOpsCountSampleRoundTrip(t *testing.T) {
 }
 
 // TestWorkersTwoTenantAnswersAsWorkersOne: a tenant's quota is the node
-// ceiling of its manager, which reads a live count that is the same at
-// every worker count. Two tenants at quota 8,000, one serial and one with
-// two workers, upload the 7-bit multiplier and run the same 40 xor ops
-// into one result name. Both report the same live nodes after the netlist
-// and after every op, and no answer is degraded or refused.
+// ceiling of its manager, and its worker count selects only its image
+// schedule. Two tenants at quota 8,000, one at workers 1 and one at
+// workers 2, upload the 7-bit multiplier and run the same 40 xor ops into
+// one result name. Both report the same live nodes after the netlist and
+// after every op, and no answer is degraded or refused.
 func TestWorkersTwoTenantAnswersAsWorkersOne(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	base := ts.URL + "/v1/tenants/"

@@ -21,7 +21,8 @@ type Config struct {
 	DefaultQueueDepth int
 	// DefaultDeadline bounds each operation (and each admission wait).
 	DefaultDeadline time.Duration
-	// Workers is the default per-tenant manager worker count.
+	// Workers is the default per-tenant image-schedule selector (see
+	// CreateTenantRequest.Workers).
 	Workers int
 	// CacheBits is the default per-tenant computed-table exponent.
 	CacheBits uint

@@ -38,8 +38,9 @@ type ErrorBody struct {
 type CreateTenantRequest struct {
 	// Quota is the live-node budget for this tenant's manager.
 	Quota int `json:"quota,omitempty"`
-	// Workers configures the tenant manager's worker goroutines
-	// (0 = server default; 1 = serial).
+	// Workers selects the tenant's image schedule, as bdd.Config.Workers
+	// does: 1 conjoins the clusters in a chain, more in a pairwise tree
+	// (0 = server default).
 	Workers int `json:"workers,omitempty"`
 	// CacheBits sizes the tenant manager's computed table (1<<bits).
 	CacheBits uint `json:"cache_bits,omitempty"`

@@ -200,35 +200,39 @@ func TestBuildRequiresRoom(t *testing.T) {
 	}
 }
 
-// TestQueensLiveCountUnderCeiling: a node that dies releases its children
-// at once, so the live count that the node ceiling of Run reads holds no
-// dead cone. Queens 9 builds under a 200,000-node ceiling and ends with
+// TestQueensOneLiveCountAtEveryWorkerCount: a node that dies releases its
+// children at once, so the live count that the node ceiling of Run reads
+// holds no dead cone. Queens 9 builds under a 200,000-node ceiling at
+// Workers 1, 2 and 4, which run the same engine, and each time ends with
 // 9,637 live nodes, a peak of 55,027 and 29 collections. A manager that
 // kept a dropped cone counted as live until a collection would peak near
 // 800,000 nodes here and hit the ceiling.
-func TestQueensLiveCountUnderCeiling(t *testing.T) {
+func TestQueensOneLiveCountAtEveryWorkerCount(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 9}
 	type counts struct {
 		live, peak int
 		gcs        int64
 	}
-	m := bdd.New(p.Vars())
-	var f bdd.Ref
-	err := m.Run(context.Background(), 200000, func() error {
-		var err error
-		f, err = gauntlet.Build(m, p)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
+	want := counts{9637, 55027, 29}
+	for _, workers := range []int{1, 2, 4} {
+		m := bdd.NewWithConfig(p.Vars(), bdd.Config{Workers: workers})
+		var f bdd.Ref
+		err := m.Run(context.Background(), 200000, func() error {
+			var err error
+			f, err = gauntlet.Build(m, p)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st := m.Stats()
+		if got := (counts{live: m.NodeCount(), peak: st.PeakLive, gcs: st.GCs}); got != want {
+			t.Errorf("workers=%d: %+v, want %+v", workers, got, want)
+		}
+		c, err := count.Minterms(m, f, p.Vars())
+		if err != nil || c.Int64() != 352 {
+			t.Errorf("workers=%d: %v solutions (%v), want 352", workers, c, err)
+		}
+		m.Deref(f)
 	}
-	st := m.Stats()
-	if got, want := (counts{live: m.NodeCount(), peak: st.PeakLive, gcs: st.GCs}), (counts{9637, 55027, 29}); got != want {
-		t.Errorf("%+v, want %+v", got, want)
-	}
-	c, err := count.Minterms(m, f, p.Vars())
-	if err != nil || c.Int64() != 352 {
-		t.Errorf("%v solutions (%v), want 352", c, err)
-	}
-	m.Deref(f)
 }

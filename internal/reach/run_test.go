@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -282,11 +283,13 @@ func TestSiftOrderUnchangedOnTRForests(t *testing.T) {
 	}
 }
 
-// TestAutoReorderAtRecordedPoints: the four perfbench traversal models,
-// compiled with dynamic sifting from a 2,000-node threshold and followed
-// by their transition relations, sift and collect at the recorded points
-// and end at the recorded live count and peak.
-func TestAutoReorderAtRecordedPoints(t *testing.T) {
+// TestAutoReorderAtSamePointsAtEveryWorkerCount: the four perfbench
+// traversal models, compiled with dynamic sifting from a 2,000-node
+// threshold and followed by their transition relations, sift and collect
+// at the recorded points, end at the recorded live count and peak, and
+// choose one final order at Workers 1, 2 and 4: the worker count selects
+// only the image schedule, which neither compile nor the TR build runs.
+func TestAutoReorderAtSamePointsAtEveryWorkerCount(t *testing.T) {
 	type point struct {
 		sifts, gcs int64
 		live, peak int
@@ -300,22 +303,38 @@ func TestAutoReorderAtRecordedPoints(t *testing.T) {
 		{model.S5378(model.S5378Config{Units: 4, UnitWidth: 4}), point{0, 0, 1824, 3224}},
 		{model.Am2910(model.Am2910Config{Width: 4, StackDepth: 2}), point{4, 4, 2862, 6143}},
 	} {
-		c, err := circuit.Compile(tc.nl, circuit.CompileOptions{AutoReorder: true, ReorderThreshold: 2000})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.nl.Name, err)
+		var order1 []int
+		for _, workers := range []int{1, 2, 4} {
+			cfg := bdd.DefaultConfig()
+			cfg.Workers = workers
+			c, err := circuit.Compile(tc.nl, circuit.CompileOptions{
+				AutoReorder: true, ReorderThreshold: 2000, BDDConfig: &cfg,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.nl.Name, err)
+			}
+			tr, err := NewTR(c, DefaultTROptions())
+			if err != nil {
+				t.Fatalf("%s: %v", tc.nl.Name, err)
+			}
+			st := c.M.Stats()
+			got := point{sifts: st.Reorderings, gcs: st.GCs, live: c.M.NodeCount(), peak: st.PeakLive}
+			if got != tc.want {
+				t.Errorf("%s workers=%d: %d sifts, %d GCs, %d live, peak %d; want %d, %d, %d, %d",
+					tc.nl.Name, workers, got.sifts, got.gcs, got.live, got.peak,
+					tc.want.sifts, tc.want.gcs, tc.want.live, tc.want.peak)
+			}
+			var order []int
+			for lev := 0; lev < c.M.NumVars(); lev++ {
+				order = append(order, c.M.VarAtLevel(lev))
+			}
+			if workers == 1 {
+				order1 = order
+			} else if !slices.Equal(order, order1) {
+				t.Errorf("%s workers=%d: order %v, Workers=1 chose %v", tc.nl.Name, workers, order, order1)
+			}
+			tr.Release()
+			c.Release()
 		}
-		tr, err := NewTR(c, DefaultTROptions())
-		if err != nil {
-			t.Fatalf("%s: %v", tc.nl.Name, err)
-		}
-		st := c.M.Stats()
-		got := point{sifts: st.Reorderings, gcs: st.GCs, live: c.M.NodeCount(), peak: st.PeakLive}
-		if got != tc.want {
-			t.Errorf("%s: %d sifts, %d GCs, %d live, peak %d; want %d, %d, %d, %d",
-				tc.nl.Name, got.sifts, got.gcs, got.live, got.peak,
-				tc.want.sifts, tc.want.gcs, tc.want.live, tc.want.peak)
-		}
-		tr.Release()
-		c.Release()
 	}
 }

@@ -42,13 +42,15 @@ test:
 
 ## race: the BDD core's own tests, the oracle differential driver, the
 ## counting sweeps and the service (whose HTTP handlers and admission run
-## on their own goroutines), a node-budget abort on each image schedule,
-## and the traversals and the sift a Run's deadline or cancellation ends
-## (the context.AfterFunc goroutine raises the flag the traversal and
-## siftVar poll).
+## on their own goroutines, and whose /metrics scrapes run beside a
+## tenant's operations), a node-budget abort on each image schedule, and
+## the traversals and the sifts a Run's deadline or cancellation ends,
+## the first-image sift of a transition relation included (the
+## context.AfterFunc goroutine raises the flag the traversal and siftVar
+## poll).
 race:
 	$(GO) test -race -count=1 ./internal/bdd ./internal/oracle ./internal/count ./internal/serve
-	$(GO) test -race -count=1 -run 'TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal|TestSift' ./internal/reach
+	$(GO) test -race -count=1 -run 'TestBudgetAbortDumpHasStackAndLedger|TestNestedRunBoundsTraversal|TestCancelledTraversal|TestSift|TestFirstImageSift|TestNoFirstImageSift' ./internal/reach
 
 ## fuzz-smoke: run each native fuzz target briefly ($(FUZZTIME) apiece) on
 ## top of its checked-in seed corpus under testdata/fuzz/. This is a smoke
@@ -59,6 +61,7 @@ fuzz-smoke:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz 'FuzzNetlistParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle -run '^$$' -fuzz 'FuzzITESequence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oracle -run '^$$' -fuzz 'FuzzGauntletParams$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve -run '^$$' -fuzz 'FuzzServeRequest$$' -fuzztime $(FUZZTIME)
 
 ## gauntlet-smoke: build every small gauntlet instance with bddcount and
 ## verify each exact count against its independent ground truth (published

@@ -146,6 +146,8 @@ func run() int {
 		res.Stats.ImageTime.Round(time.Millisecond),
 		res.Stats.SubsetTime.Round(time.Millisecond),
 		res.Stats.ClosureTime.Round(time.Millisecond))
+	fmt.Printf("  reorder     %v in %d sifts\n",
+		res.Stats.ReorderTime.Round(time.Millisecond), res.Stats.Reorderings)
 	if *stats {
 		// Diagnostics go to stderr, after the run: error paths above never
 		// reach this point, so a failed invocation prints no statistics.

@@ -13,11 +13,18 @@ import (
 // those whose children it rewrites (see swapInPlace).
 //
 // The Table 1 experiments of the paper run with dynamic reordering always
-// on; clients get the same effect by enabling auto-reordering, which
-// triggers at the entry of an operation once the live node count crosses a
-// threshold. Every binary Boolean connective, ITE and quantifier takes the
-// hook; Not (a free complement), Leq, Compose, Permute and CubeFromVars do
-// not.
+// on; clients get the same effect by enabling auto-reordering. The policy
+// has two parts, and both run AutoSift, one bounded sifting pass:
+//
+//   - the hook: at the entry of an operation, once the live node count
+//     crosses a threshold, the manager sifts and doubles the threshold.
+//     Every binary Boolean connective, ITE and quantifier takes the hook;
+//     Not (a free complement), Leq, Compose, Permute and CubeFromVars do
+//     not.
+//   - one sift per transition relation: reach.TR calls AutoSift before the
+//     first conjunction of its first image, so the relation is sifted on
+//     its own rather than in the middle of a product. It runs inside the
+//     traversal's Run, whose budget bounds it.
 
 // ReorderMethod selects a reordering algorithm.
 type ReorderMethod int
@@ -46,7 +53,8 @@ const siftMaxGrowth = 2.0
 // starts and the live node count exceeds threshold, the manager sifts and
 // doubles the threshold. Refs held by callers stay valid. The hooked
 // operations are every binary Boolean connective, ITE and quantifier; Not,
-// Leq, Compose, Permute and CubeFromVars never reorder.
+// Leq, Compose, Permute and CubeFromVars never reorder. Armed, it also
+// lets AutoSift run, which reach.TR calls before its first image.
 func (m *Manager) EnableAutoReorder(threshold int) {
 	if threshold > 0 {
 		m.reorderThreshold = threshold
@@ -79,13 +87,24 @@ const autoSiftMaxVars = 64
 // it.
 func (m *Manager) maybeReorder() {
 	if m.autoReorder && m.liveCount > m.reorderThreshold {
-		m.Reorder(ReorderSift, SiftConfig{MaxVars: autoSiftMaxVars})
-		next := 2 * m.liveCount
-		if next < m.reorderThreshold {
-			next = m.reorderThreshold
-		}
-		m.reorderThreshold = next
+		m.AutoSift()
 	}
+}
+
+// AutoSift runs the sift the auto-reorder hook runs, whatever the live
+// count: one sifting pass over at most autoSiftMaxVars variables, after
+// which the hook's threshold becomes twice the live count, or stays where
+// it was if that is higher. It reports whether it sifted: it does nothing
+// when automatic reordering is off or paused, or inside a Run whose
+// context has ended. A Run's deadline or cancellation stops the pass
+// between swaps (see Reorder).
+func (m *Manager) AutoSift() bool {
+	if !m.autoReorder || m.stopRequested() {
+		return false
+	}
+	m.Reorder(ReorderSift, SiftConfig{MaxVars: autoSiftMaxVars})
+	m.reorderThreshold = max(2*m.liveCount, m.reorderThreshold)
+	return true
 }
 
 // Reorder runs the given reordering method now. It returns the live node
@@ -232,9 +251,11 @@ func (m *Manager) siftAll(cfg SiftConfig) {
 // then all the way to the other end, and finally parks it at the best level
 // seen. Allocation checks are suspended while the table is mid-swap, so
 // the sweeps poll the enclosing Run's context flag between swaps instead:
-// once it is raised they stop, and the variable is parked at the best
-// level seen so far. The table is consistent between swaps, and the next
-// allocation check after the pass raises the abort.
+// once it is raised they stop and the variable stays where it is, because
+// parking it could take as many swaps as the sweep did. So the swap in
+// flight when the flag rose is the only one past it. The table is
+// consistent between swaps, and the next allocation check after the pass
+// raises the abort.
 func (m *Manager) siftVar(v int) {
 	start := int(m.varToLev[v])
 	n := len(m.subtables)
@@ -273,6 +294,9 @@ func (m *Manager) siftVar(v int) {
 	} else {
 		down()
 		up()
+	}
+	if m.stopRequested() {
+		return
 	}
 	// Park at the best level.
 	for int(m.varToLev[v]) < bestLev {

@@ -87,6 +87,7 @@ func syntheticRow(ckt string, k float64) Table1Row {
 			PeakProduct: 900,
 			ImageTime:   time.Duration(float64(base) * k * 0.6),
 			SubsetTime:  time.Duration(float64(base) * k * 0.1),
+			ReorderTime: time.Duration(float64(base) * k * 0.2),
 		}
 	}
 	return Table1Row{
@@ -98,12 +99,16 @@ func syntheticRow(ckt string, k float64) Table1Row {
 }
 
 // TestWriteTable1JSONRoundTrip round-trips rows through WriteTable1JSON's
-// encoding and checks the per-phase breakdown survives with sane values.
+// encoding and checks the per-phase breakdown, reorder time included,
+// survives with sane values.
 func TestWriteTable1JSONRoundTrip(t *testing.T) {
 	rows := []Table1Row{syntheticRow("counter", 1.0), syntheticRow("am2910", 1.3)}
 	var buf bytes.Buffer
 	if err := WriteTable1JSON(&buf, rows); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"reorder_time_ns": `)) {
+		t.Fatalf("serialized rows lack reorder_time_ns:\n%s", buf.Bytes())
 	}
 	var snap struct {
 		Table string      `json:"table"`
@@ -129,6 +134,9 @@ func TestWriteTable1JSONRoundTrip(t *testing.T) {
 			}
 			if m.ImageTime+m.SubsetTime+m.ClosureTime > m.Time {
 				t.Fatalf("row %d: phase times exceed total: %+v", i, m)
+			}
+			if m.ReorderTime <= 0 || m.ReorderTime > m.Time {
+				t.Fatalf("row %d: reorder time %v outside (0, %v]", i, m.ReorderTime, m.Time)
 			}
 		}
 	}

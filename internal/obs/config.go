@@ -155,44 +155,81 @@ func (s *Session) Observer() bdd.Observer {
 // ObserveManager registers snapshot-time gauges over a live BDD manager:
 // live/dead/peak node counts, cache geometry and hit rate, unique-table
 // traffic, GC and reorder totals, and the peak ITE recursion depth. The
-// gauges read the manager without synchronization, so values served while
-// the manager is mutating are advisory. It also points the tracer's
-// node-delta attribution at this manager. Events reach the session only
-// from managers built with its Observer. No-op on a nil session.
+// gauges read the manager at scrape time without synchronization, so
+// values served while the manager is mutating are advisory, and the read
+// races with the goroutine operating on it (DESIGN.md §7). It also points
+// the tracer's node-delta attribution at this manager. Events reach the
+// session only from managers built with its Observer. No-op on a nil
+// session.
 func (s *Session) ObserveManager(m *bdd.Manager) {
 	if s == nil {
 		return
 	}
-	RegisterManagerGauges(s.Registry, m)
+	RegisterManagerGauges(s.Registry, func() ManagerSnapshot { return SnapshotManager(m) })
 	s.Tracer.LiveNodes = m.NodeCount
 }
 
+// ManagerSnapshot holds the values of the standard per-manager gauges,
+// read off one manager at one instant.
+type ManagerSnapshot struct {
+	Live, Dead   int
+	NodeLimit    int
+	CacheEntries int
+	Stats        bdd.Stats
+	Arena        bdd.ArenaStats
+}
+
+// SnapshotManager reads the gauge values off m. It must not run while
+// another goroutine operates on m: a server takes it under the lock that
+// serializes the manager's operations.
+func SnapshotManager(m *bdd.Manager) ManagerSnapshot {
+	return ManagerSnapshot{
+		Live:         m.NodeCount(),
+		Dead:         m.DeadCount(),
+		NodeLimit:    m.NodeLimit(),
+		CacheEntries: m.CacheStats().Entries,
+		Stats:        m.Stats(),
+		Arena:        m.ArenaStats(),
+	}
+}
+
 // RegisterManagerGauges installs the standard per-manager gauge set on any
-// registry — the session registry here, or a per-tenant registry in a
-// multi-manager server. The gauges read the manager without
-// synchronization, so values served while the manager is mutating are
-// advisory.
-func RegisterManagerGauges(r *Registry, m *bdd.Manager) {
-	r.GaugeFunc("bdd_live_nodes", func() float64 { return float64(m.NodeCount()) })
-	r.GaugeFunc("bdd_dead_nodes", func() float64 { return float64(m.DeadCount()) })
-	r.GaugeFunc("bdd_peak_live_nodes", func() float64 { return float64(m.Stats().PeakLive) })
-	r.GaugeFunc("bdd_peak_ite_depth", func() float64 { return float64(m.Stats().PeakITEDepth) })
-	r.GaugeFunc("bdd_gc_time_ns", func() float64 { return float64(m.Stats().GCTime) })
-	r.GaugeFunc("bdd_reorder_time_ns", func() float64 { return float64(m.Stats().ReorderTime) })
-	r.GaugeFunc("bdd_reorderings", func() float64 { return float64(m.Stats().Reorderings) })
-	r.GaugeFunc("bdd_cache_lookups", func() float64 { return float64(m.Stats().CacheLookups) })
-	r.GaugeFunc("bdd_cache_hits", func() float64 { return float64(m.Stats().CacheHits) })
-	r.GaugeFunc("bdd_cache_hit_rate", func() float64 { return m.CacheStats().HitRate })
-	r.GaugeFunc("bdd_cache_entries", func() float64 { return float64(m.CacheStats().Entries) })
-	r.GaugeFunc("bdd_cache_evictions", func() float64 { return float64(m.Stats().CacheEvictions) })
-	r.GaugeFunc("bdd_cache_resizes", func() float64 { return float64(m.Stats().CacheResizes) })
-	r.GaugeFunc("bdd_unique_lookups", func() float64 { return float64(m.Stats().UniqueLookups) })
-	r.GaugeFunc("bdd_unique_hits", func() float64 { return float64(m.Stats().UniqueHits) })
-	r.GaugeFunc("bdd_unique_grows", func() float64 { return float64(m.Stats().UniqueGrows) })
-	r.GaugeFunc("bdd_node_limit", func() float64 { return float64(m.NodeLimit()) })
-	r.GaugeFunc("bdd_budget_headroom", func() float64 { return headroom(m.NodeLimit(), m.NodeCount()) })
-	r.GaugeFunc("bdd_arena_capacity", func() float64 { return float64(m.ArenaStats().Capacity) })
-	r.GaugeFunc("bdd_arena_occupancy", func() float64 { return m.ArenaStats().Occupancy() })
+// registry — the session registry, or a per-tenant registry in a
+// multi-manager server. Each gauge reads its value off snap at scrape
+// time, on the scraping goroutine: a server passes the snapshot its last
+// operation left (see serve.Tenant), a single-threaded cmd a live read.
+func RegisterManagerGauges(r *Registry, snap func() ManagerSnapshot) {
+	gauge := func(name string, v func(s *ManagerSnapshot) float64) {
+		r.GaugeFunc(name, func() float64 {
+			s := snap()
+			return v(&s)
+		})
+	}
+	gauge("bdd_live_nodes", func(s *ManagerSnapshot) float64 { return float64(s.Live) })
+	gauge("bdd_dead_nodes", func(s *ManagerSnapshot) float64 { return float64(s.Dead) })
+	gauge("bdd_peak_live_nodes", func(s *ManagerSnapshot) float64 { return float64(s.Stats.PeakLive) })
+	gauge("bdd_peak_ite_depth", func(s *ManagerSnapshot) float64 { return float64(s.Stats.PeakITEDepth) })
+	gauge("bdd_gc_time_ns", func(s *ManagerSnapshot) float64 { return float64(s.Stats.GCTime) })
+	gauge("bdd_reorder_time_ns", func(s *ManagerSnapshot) float64 { return float64(s.Stats.ReorderTime) })
+	gauge("bdd_reorderings", func(s *ManagerSnapshot) float64 { return float64(s.Stats.Reorderings) })
+	gauge("bdd_cache_lookups", func(s *ManagerSnapshot) float64 { return float64(s.Stats.CacheLookups) })
+	gauge("bdd_cache_hits", func(s *ManagerSnapshot) float64 { return float64(s.Stats.CacheHits) })
+	gauge("bdd_cache_hit_rate", func(s *ManagerSnapshot) float64 {
+		if s.Stats.CacheLookups == 0 {
+			return 0
+		}
+		return float64(s.Stats.CacheHits) / float64(s.Stats.CacheLookups)
+	})
+	gauge("bdd_cache_entries", func(s *ManagerSnapshot) float64 { return float64(s.CacheEntries) })
+	gauge("bdd_cache_evictions", func(s *ManagerSnapshot) float64 { return float64(s.Stats.CacheEvictions) })
+	gauge("bdd_cache_resizes", func(s *ManagerSnapshot) float64 { return float64(s.Stats.CacheResizes) })
+	gauge("bdd_unique_lookups", func(s *ManagerSnapshot) float64 { return float64(s.Stats.UniqueLookups) })
+	gauge("bdd_unique_hits", func(s *ManagerSnapshot) float64 { return float64(s.Stats.UniqueHits) })
+	gauge("bdd_unique_grows", func(s *ManagerSnapshot) float64 { return float64(s.Stats.UniqueGrows) })
+	gauge("bdd_node_limit", func(s *ManagerSnapshot) float64 { return float64(s.NodeLimit) })
+	gauge("bdd_budget_headroom", func(s *ManagerSnapshot) float64 { return headroom(s.NodeLimit, s.Live) })
+	gauge("bdd_arena_capacity", func(s *ManagerSnapshot) float64 { return float64(s.Arena.Capacity) })
+	gauge("bdd_arena_occupancy", func(s *ManagerSnapshot) float64 { return s.Arena.Occupancy() })
 	r.SetHelp("bdd_node_limit", "armed live-node ceiling (0 = unlimited)")
 	r.SetHelp("bdd_budget_headroom", "remaining node-budget fraction (1 = unconstrained)")
 	r.SetHelp("bdd_arena_capacity", "node-arena slot capacity")

@@ -51,16 +51,20 @@ type ImageStats struct {
 	PeakLiveNodes int // high-water mark of the manager's live nodes
 	PeakProduct   int // largest intermediate product seen
 
-	// Computed-table traffic during the traversal (a delta over its run,
-	// so compile and transition-relation build are excluded): the
-	// memory-subsystem story behind the timing columns.
-	CacheLookups int64 // computed-table probes
-	CacheHits    int64 // computed-table hits
+	// Computed-table traffic and reordering during the traversal (deltas
+	// over its run, so compile and transition-relation build are
+	// excluded): the memory-subsystem story behind the timing columns.
+	// ReorderTime overlaps the phase times below: a sift runs inside an
+	// image or a subsetting step.
+	CacheLookups int64         // computed-table probes
+	CacheHits    int64         // computed-table hits
+	Reorderings  int64         // sifting passes
+	ReorderTime  time.Duration // wall time in sifting passes
 
 	// Per-phase wall-time breakdown of the traversal, accumulated by the
 	// traversal loops and Image: where a Table 1 timing column actually
 	// went.
-	ImageTime   time.Duration // inside Image (clusters + partial-image cuts)
+	ImageTime   time.Duration // inside Image (first-image sift, clusters, partial-image cuts)
 	SubsetTime  time.Duration // inside frontier subsetting (HD only)
 	ClosureTime time.Duration // inside exact closure checks (HD only)
 }
@@ -69,6 +73,9 @@ type ImageStats struct {
 // present-state variables), expressed again over the present-state
 // variables. With a non-nil pimg the result may be a dense subset of the
 // exact image (partial image computation, Section 4 of the paper).
+//
+// The relation's first image sifts the variable order first when the
+// manager's auto-reorder is armed (see siftOnce).
 //
 // The manager's worker count picks the conjunction schedule, and nothing
 // else does: with Workers() > 1 an exact image conjoins the clusters in a
@@ -99,6 +106,7 @@ func (tr *TR) Image(from bdd.Ref, pimg *PImg, st *ImageStats) bdd.Ref {
 			obs.Int("peak_product", st.PeakProduct))
 	}()
 	st.Images++
+	tr.siftOnce()
 	cur := m.ExistsCube(from, tr.PreCube)
 	if pimg == nil && len(tr.Clusters) > 1 && m.Workers() > 1 {
 		cur = tr.imageTree(cur, st)

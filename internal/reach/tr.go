@@ -39,6 +39,8 @@ type TR struct {
 
 	preSchedule []bdd.Ref // lazy: early-quantification cubes for PreImage
 	prePre      bdd.Ref   // lazy: (y,w) vars in no cluster
+
+	sifted bool // the order has been sifted for this relation (see siftOnce)
 }
 
 // TROptions controls transition-relation construction.
@@ -201,11 +203,27 @@ func (tr *TR) buildPreSchedule() {
 	}
 }
 
+// siftOnce sifts the variable order before the first conjunction of the
+// relation's first image, when the manager's auto-reorder is armed
+// (bdd.Manager.AutoSift). The sift sees the clusters, built on the
+// compile's static order, with nothing but the set being imaged; left to
+// the hook, the first sift fires in the middle of a product. NewTR does
+// not sift, so a relation that is never imaged costs nothing, and the
+// sift runs inside the caller's Run, whose budget and cancellation stop
+// it. While auto-reorder is off nothing is recorded, so a later image
+// with it armed sifts.
+func (tr *TR) siftOnce() {
+	if !tr.sifted {
+		tr.sifted = tr.M.AutoSift()
+	}
+}
+
 // PreImage computes the set of predecessors of to (a predicate over the
 // present-state variables), again over the present-state variables:
 // Pre(T) = ∃y,w. TR(x,w,y) ∧ T(y).
 func (tr *TR) PreImage(to bdd.Ref, st *ImageStats) bdd.Ref {
 	m := tr.M
+	tr.siftOnce()
 	tr.buildPreSchedule()
 	st.Images++
 	ty := m.Permute(to, tr.s2n)

@@ -240,9 +240,10 @@ type traversal struct {
 // the caller holds, and an abort anywhere in it ends the traversal with
 // the states found so far: a sound under-approximation of the reachable
 // set, reported with Completed false and the abort's reason. loop reports
-// whether it reached the fixpoint. The computed-table counters in the
-// Result cover the traversal alone, not the compile and
-// transition-relation build that ran on the manager before it.
+// whether it reached the fixpoint. The computed-table and reordering
+// counters in the Result cover the traversal alone, not the compile and
+// transition-relation build that ran on the manager before it; the sift
+// before a relation's first image (TR.siftOnce) is part of the traversal.
 //
 // The iterations' ledger records are filed when the traversal ends, and
 // not at all when an enclosing Run's context was cancelled: nobody is
@@ -277,6 +278,8 @@ func (tr *TR) traverse(mode string, init bdd.Ref, opts Options, loop func(tv *tr
 	s := m.Stats()
 	tv.st.CacheLookups = s.CacheLookups - s0.CacheLookups
 	tv.st.CacheHits = s.CacheHits - s0.CacheHits
+	tv.st.Reorderings = s.Reorderings - s0.Reorderings
+	tv.st.ReorderTime = s.ReorderTime - s0.ReorderTime
 	return Result{
 		Reached:     tv.reached,
 		States:      tr.StateCount(tv.reached),

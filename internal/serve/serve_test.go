@@ -108,6 +108,11 @@ func TestTenantLifecycle(t *testing.T) {
 	if st := call(t, "GET", base+"/nosuch", nil, nil); st != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d, want 404", st)
 	}
+	// A computed table past the cap is refused before any manager is
+	// built: at 64 bits its size wraps to 0 and the build panics.
+	if st := call(t, "PUT", base+"/bob", CreateTenantRequest{CacheBits: 64}, nil); st != http.StatusBadRequest {
+		t.Fatalf("create with cache_bits 64: status %d, want 400", st)
+	}
 	var listed []TenantInfo
 	if st := call(t, "GET", base, nil, &listed); st != http.StatusOK || len(listed) != 1 {
 		t.Fatalf("list: status %d, %d tenants", st, len(listed))

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"bddkit/internal/bdd"
 	"bddkit/internal/obs"
 )
 
@@ -124,6 +125,13 @@ func (s *Server) tenant(id string) (*Tenant, error) {
 	return t, nil
 }
 
+// maxTenantCacheBits caps the computed table a client may ask for: the
+// ceiling a default manager's table grows to on its own (2^22 entries,
+// about 117 MB). The table is allocated in full when the tenant's manager
+// is built, outside any node quota; at 64 bits the size wraps to 0 and
+// the build panics.
+var maxTenantCacheBits = bdd.DefaultConfig().CacheMaxBits
+
 // createTenant adds a tenant with the request's overrides on top of the
 // server defaults.
 func (s *Server) createTenant(id string, req CreateTenantRequest) (*Tenant, error) {
@@ -141,6 +149,9 @@ func (s *Server) createTenant(id string, req CreateTenantRequest) (*Tenant, erro
 	queueDepth := req.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = s.cfg.DefaultQueueDepth
+	}
+	if req.CacheBits > maxTenantCacheBits {
+		return nil, fmt.Errorf("cache_bits %d exceeds %d", req.CacheBits, maxTenantCacheBits)
 	}
 	cacheBits := req.CacheBits
 	if cacheBits == 0 {
@@ -178,7 +189,8 @@ func (s *Server) dropTenant(id string) error {
 
 // labeledRegistries snapshots the exposition set: the server registry
 // unlabeled, each tenant registry under tenant="id", in sorted order so
-// scrapes are stable.
+// scrapes are stable. Each idle tenant's manager gauges are refreshed
+// first (Tenant.refreshGauges).
 func (s *Server) labeledRegistries() []obs.LabeledRegistry {
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.tenants))
@@ -188,13 +200,18 @@ func (s *Server) labeledRegistries() []obs.LabeledRegistry {
 	sort.Strings(ids)
 	regs := make([]obs.LabeledRegistry, 0, len(ids)+1)
 	regs = append(regs, obs.LabeledRegistry{R: s.reg})
+	tenants := make([]*Tenant, 0, len(ids))
 	for _, id := range ids {
+		tenants = append(tenants, s.tenants[id])
 		regs = append(regs, obs.LabeledRegistry{
 			Labels: fmt.Sprintf("tenant=%q", id),
 			R:      s.tenants[id].reg,
 		})
 	}
 	s.mu.Unlock()
+	for _, t := range tenants {
+		t.refreshGauges()
+	}
 	return regs
 }
 

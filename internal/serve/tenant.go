@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bddkit/internal/approx"
@@ -42,6 +43,12 @@ type Tenant struct {
 	c      *circuit.Compiled // non-nil after a netlist upload
 	funcs  map[string]bdd.Ref
 	closed bool
+
+	// gauges is what the manager gauges on reg serve: a snapshot of the
+	// manager taken under mu, at the end of each operation and by each
+	// /metrics scrape that finds mu free (refreshGauges). A scrape never
+	// reads the manager itself, which an operation may be mutating.
+	gauges atomic.Pointer[obs.ManagerSnapshot]
 }
 
 func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadline time.Duration) *Tenant {
@@ -72,9 +79,35 @@ func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadli
 func (t *Tenant) manager() *bdd.Manager {
 	if t.m == nil {
 		t.m = bdd.NewWithConfig(0, t.cacheCfg)
-		obs.RegisterManagerGauges(t.reg, t.m)
+		t.registerGauges()
 	}
 	return t.m
+}
+
+// registerGauges installs the manager gauges on the tenant's registry,
+// served from the tenant's snapshot, and takes the first snapshot. Callers
+// hold t.mu.
+func (t *Tenant) registerGauges() {
+	t.snapGauges()
+	obs.RegisterManagerGauges(t.reg, func() obs.ManagerSnapshot { return *t.gauges.Load() })
+}
+
+// snapGauges snapshots the manager for the gauges. Callers hold t.mu.
+func (t *Tenant) snapGauges() {
+	if t.m != nil {
+		snap := obs.SnapshotManager(t.m)
+		t.gauges.Store(&snap)
+	}
+}
+
+// refreshGauges re-snapshots the manager for a /metrics scrape if no
+// operation holds the tenant, so an idle tenant serves its current
+// values; a busy one serves what its last operation left.
+func (t *Tenant) refreshGauges() {
+	if t.mu.TryLock() {
+		t.snapGauges()
+		t.mu.Unlock()
+	}
 }
 
 // headroom is how many more nodes the tenant may allocate; degraded
@@ -165,7 +198,7 @@ func (t *Tenant) compile(r io.Reader) ([]FuncInfo, error) {
 	// The compiled manager replaces any lazily created empty one.
 	t.c = c
 	t.m = c.M
-	obs.RegisterManagerGauges(t.reg, t.m)
+	t.registerGauges()
 	// Compilation ran unbudgeted (the circuit is the tenant's working set);
 	// every operation from here on runs under the quota (see run).
 	for i, name := range nl.OutName {
@@ -293,6 +326,7 @@ func (t *Tenant) run(
 		return opOutcome{}, errTenantClosed
 	}
 	m := t.manager()
+	defer t.snapGauges()
 	var out opOutcome
 	opCtx, cancel := context.WithTimeout(ctx, t.deadline)
 	defer cancel()

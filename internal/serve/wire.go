@@ -42,7 +42,8 @@ type CreateTenantRequest struct {
 	// does: 1 conjoins the clusters in a chain, more in a pairwise tree
 	// (0 = server default).
 	Workers int `json:"workers,omitempty"`
-	// CacheBits sizes the tenant manager's computed table (1<<bits).
+	// CacheBits sizes the tenant manager's computed table (1<<bits); at
+	// most 22.
 	CacheBits uint `json:"cache_bits,omitempty"`
 	// QueueDepth bounds how many requests may wait for the tenant's
 	// operation slot before new ones are shed with 429.

@@ -13,10 +13,9 @@ SERVE_ADDR ?= 127.0.0.1:6173
 ## multi-tenant service daemon (round trip, forced budget-degrade, tenant
 ## isolation, graceful drain). The quality ledger and the Prometheus
 ## exposition are checked end to end by internal/obs's session tests,
-## which `test` runs and `vet` race-tests. Table 1's agreement between the
-## chain (Workers=1) and tree (Workers=2) image schedules is
-## TestTable1SmallRuns in `test`; performance is perfbench's (see
-## BENCHMARK.json).
+## which `test` runs and `vet` race-tests. Table 1 at test scale, every
+## traversal complete with one state count per row, is TestTable1SmallRuns
+## in `test`; performance is perfbench's (see BENCHMARK.json).
 check: vet build test race fuzz-smoke gauntlet-smoke obs-smoke profile-smoke serve-smoke
 
 ## vet: static analysis plus race-testing the obs registry/tracer, whose
@@ -43,7 +42,7 @@ test:
 ## race: the BDD core's own tests, the oracle differential driver, the
 ## counting sweeps and the service (whose HTTP handlers and admission run
 ## on their own goroutines, and whose /metrics scrapes run beside a
-## tenant's operations), a node-budget abort on each image schedule, and
+## tenant's operations), a node-budget abort inside an image, and
 ## the traversals and the sifts a Run's deadline or cancellation ends,
 ## the first-image sift of a transition relation included (the
 ## context.AfterFunc goroutine raises the flag the traversal and siftVar

@@ -43,7 +43,7 @@ func sharedCorpus(b *testing.B) []bench.Fn {
 }
 
 // BenchmarkTable1Reachability regenerates Table 1 (BFS vs HD+RUA vs HD+SP)
-// at test scale, with the chain image schedule.
+// at test scale.
 func BenchmarkTable1Reachability(b *testing.B) {
 	var rows []bench.Table1Row
 	for i := 0; i < b.N; i++ {
@@ -322,7 +322,7 @@ func BenchmarkTelemetry(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c, err := circuit.Compile(ck.Netlist, circuit.CompileOptions{
 					AutoReorder: true,
-					BDDConfig:   &bdd.Config{Workers: 1, Observer: mode.observer()},
+					BDDConfig:   &bdd.Config{Observer: mode.observer()},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -48,17 +48,11 @@ func main() {
 	save := flag.String("save", "", "persist the (approximated) BDD to this file (bddkit-bdd format)")
 	profile := flag.String("profile", "", "print a structural profile: text or json (with -out: of that BDD after -approx; without: of every live root)")
 	static := flag.Bool("static", false, "compile with the DFS static variable order")
-	cacheBits := flag.Uint("cache-bits", 0, "initial computed-table size = 1<<bits (0 = default)")
-	cacheMaxBits := flag.Uint("cache-max-bits", 0, "adaptive computed-table growth ceiling = 1<<bits (0 = default)")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics on exit")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cliutil.Check(
-		cliutil.CacheBits("cache-bits", *cacheBits),
-		cliutil.CacheBits("cache-max-bits", *cacheMaxBits),
-		cliutil.NonNegative("threshold", *threshold),
-	); err != nil {
+	if err := cliutil.NonNegative("threshold", *threshold); err != nil {
 		fmt.Fprintln(os.Stderr, "bddlab:", err)
 		os.Exit(2)
 	}
@@ -82,11 +76,7 @@ func main() {
 	c, err := circuit.Compile(nl, circuit.CompileOptions{
 		SkipNextVars: len(nl.Latches) == 0,
 		StaticOrder:  *static,
-		BDDConfig: &bdd.Config{
-			CacheBits:    *cacheBits,
-			CacheMaxBits: *cacheMaxBits,
-			Observer:     sess.Observer(),
-		},
+		BDDConfig:    &bdd.Config{Observer: sess.Observer()},
 	})
 	if err != nil {
 		fatal(err)

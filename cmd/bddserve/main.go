@@ -28,8 +28,6 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8344", "listen address")
-		workers    = flag.Int("workers", 1, "default per-tenant image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain")
-		cacheBits  = flag.Uint("cache-bits", 0, "default per-tenant computed-table size exponent (0 = library default)")
 		quota      = flag.Int("quota", serve.DefaultQuota, "default per-tenant live-node quota")
 		deadline   = flag.Duration("deadline", serve.DefaultDeadline, "default per-operation deadline")
 		queueDepth = flag.Int("queue-depth", serve.DefaultQueueDepth, "default per-tenant admission queue depth")
@@ -38,8 +36,6 @@ func main() {
 	)
 	flag.Parse()
 	if err := cliutil.Check(
-		cliutil.Workers(*workers),
-		cliutil.CacheBits("cache-bits", *cacheBits),
 		cliutil.Positive("quota", *quota),
 		cliutil.PositiveDuration("deadline", *deadline),
 		cliutil.Positive("queue-depth", *queueDepth),
@@ -54,8 +50,6 @@ func main() {
 		DefaultQuota:      *quota,
 		DefaultQueueDepth: *queueDepth,
 		DefaultDeadline:   *deadline,
-		Workers:           *workers,
-		CacheBits:         *cacheBits,
 		MaxTenants:        *maxTenants,
 		ShutdownDrain:     *drain,
 	})

@@ -10,8 +10,6 @@
 // The standard observability flags apply: -trace writes a JSONL trace,
 // -obs serves /metrics (Prometheus) and /quality (watch with bddtop), and
 // -metrics prints the end-of-run counter and quality-ledger tables.
-// -workers picks the image schedule: 1 conjoins the clusters in a chain,
-// more in a pairwise tree.
 package main
 
 import (
@@ -38,18 +36,13 @@ func main() {
 	ctl := flag.String("ctl", "", "CTL formula (required)")
 	reachable := flag.Bool("reachable", false, "restrict to reachable states first")
 	budget := flag.Duration("budget", 2*time.Minute, "reachability budget with -reachable")
-	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cliutil.Check(
-		cliutil.Workers(*workers),
-		cliutil.NonNegativeDuration("budget", *budget),
-	); err != nil {
+	if err := cliutil.NonNegativeDuration("budget", *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "mc:", err)
 		os.Exit(2)
 	}
-	bdd.SetDefaultWorkers(*workers)
 	if *ctl == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -11,8 +11,7 @@
 //
 // With -obs the run serves the observability endpoint (Prometheus
 // /metrics and the /quality approximation-loss ledger); watch it live with
-// `bddtop -addr localhost:6060`. -workers picks the image schedule: 1
-// conjoins the clusters in a chain, more in a pairwise tree. Every traversal iteration yields a
+// `bddtop -addr localhost:6060`. Every traversal iteration yields a
 // quality.op ledger record (fresh mass discovered, mass the subsetted
 // frontier kept, budget headroom), filed when the traversal ends and
 // summarized at exit by -metrics.
@@ -47,12 +46,10 @@ func run() int {
 	cluster := flag.Int("cluster", 2500, "transition-relation cluster threshold")
 	stats := flag.Bool("stats", false, "print computed-cache and unique-table statistics after a successful run (stderr)")
 	profile := flag.Bool("profile", false, "emit per-iteration frontier/reached structural profiles as reach.profile trace events (needs -trace)")
-	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cliutil.Check(
-		cliutil.Workers(*workers),
 		cliutil.NonNegative("threshold", *threshold),
 		cliutil.NonNegative("pimg-limit", *pimgLimit),
 		cliutil.NonNegative("pimg-threshold", *pimgTh),
@@ -62,7 +59,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
-	bdd.SetDefaultWorkers(*workers)
 
 	// Validate every flag before doing any work: a bad -method must not
 	// cost a circuit compilation (and must not print statistics).

@@ -5,12 +5,9 @@
 //	tables -table all                   # everything, test-scale corpus
 //	tables -table 2 -paper              # Table 2 on the paper-scale corpus
 //	tables -table 1 -paper -budget 60s  # Table 1 with a custom per-run budget
-//	tables -table 1 -workers 2 -json -  # tree image schedule, per-method times as JSON
+//	tables -table 1 -json -             # Table 1 with per-method, per-phase times as JSON
 //
-// The benchmark that gates performance is perfbench (see BENCHMARK.json);
-// -json and -workers are enough for a by-hand comparison of the two image
-// schedules (-workers 1 conjoins the clusters in a chain, more in a
-// pairwise tree).
+// The benchmark that gates performance is perfbench (see BENCHMARK.json).
 //
 // With -obs the run serves the observability endpoint (/metrics in
 // Prometheus exposition, /quality) for scrapers and for `bddtop`. Every manager the tables build reports to the
@@ -28,7 +25,6 @@ import (
 	"os"
 	"time"
 
-	"bddkit/internal/bdd"
 	"bddkit/internal/bench"
 	"bddkit/internal/cliutil"
 	"bddkit/internal/model"
@@ -40,18 +36,13 @@ func main() {
 	paper := flag.Bool("paper", false, "use the paper-scale corpus and circuits (slower)")
 	budget := flag.Duration("budget", 2*time.Minute, "per-traversal budget for Table 1 with -paper")
 	jsonOut := flag.String("json", "", "also write Table 1's rows with per-phase breakdowns (with -table gauntlet, the gauntlet's rows) as JSON to this `file` (\"-\" = stdout)")
-	workers := flag.Int("workers", 1, "image schedule: >1 conjoins the clusters in a pairwise tree, 1 in a chain (0 = GOMAXPROCS)")
 	var ocfg obs.Config
 	ocfg.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if err := cliutil.Check(
-		cliutil.Workers(*workers),
-		cliutil.NonNegativeDuration("budget", *budget),
-	); err != nil {
+	if err := cliutil.NonNegativeDuration("budget", *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(2)
 	}
-	bdd.SetDefaultWorkers(*workers)
 
 	switch *table {
 	case "1", "2", "3", "4", "ablation", "gauntlet", "all":

@@ -32,8 +32,6 @@ package bdd
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -121,12 +119,8 @@ type Config struct {
 	// GCFraction triggers garbage collection when dead nodes exceed this
 	// fraction of the arena (checked on allocation pressure).
 	GCFraction float64
-	// Workers selects the image schedule of the reachability engine:
-	// reach.Image conjoins the clusters of a transition relation in a
-	// balanced pairwise tree when Workers > 1 and in the left-deep chain
-	// otherwise. Nothing else reads it; every manager runs the same
-	// single-threaded engine. Zero selects the package default (see
-	// SetDefaultWorkers), which starts at 1.
+	// Workers is ignored: kept only for benchmark code compiled against
+	// it. Every manager runs the same single-threaded engine.
 	Workers int
 	// Observer receives the manager's GC, reorder, abort and invariant
 	// events for its whole lifetime (nil = none).
@@ -152,8 +146,6 @@ type Manager struct {
 	nodes     []node
 	nodesUsed int64 // arena cursor: slots [0, nodesUsed) have been handed out
 	free      int32 // head of the free list (chained via node.next)
-
-	workers int // Config.Workers after defaulting; read only by Workers
 
 	subtables []subtable // one per level, index = level
 	varToLev  []int32    // variable index -> level
@@ -243,15 +235,11 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	if cfg.GCFraction <= 0 {
 		cfg.GCFraction = def.GCFraction
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = int(defaultWorkers.Load())
-	}
 	m := &Manager{
 		// The arena is cursor-based: full length from the start, with
 		// nodesUsed marking the first virgin slot; only growArena
 		// reallocates it.
 		nodes:            make([]node, cfg.InitialNodes),
-		workers:          cfg.Workers,
 		nodesUsed:        1,
 		free:             nilIndex,
 		gcFraction:       cfg.GCFraction,
@@ -267,27 +255,6 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 	}
 	return m
 }
-
-// defaultWorkers is the package-wide default for Config.Workers == 0,
-// settable by command-line wiring (the cmd binaries whose image steps read
-// it expose -workers). It starts at 1: the chain schedule.
-var defaultWorkers atomic.Int32
-
-func init() { defaultWorkers.Store(1) }
-
-// SetDefaultWorkers sets the worker count recorded by managers created with
-// Config.Workers == 0 (including every bdd.New call). n <= 0 selects
-// runtime.GOMAXPROCS(0). It only affects managers created afterwards.
-func SetDefaultWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// Workers returns the manager's configured worker count, the image-schedule
-// selector described at Config.Workers.
-func (m *Manager) Workers() int { return m.workers }
 
 // NumVars returns the number of variables known to the manager.
 func (m *Manager) NumVars() int { return len(m.vars) }

@@ -1,25 +1,9 @@
 package bdd
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
-
-// newWorkers returns a default manager whose Config.Workers is workers.
-// Workers selects only reach's image schedule, so a test that runs at
-// several worker counts checks that none of them changes this package's
-// answers.
-func newWorkers(t *testing.T, vars, workers int) *Manager {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	m := NewWithConfig(vars, cfg)
-	if m.Workers() != workers {
-		t.Fatalf("Workers() = %d, want %d", m.Workers(), workers)
-	}
-	return m
-}
 
 // evalBrute evaluates a reference truth table built over n variables by
 // exhaustive enumeration, for cross-checking BDD operations.
@@ -93,16 +77,9 @@ func TestCanonicity(t *testing.T) {
 }
 
 // TestOpsAgainstBruteForce checks every connective, ITE and Leq against
-// truth tables at Workers 1 and 4.
+// truth tables.
 func TestOpsAgainstBruteForce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opsAgainstBruteForce(t, newWorkers(t, 5, workers))
-		})
-	}
-}
-
-func opsAgainstBruteForce(t *testing.T, m *Manager) {
+	m := New(5)
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(42))
 	// Build 40 random functions via random expression trees and check
@@ -234,16 +211,9 @@ func TestMintermCount(t *testing.T) {
 }
 
 // TestQuantification checks Exists and ForAll against truth tables, and
-// AndExists against Exists∘And, at Workers 1 and 4.
+// AndExists against Exists∘And.
 func TestQuantification(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			quantification(t, newWorkers(t, 5, workers))
-		})
-	}
-}
-
-func quantification(t *testing.T, m *Manager) {
+	m := New(5)
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 25; iter++ {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"bddkit/internal/bdd"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -202,51 +200,32 @@ func TestAblationDecompPairing(t *testing.T) {
 	}
 }
 
-// TestTable1SmallRuns executes the scaled-down Table 1 at Workers=1 (the
-// chain image schedule) and at Workers=2 (the pairwise tree) and requires
-// both schedules to complete every traversal and to agree on what the
-// table reports. HD iteration counts and final and peak node counts are
-// not compared: the two runs reorder differently, which legitimately moves
-// them.
+// TestTable1SmallRuns executes the scaled-down Table 1 and requires every
+// traversal to complete with the row's state count. A latch-free row's
+// RUA and SP columns count a subset of the row's function
+// (runTable1Combinational), so there they may only count fewer.
 func TestTable1SmallRuns(t *testing.T) {
-	defer bdd.SetDefaultWorkers(1)
-	var runs [2][]Table1Row
-	for i, workers := range []int{1, 2} {
-		bdd.SetDefaultWorkers(workers)
-		rows, err := RunTable1(Table1Small())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) == 0 {
-			t.Fatal("no rows")
-		}
-		runs[i] = rows
+	rows, err := RunTable1(Table1Small())
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial, par := runs[0], runs[1]
-	if len(serial) != len(par) {
-		t.Fatalf("Workers=1 gave %d rows, Workers=2 gave %d", len(serial), len(par))
+	if len(rows) == 0 {
+		t.Fatal("no rows")
 	}
-	for i, s := range serial {
-		p := par[i]
-		if s.Ckt != p.Ckt {
-			t.Fatalf("row %d: circuit %s at Workers=1, %s at Workers=2", i, s.Ckt, p.Ckt)
-		}
-		if s.States <= 0 || s.States != p.States {
-			t.Errorf("%s: states %g at Workers=1, %g at Workers=2", s.Ckt, s.States, p.States)
-		}
-		if s.BFS.Iterations != p.BFS.Iterations {
-			t.Errorf("%s: BFS iterations %d at Workers=1, %d at Workers=2",
-				s.Ckt, s.BFS.Iterations, p.BFS.Iterations)
+	for _, r := range rows {
+		if r.States <= 0 {
+			t.Errorf("%s: states %g", r.Ckt, r.States)
 		}
 		for _, m := range []struct {
-			name string
-			s, p MethodResult
-		}{{"BFS", s.BFS, p.BFS}, {"HD+RUA", s.RUA, p.RUA}, {"HD+SP", s.SP, p.SP}} {
-			if !m.s.Done || !m.p.Done {
-				t.Errorf("%s %s: done %v at Workers=1, %v at Workers=2", s.Ckt, m.name, m.s.Done, m.p.Done)
+			name   string
+			res    MethodResult
+			subset bool // counts a subset of the row's function
+		}{{"BFS", r.BFS, false}, {"HD+RUA", r.RUA, r.FF == 0}, {"HD+SP", r.SP, r.FF == 0}} {
+			if !m.res.Done {
+				t.Errorf("%s %s: not done", r.Ckt, m.name)
 			}
-			if m.s.States != m.p.States {
-				t.Errorf("%s %s: states %g at Workers=1, %g at Workers=2", s.Ckt, m.name, m.s.States, m.p.States)
+			if m.res.States != r.States && !(m.subset && m.res.States < r.States) {
+				t.Errorf("%s %s: states %g, row %g", r.Ckt, m.name, m.res.States, r.States)
 			}
 		}
 	}

@@ -1,38 +1,15 @@
 // Package cliutil holds the flag-validation helpers shared by the cmd
-// binaries. The commands accept some mix of -workers, -cache-bits, and
-// budget/threshold values; validating them in one place means a typo like
-// "-workers -3" or "-cache-bits 99" fails fast with the same message
-// everywhere instead of silently misconfiguring the engine (fuzzing of the
-// gauntlet Validate found exactly this class of bug).
+// binaries. The commands accept some mix of budget, threshold and size
+// values; validating them in one place means a typo like "-threshold -3"
+// or "-budget -1s" fails fast with the same message everywhere instead of
+// silently misconfiguring the engine (fuzzing of the gauntlet Validate
+// found exactly this class of bug).
 package cliutil
 
 import (
 	"fmt"
 	"time"
 )
-
-// MaxCacheBits caps -cache-bits and -cache-max-bits: a 1<<30-entry
-// computed table is already tens of gigabytes, so anything larger is a
-// typo, not a tuning choice.
-const MaxCacheBits = 30
-
-// Workers validates a -workers flag, the image-schedule selector of the
-// commands that compute images: 0 means GOMAXPROCS, positive is a worker
-// count, negative is nonsense.
-func Workers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-workers %d is negative (0 = GOMAXPROCS, 1 = the chain schedule)", n)
-	}
-	return nil
-}
-
-// CacheBits validates a computed-table size exponent (0 = default).
-func CacheBits(name string, b uint) error {
-	if b > MaxCacheBits {
-		return fmt.Errorf("-%s %d exceeds %d (table size is 1<<bits entries)", name, b, MaxCacheBits)
-	}
-	return nil
-}
 
 // NonNegative validates a count or threshold where 0 means "off".
 func NonNegative(name string, v int) error {

@@ -11,20 +11,17 @@ import (
 // a test the next flag addition has to keep honest.
 func TestCommandFlagProfiles(t *testing.T) {
 	type flags struct {
-		workers                      int
-		cacheBits, cacheMaxBits      uint
 		threshold, pimgLimit, pimgTh int
 		samples, frames, cluster     int
 		bias                         float64
 		budget, interval             time.Duration
 	}
-	good := flags{workers: 1, samples: 10, bias: 0.5, budget: time.Minute,
+	good := flags{samples: 10, bias: 0.5, budget: time.Minute,
 		interval: time.Second, cluster: 2500}
 
 	profile := map[string]func(f flags) error{
 		"bddlab": func(f flags) error {
-			return Check(CacheBits("cache-bits", f.cacheBits),
-				CacheBits("cache-max-bits", f.cacheMaxBits), NonNegative("threshold", f.threshold))
+			return NonNegative("threshold", f.threshold)
 		},
 		"bddcount": func(f flags) error {
 			return Check(NonNegative("samples", f.samples), Fraction("bias", f.bias))
@@ -33,19 +30,18 @@ func TestCommandFlagProfiles(t *testing.T) {
 			return Check(PositiveDuration("interval", f.interval), NonNegative("frames", f.frames))
 		},
 		"mc": func(f flags) error {
-			return Check(Workers(f.workers), NonNegativeDuration("budget", f.budget))
+			return NonNegativeDuration("budget", f.budget)
 		},
 		"reach": func(f flags) error {
-			return Check(Workers(f.workers), NonNegative("threshold", f.threshold),
+			return Check(NonNegative("threshold", f.threshold),
 				NonNegative("pimg-limit", f.pimgLimit), NonNegative("pimg-threshold", f.pimgTh),
 				NonNegativeDuration("budget", f.budget), Positive("cluster", f.cluster))
 		},
 		"tables": func(f flags) error {
-			return Check(Workers(f.workers), NonNegativeDuration("budget", f.budget))
+			return NonNegativeDuration("budget", f.budget)
 		},
 		"bddserve": func(f flags) error {
-			return Check(Workers(f.workers), CacheBits("cache-bits", f.cacheBits),
-				Positive("quota", f.cluster), PositiveDuration("deadline", f.budget))
+			return Check(Positive("quota", f.cluster), PositiveDuration("deadline", f.budget))
 		},
 	}
 
@@ -55,15 +51,6 @@ func TestCommandFlagProfiles(t *testing.T) {
 		mutate func(*flags)
 		want   string
 	}{
-		{"negative workers",
-			[]string{"mc", "reach", "tables", "bddserve"},
-			func(f *flags) { f.workers = -3 }, "-workers -3 is negative"},
-		{"oversized cache bits",
-			[]string{"bddlab", "bddserve"},
-			func(f *flags) { f.cacheBits = 99 }, "-cache-bits 99 exceeds"},
-		{"oversized cache max bits",
-			[]string{"bddlab"},
-			func(f *flags) { f.cacheMaxBits = 31 }, "-cache-max-bits 31 exceeds"},
 		{"negative threshold",
 			[]string{"bddlab", "reach"},
 			func(f *flags) { f.threshold = -1 }, "-threshold -1 is negative"},
@@ -121,9 +108,9 @@ func TestCommandFlagProfiles(t *testing.T) {
 
 // TestCheckShortCircuits: Check returns the first failure in order.
 func TestCheckShortCircuits(t *testing.T) {
-	if err := Check(nil, Workers(-1), Positive("x", 0)); err == nil ||
-		!strings.Contains(err.Error(), "-workers") {
-		t.Fatalf("Check returned %v, want the first failure (-workers)", err)
+	if err := Check(nil, NonNegative("x", -1), Positive("y", 0)); err == nil ||
+		!strings.Contains(err.Error(), "-x") {
+		t.Fatalf("Check returned %v, want the first failure (-x)", err)
 	}
 	if err := Check(nil, nil); err != nil {
 		t.Fatalf("Check of nils returned %v", err)

@@ -72,6 +72,7 @@ func TestSymbolicMatchesExplicit(t *testing.T) {
 		"s1269-small": model.S1269(model.S1269Small()),
 		"am2910-tiny": model.Am2910(model.Am2910Config{Width: 3, StackDepth: 2}),
 		"s5378-small": model.S5378(model.S5378Small()),
+		"s3330-small": model.S3330(model.S3330Small()),
 	}
 	for name, nl := range models {
 		explicit := explicitReachable(t, nl)

@@ -46,7 +46,7 @@ func compileLogged(t *testing.T, nl *circuit.Netlist, log *siftLog, autoReorder 
 	t.Helper()
 	c, err := circuit.Compile(nl, circuit.CompileOptions{
 		AutoReorder: autoReorder,
-		BDDConfig:   &bdd.Config{Workers: 1, Observer: log},
+		BDDConfig:   &bdd.Config{Observer: log},
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", nl.Name, err)

@@ -108,9 +108,9 @@ func TestTenantLifecycle(t *testing.T) {
 	if st := call(t, "GET", base+"/nosuch", nil, nil); st != http.StatusNotFound {
 		t.Fatalf("unknown tenant: status %d, want 404", st)
 	}
-	// A computed table past the cap is refused before any manager is
-	// built: at 64 bits its size wraps to 0 and the build panics.
-	if st := call(t, "PUT", base+"/bob", CreateTenantRequest{CacheBits: 64}, nil); st != http.StatusBadRequest {
+	// A field the request does not have is refused: a tenant's computed
+	// table has no client-set size.
+	if st := call(t, "PUT", base+"/bob", `{"cache_bits":64}`, nil); st != http.StatusBadRequest {
 		t.Fatalf("create with cache_bits 64: status %d, want 400", st)
 	}
 	var listed []TenantInfo
@@ -239,60 +239,6 @@ func TestBuildOpsCountSampleRoundTrip(t *testing.T) {
 		if len(smp) != 7 {
 			t.Fatalf("sample %q has %d bits, want 7", smp, len(smp))
 		}
-	}
-}
-
-// TestWorkersTwoTenantAnswersAsWorkersOne: a tenant's quota is the node
-// ceiling of its manager, and its worker count selects only its image
-// schedule. Two tenants at quota 8,000, one at workers 1 and one at
-// workers 2, upload the 7-bit multiplier and run the same 40 xor ops into
-// one result name. Both report the same live nodes after the netlist and
-// after every op, and no answer is degraded or refused.
-func TestWorkersTwoTenantAnswersAsWorkersOne(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	base := ts.URL + "/v1/tenants/"
-	ids := []string{"w1", "w2"}
-	for i, id := range ids {
-		req := CreateTenantRequest{Quota: 8000, Workers: i + 1}
-		if st := call(t, "PUT", base+id, req, nil); st != http.StatusCreated {
-			t.Fatalf("create %s: status %d", id, st)
-		}
-	}
-	live := func(step string) {
-		t.Helper()
-		var n [2]int
-		for i, id := range ids {
-			var info TenantInfo
-			if st := call(t, "GET", base+id, nil, &info); st != http.StatusOK {
-				t.Fatalf("%s info after %s: status %d", id, step, st)
-			}
-			n[i] = info.LiveNodes
-		}
-		if n[0] != n[1] {
-			t.Fatalf("after %s: %d live nodes at workers 1, %d at workers 2", step, n[0], n[1])
-		}
-	}
-	answer := func(step, id string, st int, env Envelope) {
-		t.Helper()
-		if st != http.StatusOK || env.Degraded {
-			t.Fatalf("%s on %s: status %d, degraded %v (%s)", step, id, st, env.Degraded, env.DegradeReason)
-		}
-	}
-	nl := multiplierNetlist(t, 7)
-	for _, id := range ids {
-		var env Envelope
-		answer("netlist", id, call(t, "POST", base+id+"/netlist", nl, &env), env)
-	}
-	live("the netlist")
-	for i := 0; i < 40; i++ {
-		a := i % 14
-		op := OpRequest{Op: "xor", Args: []string{fmt.Sprintf("p%d", a), fmt.Sprintf("p%d", (a+1+i/14)%14)}, Result: "r"}
-		step := fmt.Sprintf("op %d", i)
-		for _, id := range ids {
-			var env Envelope
-			answer(step, id, call(t, "POST", base+id+"/ops", op, &env), env)
-		}
-		live(step)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"bddkit/internal/bdd"
 	"bddkit/internal/obs"
 )
 
@@ -22,11 +21,9 @@ type Config struct {
 	DefaultQueueDepth int
 	// DefaultDeadline bounds each operation (and each admission wait).
 	DefaultDeadline time.Duration
-	// Workers is the default per-tenant image-schedule selector (see
-	// CreateTenantRequest.Workers).
+	// Workers is ignored: kept only for benchmark code compiled against
+	// it.
 	Workers int
-	// CacheBits is the default per-tenant computed-table exponent.
-	CacheBits uint
 	// MaxTenants bounds the pool (0 = DefaultMaxTenants).
 	MaxTenants int
 	// MaxBodyBytes bounds every request body, JSON, netlist or snapshot;
@@ -55,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = DefaultDeadline
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = DefaultMaxTenants
@@ -125,13 +119,6 @@ func (s *Server) tenant(id string) (*Tenant, error) {
 	return t, nil
 }
 
-// maxTenantCacheBits caps the computed table a client may ask for: the
-// ceiling a default manager's table grows to on its own (2^22 entries,
-// about 117 MB). The table is allocated in full when the tenant's manager
-// is built, outside any node quota; at 64 bits the size wraps to 0 and
-// the build panics.
-var maxTenantCacheBits = bdd.DefaultConfig().CacheMaxBits
-
 // createTenant adds a tenant with the request's overrides on top of the
 // server defaults.
 func (s *Server) createTenant(id string, req CreateTenantRequest) (*Tenant, error) {
@@ -142,20 +129,9 @@ func (s *Server) createTenant(id string, req CreateTenantRequest) (*Tenant, erro
 	if quota <= 0 {
 		quota = s.cfg.DefaultQuota
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
-	}
 	queueDepth := req.QueueDepth
 	if queueDepth <= 0 {
 		queueDepth = s.cfg.DefaultQueueDepth
-	}
-	if req.CacheBits > maxTenantCacheBits {
-		return nil, fmt.Errorf("cache_bits %d exceeds %d", req.CacheBits, maxTenantCacheBits)
-	}
-	cacheBits := req.CacheBits
-	if cacheBits == 0 {
-		cacheBits = s.cfg.CacheBits
 	}
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline <= 0 {
@@ -169,7 +145,7 @@ func (s *Server) createTenant(id string, req CreateTenantRequest) (*Tenant, erro
 	if len(s.tenants) >= s.cfg.MaxTenants {
 		return nil, fmt.Errorf("tenant pool full (%d)", s.cfg.MaxTenants)
 	}
-	t := newTenant(id, quota, workers, queueDepth, cacheBits, deadline)
+	t := newTenant(id, quota, queueDepth, deadline)
 	s.tenants[id] = t
 	return t, nil
 }

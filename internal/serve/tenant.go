@@ -27,8 +27,6 @@ type Tenant struct {
 	adm      *admission
 	quota    int           // live-node budget for the manager
 	deadline time.Duration // per-operation wall-clock budget
-	workers  int
-	cacheCfg bdd.Config // the tenant's managers' configuration, observer included
 
 	reg      *obs.Registry
 	sink     *obs.Sink
@@ -51,7 +49,7 @@ type Tenant struct {
 	gauges atomic.Pointer[obs.ManagerSnapshot]
 }
 
-func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadline time.Duration) *Tenant {
+func newTenant(id string, quota, queueDepth int, deadline time.Duration) *Tenant {
 	reg := obs.NewRegistry()
 	sink := obs.NewSink(reg, nil)
 	t := &Tenant{
@@ -59,8 +57,6 @@ func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadli
 		adm:      newAdmission(queueDepth, deadline),
 		quota:    quota,
 		deadline: deadline,
-		workers:  workers,
-		cacheCfg: bdd.Config{Workers: workers, CacheBits: cacheBits, Observer: sink},
 		reg:      reg,
 		sink:     sink,
 		ops:      reg.Counter("serve_tenant_ops_total"),
@@ -78,7 +74,7 @@ func newTenant(id string, quota, workers, queueDepth int, cacheBits uint, deadli
 // hold t.mu.
 func (t *Tenant) manager() *bdd.Manager {
 	if t.m == nil {
-		t.m = bdd.NewWithConfig(0, t.cacheCfg)
+		t.m = bdd.NewWithConfig(0, bdd.Config{Observer: t.sink})
 		t.registerGauges()
 	}
 	return t.m
@@ -133,7 +129,6 @@ func (t *Tenant) info() TenantInfo {
 	return TenantInfo{
 		ID:         t.ID,
 		Quota:      t.quota,
-		Workers:    t.workers,
 		QueueDepth: int(t.adm.queueDepth),
 		DeadlineMS: t.deadline.Milliseconds(),
 		LiveNodes:  live,
@@ -171,8 +166,8 @@ func (t *Tenant) funcList() []FuncInfo {
 }
 
 // compile uploads a netlist into the tenant: the manager is created by
-// circuit.Compile (honoring the tenant's worker/cache configuration) and
-// every output becomes a named function. A second upload is an error —
+// circuit.Compile (reporting to the tenant's sink) and every output
+// becomes a named function. A second upload is an error —
 // the function namespace and variable order belong to the first circuit.
 func (t *Tenant) compile(r io.Reader) ([]FuncInfo, error) {
 	nl, err := circuit.Parse(r)
@@ -190,8 +185,7 @@ func (t *Tenant) compile(r io.Reader) ([]FuncInfo, error) {
 	if t.m != nil && len(t.funcs) > 0 {
 		return nil, fmt.Errorf("tenant already holds restored functions; create a fresh tenant for a netlist")
 	}
-	cfg := t.cacheCfg
-	c, err := circuit.Compile(nl, circuit.CompileOptions{BDDConfig: &cfg})
+	c, err := circuit.Compile(nl, circuit.CompileOptions{BDDConfig: &bdd.Config{Observer: t.sink}})
 	if err != nil {
 		return nil, err
 	}

@@ -38,13 +38,9 @@ type ErrorBody struct {
 type CreateTenantRequest struct {
 	// Quota is the live-node budget for this tenant's manager.
 	Quota int `json:"quota,omitempty"`
-	// Workers selects the tenant's image schedule, as bdd.Config.Workers
-	// does: 1 conjoins the clusters in a chain, more in a pairwise tree
-	// (0 = server default).
+	// Workers is ignored: kept only for benchmark code compiled against
+	// it (and sending it).
 	Workers int `json:"workers,omitempty"`
-	// CacheBits sizes the tenant manager's computed table (1<<bits); at
-	// most 22.
-	CacheBits uint `json:"cache_bits,omitempty"`
 	// QueueDepth bounds how many requests may wait for the tenant's
 	// operation slot before new ones are shed with 429.
 	QueueDepth int `json:"queue_depth,omitempty"`
@@ -56,7 +52,6 @@ type CreateTenantRequest struct {
 type TenantInfo struct {
 	ID         string `json:"id"`
 	Quota      int    `json:"quota"`
-	Workers    int    `json:"workers"`
 	QueueDepth int    `json:"queue_depth"`
 	DeadlineMS int64  `json:"deadline_ms"`
 	LiveNodes  int    `json:"live_nodes"`

@@ -1,9 +1,15 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// The tests that ran at several worker counts keep one workers=N subtest
+// per count. Config.Workers is ignored, so every such subtest runs the one
+// engine on a default manager; the names stay so that results recorded
+// under them still compare.
 
 // evalBrute evaluates a reference truth table built over n variables by
 // exhaustive enumeration, for cross-checking BDD operations.
@@ -77,9 +83,16 @@ func TestCanonicity(t *testing.T) {
 }
 
 // TestOpsAgainstBruteForce checks every connective, ITE and Leq against
-// truth tables.
+// truth tables, in subtests workers=1 and workers=4.
 func TestOpsAgainstBruteForce(t *testing.T) {
-	m := New(5)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			opsAgainstBruteForce(t, New(5))
+		})
+	}
+}
+
+func opsAgainstBruteForce(t *testing.T, m *Manager) {
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(42))
 	// Build 40 random functions via random expression trees and check
@@ -211,9 +224,16 @@ func TestMintermCount(t *testing.T) {
 }
 
 // TestQuantification checks Exists and ForAll against truth tables, and
-// AndExists against Exists∘And.
+// AndExists against Exists∘And, in subtests workers=1 and workers=4.
 func TestQuantification(t *testing.T) {
-	m := New(5)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			quantification(t, New(5))
+		})
+	}
+}
+
+func quantification(t *testing.T, m *Manager) {
 	n := m.NumVars()
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 25; iter++ {

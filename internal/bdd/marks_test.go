@@ -79,62 +79,67 @@ func unionSize(a, b truthShape) int {
 }
 
 // TestSizesMatchTruthTables checks DagSize, SharingSize and SupportVars
-// against truth-table counts. The manager starts with a 64-slot arena and
-// keeps every function alive, so the arena grows between calls, and it
-// collects garbage every few functions.
+// against truth-table counts, in subtests workers=1 and workers=2 that
+// draw their functions from different seeds. The manager starts with a
+// 64-slot arena and keeps every function alive, so the arena grows between
+// calls, and it collects garbage every few functions.
 func TestSizesMatchTruthTables(t *testing.T) {
 	const n = 6
 	order := []int{0, 1, 2, 3, 4, 5}
-	m := bdd.NewWithConfig(n, bdd.Config{InitialNodes: 64})
-	gen := oracle.NewGen(78, n)
-	var fs []bdd.Ref
-	var shapes []truthShape
-	for i := 0; i < 120; i++ {
-		e := gen.Expr(4)
-		f := e.Build(m)
-		s := shapeOf(e, n, order)
-		if i%2 == 1 {
-			f = f.Complement() // same nodes: the keys are folded
-		}
-		if got, want := m.DagSize(f), 1+len(s.keys); got != want {
-			t.Fatalf("function %d: DagSize %d, truth table %d", i, got, want)
-		}
-		if got := m.SupportVars(f); fmt.Sprint(got) != fmt.Sprint(s.support) {
-			t.Fatalf("function %d: SupportVars %v, truth table %v", i, got, s.support)
-		}
-		if got := m.SupportSize(f); got != len(s.support) {
-			t.Fatalf("function %d: SupportSize %d, truth table %d", i, got, len(s.support))
-		}
-		if i > 0 {
-			j := i / 2
-			if got, want := m.SharingSize([]bdd.Ref{f, fs[j]}), 1+unionSize(s, shapes[j]); got != want {
-				t.Fatalf("functions %d,%d: SharingSize %d, truth tables %d", i, j, got, want)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			m := bdd.NewWithConfig(n, bdd.Config{InitialNodes: 64})
+			gen := oracle.NewGen(int64(77+workers), n)
+			var fs []bdd.Ref
+			var shapes []truthShape
+			for i := 0; i < 120; i++ {
+				e := gen.Expr(4)
+				f := e.Build(m)
+				s := shapeOf(e, n, order)
+				if i%2 == 1 {
+					f = f.Complement() // same nodes: the keys are folded
+				}
+				if got, want := m.DagSize(f), 1+len(s.keys); got != want {
+					t.Fatalf("function %d: DagSize %d, truth table %d", i, got, want)
+				}
+				if got := m.SupportVars(f); fmt.Sprint(got) != fmt.Sprint(s.support) {
+					t.Fatalf("function %d: SupportVars %v, truth table %v", i, got, s.support)
+				}
+				if got := m.SupportSize(f); got != len(s.support) {
+					t.Fatalf("function %d: SupportSize %d, truth table %d", i, got, len(s.support))
+				}
+				if i > 0 {
+					j := i / 2
+					if got, want := m.SharingSize([]bdd.Ref{f, fs[j]}), 1+unionSize(s, shapes[j]); got != want {
+						t.Fatalf("functions %d,%d: SharingSize %d, truth tables %d", i, j, got, want)
+					}
+				}
+				fs = append(fs, f)
+				shapes = append(shapes, s)
+				if i%10 == 9 {
+					// Drop a function built earlier, then collect it.
+					k := i / 3
+					m.Deref(fs[k])
+					fs[k], shapes[k] = m.Ref(bdd.One), truthShape{keys: map[uint64]bool{}}
+					m.GarbageCollect()
+				}
 			}
-		}
-		fs = append(fs, f)
-		shapes = append(shapes, s)
-		if i%10 == 9 {
-			// Drop a function built earlier, then collect it.
-			k := i / 3
-			m.Deref(fs[k])
-			fs[k], shapes[k] = m.Ref(bdd.One), truthShape{keys: map[uint64]bool{}}
-			m.GarbageCollect()
-		}
-	}
-	if st := m.Stats(); st.GCs == 0 {
-		t.Fatal("no garbage collection ran")
-	}
-	if c := m.ArenaStats().Capacity; c <= 64 {
-		t.Fatalf("arena did not grow (capacity %d)", c)
-	}
-	// Every size again, after the growth and the collections.
-	for i, f := range fs {
-		if got, want := m.DagSize(f), 1+len(shapes[i].keys); got != want {
-			t.Fatalf("function %d after growth: DagSize %d, truth table %d", i, got, want)
-		}
-	}
-	for _, f := range fs {
-		m.Deref(f)
+			if st := m.Stats(); st.GCs == 0 {
+				t.Fatal("no garbage collection ran")
+			}
+			if c := m.ArenaStats().Capacity; c <= 64 {
+				t.Fatalf("arena did not grow (capacity %d)", c)
+			}
+			// Every size again, after the growth and the collections.
+			for i, f := range fs {
+				if got, want := m.DagSize(f), 1+len(shapes[i].keys); got != want {
+					t.Fatalf("function %d after growth: DagSize %d, truth table %d", i, got, want)
+				}
+			}
+			for _, f := range fs {
+				m.Deref(f)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -272,7 +273,7 @@ func randFromTrees(m *Manager, rng *rand.Rand, n, d int) Ref {
 // that skipped the maybeReorder entry hook: ForAllCube, Nand, Nor, Xnor,
 // Implies and Diff. A loop doing nothing but one of them on an
 // over-threshold manager must trip automatic sifting, like every other
-// hooked operation.
+// hooked operation, in subtests workers=1 and workers=2.
 func TestForAllCubeTriggersAutoReorder(t *testing.T) {
 	ops := []struct {
 		name string
@@ -286,46 +287,48 @@ func TestForAllCubeTriggersAutoReorder(t *testing.T) {
 		{"Diff", (*Manager).Diff},
 	}
 	for _, tc := range ops {
-		t.Run(tc.name, func(t *testing.T) {
-			const k = 6
-			m := New(2 * k)
-			// Build a function whose live count exceeds the threshold
-			// while auto reordering is still off, plus the cubes used
-			// as second operands, so the only operation that can
-			// possibly trigger a reorder below is tc.op.
-			f := Zero
-			for i := 0; i < k; i++ {
-				p := m.And(m.IthVar(i), m.IthVar(k+i))
-				nf := m.Or(f, p)
-				m.Deref(p)
-				m.Deref(f)
-				f = nf
-			}
-			cubes := make([]Ref, k)
-			for i := range cubes {
-				cubes[i] = m.CubeFromVars([]int{i, k + i})
-			}
-			want := tc.op(m, f, cubes[0])
-			m.EnableAutoReorder(1) // live count is already far above this
-			before := m.Stats().Reorderings
-			for _, cube := range cubes {
-				m.Deref(tc.op(m, f, cube))
-			}
-			if m.Stats().Reorderings == before {
-				t.Fatalf("%s never entered maybeReorder on an over-threshold manager", tc.name)
-			}
-			// Refs survive sifting and stay canonical, so recomputing
-			// the first result must land on the same Ref.
-			m.DisableAutoReorder()
-			got := tc.op(m, f, cubes[0])
-			if got != want {
-				t.Fatalf("%s result changed across sifting", tc.name)
-			}
-			m.Deref(got)
-			m.Deref(want)
-			if err := m.DebugCheck(); err != nil {
-				t.Fatal(err)
-			}
-		})
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				const k = 6
+				m := New(2 * k)
+				// Build a function whose live count exceeds the threshold
+				// while auto reordering is still off, plus the cubes used
+				// as second operands, so the only operation that can
+				// possibly trigger a reorder below is tc.op.
+				f := Zero
+				for i := 0; i < k; i++ {
+					p := m.And(m.IthVar(i), m.IthVar(k+i))
+					nf := m.Or(f, p)
+					m.Deref(p)
+					m.Deref(f)
+					f = nf
+				}
+				cubes := make([]Ref, k)
+				for i := range cubes {
+					cubes[i] = m.CubeFromVars([]int{i, k + i})
+				}
+				want := tc.op(m, f, cubes[0])
+				m.EnableAutoReorder(1) // live count is already far above this
+				before := m.Stats().Reorderings
+				for _, cube := range cubes {
+					m.Deref(tc.op(m, f, cube))
+				}
+				if m.Stats().Reorderings == before {
+					t.Fatalf("%s never entered maybeReorder on an over-threshold manager", tc.name)
+				}
+				// Refs survive sifting and stay canonical, so recomputing
+				// the first result must land on the same Ref.
+				m.DisableAutoReorder()
+				got := tc.op(m, f, cubes[0])
+				if got != want {
+					t.Fatalf("%s result changed across sifting", tc.name)
+				}
+				m.Deref(got)
+				m.Deref(want)
+				if err := m.DebugCheck(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

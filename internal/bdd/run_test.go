@@ -3,6 +3,7 @@ package bdd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -169,57 +170,61 @@ func TestRunNested(t *testing.T) {
 
 // TestRunCancelMidOperation: cancelling from another goroutine aborts
 // the running operation at the next poll of the context flag and leaves a
-// sound manager behind. The bound is counted in work, not time, so a
-// loaded machine cannot fail it: from the raised flag to the abort the
-// engine allocates at most one poll interval (deadlineCheckInterval
-// allocations), plus one interval of slack. The count starts at the flag,
-// not at the cancel request: the loop yields until the goroutines that
-// cancel and raise the flag have run, which on one P happens only when the
-// loop lets them.
+// sound manager behind, in subtests workers=1 and workers=4. The bound is
+// counted in work, not time, so a loaded machine cannot fail it: from the
+// raised flag to the abort the engine allocates at most one poll interval
+// (deadlineCheckInterval allocations), plus one interval of slack. The
+// count starts at the flag, not at the cancel request: the loop yields
+// until the goroutines that cancel and raise the flag have run, which on
+// one P happens only when the loop lets them.
 func TestRunCancelMidOperation(t *testing.T) {
-	const n = 14
-	m := New(2 * n)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	started := make(chan struct{})
-	go func() {
-		<-started
-		cancel()
-	}()
-	allocs := func() int64 {
-		s := m.Stats()
-		return s.UniqueLookups - s.UniqueHits
-	}
-	var mark int64 // allocations when the Run's flag is up
-	err := m.Run(ctx, 0, func() error {
-		for r := 0; r < 1<<n; r++ {
-			if r == 1 {
-				close(started)
-				for !m.scope.ended.Load() {
-					runtime.Gosched()
-				}
-				mark = allocs()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const n = 14
+			m := New(2 * n)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started := make(chan struct{})
+			go func() {
+				<-started
+				cancel()
+			}()
+			allocs := func() int64 {
+				s := m.Stats()
+				return s.UniqueLookups - s.UniqueHits
 			}
-			m.Deref(xnorChain(m, n, r))
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want an abort wrapping context.Canceled", err)
+			var mark int64 // allocations when the Run's flag is up
+			err := m.Run(ctx, 0, func() error {
+				for r := 0; r < 1<<n; r++ {
+					if r == 1 {
+						close(started)
+						for !m.scope.ended.Load() {
+							runtime.Gosched()
+						}
+						mark = allocs()
+					}
+					m.Deref(xnorChain(m, n, r))
+				}
+				return nil
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err %v, want an abort wrapping context.Canceled", err)
+			}
+			past, bound := allocs()-mark, int64(2*deadlineCheckInterval)
+			t.Logf("%d allocations past the flag", past)
+			if past > bound {
+				t.Fatalf("%d allocations past the flag, bound %d", past, bound)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			f := m.And(m.IthVar(0), m.IthVar(1))
+			if f == Zero {
+				t.Fatal("manager unusable after the cancel")
+			}
+			m.Deref(f)
+		})
 	}
-	past, bound := allocs()-mark, int64(2*deadlineCheckInterval)
-	t.Logf("%d allocations past the flag", past)
-	if past > bound {
-		t.Fatalf("%d allocations past the flag, bound %d", past, bound)
-	}
-	if err := m.DebugCheck(); err != nil {
-		t.Fatal(err)
-	}
-	f := m.And(m.IthVar(0), m.IthVar(1))
-	if f == Zero {
-		t.Fatal("manager unusable after the cancel")
-	}
-	m.Deref(f)
 }
 
 // raiseStop raises the flag that context.AfterFunc raises when the
@@ -236,74 +241,83 @@ func levelOrder(m *Manager) []int {
 }
 
 // TestReorderSkippedInEndedRun: a Reorder inside a Run whose context has
-// ended does nothing. No sweep runs (Stats().GCs and the dead count stay)
-// and no swap runs (the order stays), although the identity order of
-// orOfPairs is far from the one sifting picks.
+// ended does nothing, in subtests workers=1 and workers=2. No sweep runs
+// (Stats().GCs and the dead count stay) and no swap runs (the order
+// stays), although the identity order of orOfPairs is far from the one
+// sifting picks.
 func TestReorderSkippedInEndedRun(t *testing.T) {
-	const k = 8
-	m := New(2 * k)
-	f := orOfPairs(m, k)
-	defer m.Deref(f)
-	m.Deref(xnorChain(m, k, 0))
-	if err := m.Run(context.Background(), 0, func() error {
-		raiseStop(m)
-		gcs, dead, order := m.Stats().GCs, m.DeadCount(), levelOrder(m)
-		if dead == 0 {
-			t.Fatal("no dead nodes: a sweep would not show in Stats().GCs")
-		}
-		m.Reorder(ReorderSift, SiftConfig{})
-		if got := m.Stats().GCs; got != gcs {
-			t.Errorf("Stats().GCs %d -> %d: the reorder swept", gcs, got)
-		}
-		if got := m.DeadCount(); got != dead {
-			t.Errorf("dead nodes %d -> %d", dead, got)
-		}
-		if got := levelOrder(m); !slices.Equal(got, order) {
-			t.Errorf("order %v -> %v: the reorder swapped", order, got)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DebugCheck(); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := New(2 * k)
+			f := orOfPairs(m, k)
+			defer m.Deref(f)
+			m.Deref(xnorChain(m, k, 0))
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				gcs, dead, order := m.Stats().GCs, m.DeadCount(), levelOrder(m)
+				if dead == 0 {
+					t.Fatal("no dead nodes: a sweep would not show in Stats().GCs")
+				}
+				m.Reorder(ReorderSift, SiftConfig{})
+				if got := m.Stats().GCs; got != gcs {
+					t.Errorf("Stats().GCs %d -> %d: the reorder swept", gcs, got)
+				}
+				if got := m.DeadCount(); got != dead {
+					t.Errorf("dead nodes %d -> %d", dead, got)
+				}
+				if got := levelOrder(m); !slices.Equal(got, order) {
+					t.Errorf("order %v -> %v: the reorder swapped", order, got)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestReorderSweepStopsInEndedRun: a reordering sweep (gc without the
 // cache sweep) that finds the Run's context ended stops after the
-// subtable it is in. The dead nodes it leaves stay counted, the manager
-// passes DebugCheck once the cache is invalidated as Reorder does, and
-// the next collection reclaims the rest.
+// subtable it is in, in subtests workers=1 and workers=2. The dead nodes
+// it leaves stay counted, the manager passes DebugCheck once the cache is
+// invalidated as Reorder does, and the next collection reclaims the rest.
 func TestReorderSweepStopsInEndedRun(t *testing.T) {
-	const k = 8
-	m := New(2 * k)
-	base := m.ReferencedNodeCount()
-	f := orOfPairs(m, k)
-	m.Deref(xnorChain(m, k, 0))
-	var dead, swept int
-	if err := m.Run(context.Background(), 0, func() error {
-		raiseStop(m)
-		dead = m.deadCount
-		swept = m.gc(false, true)
-		m.cache.invalidateAll()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := New(2 * k)
+			base := m.ReferencedNodeCount()
+			f := orOfPairs(m, k)
+			m.Deref(xnorChain(m, k, 0))
+			var dead, swept int
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				dead = m.deadCount
+				swept = m.gc(false, true)
+				m.cache.invalidateAll()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if swept == 0 || swept >= dead {
+				t.Fatalf("the cut sweep reclaimed %d of %d dead nodes, want some but not all", swept, dead)
+			}
+			if got := m.DeadCount(); got != dead-swept {
+				t.Fatalf("%d dead nodes after reclaiming %d of %d", got, swept, dead)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.GarbageCollect(); got != dead-swept {
+				t.Fatalf("the next collection reclaimed %d, want the %d left", got, dead-swept)
+			}
+			checkReleased(t, m, f, base)
+		})
 	}
-	if swept == 0 || swept >= dead {
-		t.Fatalf("the cut sweep reclaimed %d of %d dead nodes, want some but not all", swept, dead)
-	}
-	if got := m.DeadCount(); got != dead-swept {
-		t.Fatalf("%d dead nodes after reclaiming %d of %d", got, swept, dead)
-	}
-	if err := m.DebugCheck(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.GarbageCollect(); got != dead-swept {
-		t.Fatalf("the next collection reclaimed %d, want the %d left", got, dead-swept)
-	}
-	checkReleased(t, m, f, base)
 }
 
 // TestSetOrderInEndedRun: SetOrder inside a Run whose context has ended
@@ -314,35 +328,39 @@ func TestReorderSweepStopsInEndedRun(t *testing.T) {
 // the top half and reverses the bottom half, so the swaps free dead nodes
 // below dead parents they never touch: a sweep cut before them would
 // leave those parents pointing at freed slots. The dead nodes hold no
-// child references.
+// child references. It runs in subtests workers=1 and workers=2.
 func TestSetOrderInEndedRun(t *testing.T) {
-	const k = 8
-	m := New(2 * k)
-	base := m.ReferencedNodeCount()
-	f := orOfPairs(m, k)
-	m.Deref(xnorChain(m, k, 0))
-	order := make([]int, 2*k)
-	for i := range k {
-		order[i], order[k+i] = i, 2*k-1-i
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const k = 8
+			m := New(2 * k)
+			base := m.ReferencedNodeCount()
+			f := orOfPairs(m, k)
+			m.Deref(xnorChain(m, k, 0))
+			order := make([]int, 2*k)
+			for i := range k {
+				order[i], order[k+i] = i, 2*k-1-i
+			}
+			if err := m.Run(context.Background(), 0, func() error {
+				raiseStop(m)
+				return m.SetOrder(order)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got := levelOrder(m); !slices.Equal(got, order) {
+				t.Fatalf("order %v, want %v", got, order)
+			}
+			if err := m.DebugCheck(); err != nil {
+				t.Fatal(err)
+			}
+			g := orOfPairs(m, k)
+			if g != f {
+				t.Fatal("rebuilding the held function under the new order gave another node")
+			}
+			m.Deref(g)
+			checkReleased(t, m, f, base)
+		})
 	}
-	if err := m.Run(context.Background(), 0, func() error {
-		raiseStop(m)
-		return m.SetOrder(order)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := levelOrder(m); !slices.Equal(got, order) {
-		t.Fatalf("order %v, want %v", got, order)
-	}
-	if err := m.DebugCheck(); err != nil {
-		t.Fatal(err)
-	}
-	g := orOfPairs(m, k)
-	if g != f {
-		t.Fatal("rebuilding the held function under the new order gave another node")
-	}
-	m.Deref(g)
-	checkReleased(t, m, f, base)
 }
 
 // checkReleased releases f, collects, and checks that m is back at base

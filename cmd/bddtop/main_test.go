@@ -23,9 +23,7 @@ func TestRenderFrames(t *testing.T) {
 	}
 	defer sess.Close()
 
-	cfg := bdd.DefaultConfig()
-	cfg.Observer = sess.Observer()
-	m := bdd.NewWithConfig(64, cfg)
+	m := bdd.NewWithConfig(64, bdd.Config{Observer: sess.Observer()})
 	sess.ObserveManager(m)
 	obs.Of(m).Ledger().Record(obs.OpRecord{
 		Kind: "approx", Op: "rua", SizeIn: 40, SizeOut: 10, MassIn: 1, MassOut: 0.75,

@@ -102,23 +102,13 @@ func makeRef(idx int32, complement bool) Ref {
 	return r
 }
 
-// Config collects the tunables of a Manager. The zero value selects
-// reasonable defaults via DefaultConfig.
+// Config collects the tunables of a Manager. The zero value selects the
+// defaults.
 type Config struct {
-	// InitialNodes sizes the node arena at startup.
+	// InitialNodes sizes the node arena at startup (2^14 slots when
+	// zero), and with it the computed table: two entries per arena slot
+	// at the start, and never more than eight per slot as the arena grows.
 	InitialNodes int
-	// CacheBits sets the initial computed-table size to 1<<CacheBits
-	// entries.
-	CacheBits uint
-	// CacheMaxBits caps the computed table's adaptive growth at
-	// 1<<CacheMaxBits entries; the table doubles when a resize epoch
-	// sustains a high hit rate under heavy insert traffic. Zero selects
-	// the default ceiling; a nonzero value at or below CacheBits pins the
-	// cache at its initial size.
-	CacheMaxBits uint
-	// GCFraction triggers garbage collection when dead nodes exceed this
-	// fraction of the arena (checked on allocation pressure).
-	GCFraction float64
 	// Workers is ignored: kept only for benchmark code compiled against
 	// it. Every manager runs the same single-threaded engine.
 	Workers int
@@ -127,15 +117,8 @@ type Config struct {
 	Observer Observer
 }
 
-// DefaultConfig returns the default Manager configuration.
-func DefaultConfig() Config {
-	return Config{
-		InitialNodes: 1 << 14,
-		CacheBits:    18,
-		CacheMaxBits: 22,
-		GCFraction:   0.25,
-	}
-}
+// defaultInitialNodes is the arena size of a Config that sets none.
+const defaultInitialNodes = 1 << 14
 
 // Manager owns the node arena, the unique subtables (one per variable
 // level), the computed cache, and the variable order. All operations on Refs
@@ -155,10 +138,9 @@ type Manager struct {
 	cache  computedCache
 	userOp uint32
 
-	deadCount  int
-	liveCount  int
-	gcFraction float64
-	noGC       bool // blocks GC inside allocation (set during reordering)
+	deadCount int
+	liveCount int
+	noGC      bool // blocks GC inside allocation (set during reordering)
 
 	autoReorder      bool
 	reorderThreshold int
@@ -217,23 +199,13 @@ type Stats struct {
 // New creates a Manager with numVars variables (indexed 0..numVars-1, with
 // the identity order) and the default configuration.
 func New(numVars int) *Manager {
-	return NewWithConfig(numVars, DefaultConfig())
+	return NewWithConfig(numVars, Config{})
 }
 
 // NewWithConfig creates a Manager with numVars variables and cfg tunables.
 func NewWithConfig(numVars int, cfg Config) *Manager {
-	def := DefaultConfig()
 	if cfg.InitialNodes <= 0 {
-		cfg.InitialNodes = def.InitialNodes
-	}
-	if cfg.CacheBits == 0 {
-		cfg.CacheBits = def.CacheBits
-	}
-	if cfg.CacheMaxBits == 0 {
-		cfg.CacheMaxBits = def.CacheMaxBits
-	}
-	if cfg.GCFraction <= 0 {
-		cfg.GCFraction = def.GCFraction
+		cfg.InitialNodes = defaultInitialNodes
 	}
 	m := &Manager{
 		// The arena is cursor-based: full length from the start, with
@@ -242,13 +214,12 @@ func NewWithConfig(numVars int, cfg Config) *Manager {
 		nodes:            make([]node, cfg.InitialNodes),
 		nodesUsed:        1,
 		free:             nilIndex,
-		gcFraction:       cfg.GCFraction,
 		reorderThreshold: 4096,
 		observer:         cfg.Observer,
 	}
 	// Node 0 is the terminal. It is permanently referenced.
 	m.nodes[0] = node{level: terminalLevel, hi: One, lo: One, next: nilIndex, ref: refSaturated}
-	m.cache.init(cfg.CacheBits, cfg.CacheMaxBits)
+	m.cache.init(cfg.InitialNodes)
 	m.liveCount = 1
 	for i := 0; i < numVars; i++ {
 		m.AddVar()

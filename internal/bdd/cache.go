@@ -18,15 +18,18 @@ package bdd
 //     Manager.cacheSweepDead); the typically large live fraction survives,
 //     exactly when recomputing it would hurt most.
 //
-// The cache also resizes itself: per resize epoch (a fixed multiple of the
-// table size in lookups) the hit rate is measured, and a table that is
-// hitting well while still absorbing heavy insert traffic doubles, up to
-// the ceiling set by Config.CacheMaxBits. The table is stored in chunks,
-// and doubling appends as many chunks as it has and splits each set in
-// place, so a resize leaves no garbage: a contiguous table would keep the
-// old array reachable while it rehashes into one twice as large, and a Go
-// collection marking at that moment counts both as live and sets its next
-// heap goal from their sum.
+// The table is sized from the node arena, as CUDD bounds its cache by a
+// multiple of its unique table. It starts at cacheStartPerSlot entries per
+// arena slot. Per resize epoch (a fixed multiple of the table size in
+// lookups) the hit rate is measured, and a table that is hitting well
+// while still absorbing heavy insert traffic doubles, unless the doubled
+// table would pass cacheMaxPerSlot entries per slot of the arena. A
+// manager run under a node budget therefore has a table bounded by that
+// budget too. The table is stored in chunks, and doubling appends as many
+// chunks as it has and splits each set in place, so a resize leaves no
+// garbage: a contiguous table would keep the old array reachable while it
+// rehashes into one twice as large, and a Go collection marking at that
+// moment counts both as live and sets its next heap goal from their sum.
 
 import "fmt"
 
@@ -60,9 +63,11 @@ const (
 	// cacheResizeHitRate is the minimum per-epoch hit rate at which
 	// doubling the table is considered worthwhile (CUDD's minHit).
 	cacheResizeHitRate = 0.30
-	// cacheEpochHistory bounds the per-epoch hit rates retained for
-	// reporting.
-	cacheEpochHistory = 16
+	// cacheStartPerSlot and cacheMaxPerSlot are the table's start and
+	// ceiling in entries per arena slot, each rounded down to a power of
+	// two.
+	cacheStartPerSlot = 2
+	cacheMaxPerSlot   = 8
 	// cacheChunkBits sets the chunk size: the table is stored in chunks
 	// of 1<<cacheChunkBits entries, or in one shorter chunk while it is
 	// smaller than that.
@@ -83,7 +88,6 @@ type computedCache struct {
 	chunks  [][]cacheEntry // the table; cacheWays consecutive entries per set
 	setMask uint32         // number of sets - 1
 	bits    uint           // log2(number of entries)
-	maxBits uint           // resize ceiling (log2 entries)
 	gen     uint32         // current generation
 	tick    uint32         // age clock; wraps harmlessly (eviction quality only)
 
@@ -92,23 +96,17 @@ type computedCache struct {
 	epochLookups  int64
 	epochHits     int64
 	resizeInserts int64
-	epochRates    []float64 // recent per-epoch hit rates, oldest first
 
 	// Outcome of the most recent selective sweep (see cacheSweepDead).
 	lastSurvived int
 	lastDropped  int
 }
 
-func (c *computedCache) init(bits, maxBits uint) {
-	if bits < minCacheBits {
-		bits = minCacheBits
-	}
-	if maxBits < bits {
-		maxBits = bits
-	}
-	c.bits = bits
-	c.maxBits = maxBits
-	n := 1 << bits
+// init allocates the starting table for an arena of the given number of
+// slots.
+func (c *computedCache) init(slots int) {
+	c.bits = cacheBitsWithin(cacheStartPerSlot * slots)
+	n := 1 << c.bits
 	chunk := min(n, 1<<cacheChunkBits)
 	c.chunks = make([][]cacheEntry, n/chunk)
 	for i := range c.chunks {
@@ -116,6 +114,21 @@ func (c *computedCache) init(bits, maxBits uint) {
 	}
 	c.setMask = uint32(n/cacheWays - 1)
 	c.clear()
+}
+
+// cacheBitsWithin returns log2 of the largest table of at most n entries,
+// and never less than minCacheBits.
+func cacheBitsWithin(n int) uint {
+	b := uint(minCacheBits)
+	for 2<<b <= n {
+		b++
+	}
+	return b
+}
+
+// cacheMaxBits is the resize ceiling (log2 entries) at the current arena.
+func (m *Manager) cacheMaxBits() uint {
+	return cacheBitsWithin(cacheMaxPerSlot * len(m.nodes))
 }
 
 // set returns the entries of set s.
@@ -215,25 +228,20 @@ func (m *Manager) cacheInsert(op uint32, a, b, c Ref, res Ref) {
 	}
 }
 
-// cacheEpoch closes a resize epoch: it records the epoch's hit rate and
-// doubles the table when the rate clears cacheResizeHitRate, the insert
-// traffic since the last resize has been at least a full table's worth
-// (so a bigger table would actually absorb misses), and the ceiling
-// allows it.
+// cacheEpoch closes a resize epoch: it doubles the table when the epoch's
+// hit rate clears cacheResizeHitRate, the insert traffic since the last
+// resize has been at least a full table's worth (so a bigger table would
+// actually absorb misses), and the arena-derived ceiling allows it.
 func (m *Manager) cacheEpoch() {
 	cc := &m.cache
 	lookups := m.stats.CacheLookups - cc.epochLookups
 	hits := m.stats.CacheHits - cc.epochHits
 	rate := 0.0
-	if lookups > 0 { // guard: a zero-lookup epoch must not record NaN
+	if lookups > 0 {
 		rate = float64(hits) / float64(lookups)
 	}
-	cc.epochRates = append(cc.epochRates, rate)
-	if len(cc.epochRates) > cacheEpochHistory {
-		cc.epochRates = cc.epochRates[len(cc.epochRates)-cacheEpochHistory:]
-	}
 	inserts := m.stats.CacheInserts - cc.resizeInserts
-	if cc.bits < cc.maxBits && rate >= cacheResizeHitRate && inserts >= int64(1)<<cc.bits {
+	if rate >= cacheResizeHitRate && inserts >= int64(1)<<cc.bits && cc.bits < m.cacheMaxBits() {
 		m.cacheResize()
 	}
 	cc.epochLookups = m.stats.CacheLookups

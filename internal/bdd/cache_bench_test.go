@@ -13,10 +13,9 @@ import (
 // recomputation rounds cheap.
 func BenchmarkCacheChurn(b *testing.B) {
 	const nVars = 24
-	cfg := DefaultConfig()
-	cfg.CacheBits = 10 // small enough that aging and eviction matter
-	cfg.CacheMaxBits = 14
-	m := NewWithConfig(nVars, cfg)
+	// A 512-slot arena starts the computed table at 1,024 entries, small
+	// enough that aging and eviction matter.
+	m := NewWithConfig(nVars, Config{InitialNodes: 512})
 	rng := rand.New(rand.NewSource(7))
 
 	// A pool of live random functions; the hot working set. Each is a

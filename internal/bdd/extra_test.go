@@ -266,9 +266,7 @@ func TestAddVarAfterOps(t *testing.T) {
 }
 
 func TestGCUnderSmallArena(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InitialNodes = 4
-	m := NewWithConfig(10, cfg)
+	m := NewWithConfig(10, Config{InitialNodes: 4})
 	rng := rand.New(rand.NewSource(8))
 	// Heavy churn: build and drop many functions, forcing repeated arena
 	// growth and collection; the structure must stay consistent.

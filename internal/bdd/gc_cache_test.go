@@ -137,17 +137,16 @@ func TestReorderInvalidatesByGeneration(t *testing.T) {
 
 // TestAdaptiveCacheResize drives the cache with a hot working set plus cold
 // insert traffic so a resize epoch sustains a high hit rate under heavy
-// insertion, and checks the table doubles up to (and not beyond) its
-// ceiling.
+// insertion, and checks that the table starts at cacheStartPerSlot entries
+// per arena slot, doubles up to (and not beyond) its ceiling of
+// cacheMaxPerSlot entries per slot, and grows again once the arena does.
 func TestAdaptiveCacheResize(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheBits = 8
-	cfg.CacheMaxBits = 12
-	m := NewWithConfig(4, cfg)
+	const slots = 128
+	m := NewWithConfig(4, Config{InitialNodes: slots})
 
 	start := m.CacheStats()
-	if start.Entries != 1<<8 {
-		t.Fatalf("initial cache size %d, want %d", start.Entries, 1<<8)
+	if start.Entries != cacheStartPerSlot*slots {
+		t.Fatalf("initial cache size %d, want %d", start.Entries, cacheStartPerSlot*slots)
 	}
 
 	// Keys are projection-variable Refs (permanently live), so the pattern
@@ -158,25 +157,41 @@ func TestAdaptiveCacheResize(t *testing.T) {
 	hot := m.IthVar(0)
 	m.CacheInsert(op, hot, 0, 0, hot)
 	res := m.IthVar(1)
-	for i := uint32(1); i < 1<<16; i++ {
-		m.CacheLookup(op, hot, 0, 0)
-		m.CacheLookup(op, hot, 0, 0)
-		cold := Ref(i << 8) // distinct keys, never repeated
-		m.CacheLookup(op, cold, cold, 0)
-		m.CacheInsert(op, cold, cold, 0, res)
+	drive := func(from, to uint32) {
+		for i := from; i < to; i++ {
+			m.CacheLookup(op, hot, 0, 0)
+			m.CacheLookup(op, hot, 0, 0)
+			cold := Ref(i << 8) // distinct keys, never repeated
+			m.CacheLookup(op, cold, cold, 0)
+			m.CacheInsert(op, cold, cold, 0, res)
+		}
 	}
-	s := m.CacheStats()
-	if s.Resizes == 0 {
-		t.Fatalf("cache never resized: %+v", s)
+	atCeiling := func(when string) CacheStats {
+		s := m.CacheStats()
+		ceiling := cacheMaxPerSlot * m.ArenaStats().Capacity
+		if s.Entries != ceiling || s.Bits != s.MaxBits {
+			t.Fatalf("%s: cache stopped at %d entries (2^%d, reported ceiling 2^%d), want the ceiling of %d entries for a %d-slot arena",
+				when, s.Entries, s.Bits, s.MaxBits, ceiling, m.ArenaStats().Capacity)
+		}
+		if _, ok := m.CacheLookup(op, hot, 0, 0); !ok {
+			t.Fatalf("%s: hot entry lost across resizes", when)
+		}
+		return s
 	}
-	if s.Entries <= start.Entries {
-		t.Fatalf("cache did not grow: %d -> %d", start.Entries, s.Entries)
+	drive(1, 1<<16)
+	s := atCeiling("small arena")
+	if s.Resizes == 0 || s.Entries <= start.Entries {
+		t.Fatalf("cache did not grow: %d -> %d entries in %d resizes", start.Entries, s.Entries, s.Resizes)
 	}
-	if s.Entries > 1<<12 {
-		t.Fatalf("cache grew past its ceiling: %d > %d", s.Entries, 1<<12)
+
+	// Variables past the arena's capacity make it double, which lifts the
+	// ceiling: the same traffic grows the table to the new one.
+	for m.ArenaStats().Capacity == slots {
+		m.AddVar()
 	}
-	if _, ok := m.CacheLookup(op, hot, 0, 0); !ok {
-		t.Fatalf("hot entry lost across resizes")
+	drive(1<<16, 1<<17)
+	if grown := atCeiling("doubled arena"); grown.Entries != 2*s.Entries {
+		t.Fatalf("doubled arena: cache has %d entries, want %d", grown.Entries, 2*s.Entries)
 	}
 }
 
@@ -199,11 +214,12 @@ func TestCacheOpOverflowPanics(t *testing.T) {
 // size, so both the copy of a short table and the appending of chunks are
 // covered.
 func TestCacheResizeKeepsRehashLayout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CacheBits = cacheChunkBits - 2
-	cfg.CacheMaxBits = cacheChunkBits + 2
-	m := NewWithConfig(4, cfg)
+	// The arena starts the table at 2^(cacheChunkBits-2) entries.
+	m := NewWithConfig(4, Config{InitialNodes: 1 << (cacheChunkBits - 3)})
 	cc := &m.cache
+	if cc.bits != cacheChunkBits-2 {
+		t.Fatalf("table starts at 2^%d entries, want 2^%d", cc.bits, cacheChunkBits-2)
+	}
 	rng := rand.New(rand.NewSource(7))
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
@@ -218,7 +234,7 @@ func TestCacheResizeKeepsRehashLayout(t *testing.T) {
 		}
 		return all
 	}
-	for cc.bits < cfg.CacheMaxBits {
+	for cc.bits < cacheChunkBits+2 {
 		// Entries of an older generation must not survive the resize.
 		fill(1 << (cc.bits - 2))
 		cc.invalidateAll()

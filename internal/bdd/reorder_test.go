@@ -218,9 +218,7 @@ func TestReorderKeepsMintermCounts(t *testing.T) {
 // inside swapInPlace, since the arena may be reallocated).
 func TestReorderWithArenaGrowth(t *testing.T) {
 	const n = 12
-	cfg := DefaultConfig()
-	cfg.InitialNodes = 2 // grow almost immediately
-	m := NewWithConfig(n, cfg)
+	m := NewWithConfig(n, Config{InitialNodes: 2}) // grow almost immediately
 	rng := rand.New(rand.NewSource(5150))
 	var fs []Ref
 	var tts [][]bool

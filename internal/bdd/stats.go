@@ -20,7 +20,7 @@ type CacheStats struct {
 	Entries    int    // current table size (total entries across all sets)
 	Ways       int    // set associativity
 	Bits       uint   // log2(Entries)
-	MaxBits    uint   // adaptive-resize ceiling (log2 entries)
+	MaxBits    uint   // adaptive-resize ceiling at the current arena (log2 entries)
 	Generation uint32 // current generation (bumped by each reordering)
 
 	Lookups int64   // probes since manager creation
@@ -37,8 +37,6 @@ type CacheStats struct {
 
 	LastSweepSurvived int // entries preserved by the most recent sweep
 	LastSweepDropped  int // entries dropped by the most recent sweep
-
-	EpochHitRates []float64 // recent per-epoch hit rates, oldest first
 }
 
 // CacheStats returns a snapshot of the computed-table statistics.
@@ -48,7 +46,7 @@ func (m *Manager) CacheStats() CacheStats {
 		Entries:    1 << c.bits,
 		Ways:       cacheWays,
 		Bits:       c.bits,
-		MaxBits:    c.maxBits,
+		MaxBits:    m.cacheMaxBits(),
 		Generation: c.gen,
 
 		Lookups: m.stats.CacheLookups,
@@ -64,8 +62,6 @@ func (m *Manager) CacheStats() CacheStats {
 
 		LastSweepSurvived: c.lastSurvived,
 		LastSweepDropped:  c.lastDropped,
-
-		EpochHitRates: append([]float64(nil), c.epochRates...),
 	}
 	if s.Lookups > 0 {
 		s.HitRate = float64(s.Hits) / float64(s.Lookups)
@@ -82,12 +78,6 @@ func (s CacheStats) String() string {
 		s.Lookups, s.Hits, 100*s.HitRate, s.Inserts, s.Evictions, s.Resizes)
 	fmt.Fprintf(&b, "  GC sweeps %d: survived %d, dropped %d (last sweep %d/%d)",
 		s.Sweeps, s.Survived, s.Dropped, s.LastSweepSurvived, s.LastSweepDropped)
-	if len(s.EpochHitRates) > 0 {
-		b.WriteString("\n  epoch hit rates:")
-		for _, r := range s.EpochHitRates {
-			fmt.Fprintf(&b, " %.0f%%", 100*r)
-		}
-	}
 	return b.String()
 }
 

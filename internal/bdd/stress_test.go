@@ -19,10 +19,9 @@ func TestStressRandomOps(t *testing.T) {
 		nVars = 9
 		steps = 4000
 	)
-	cfg := DefaultConfig()
-	cfg.InitialNodes = 8 // force constant arena churn
-	cfg.CacheBits = 8    // force cache collisions
-	m := NewWithConfig(nVars, cfg)
+	// A tiny arena forces constant arena churn, and the computed table
+	// sized from it forces cache collisions.
+	m := NewWithConfig(nVars, Config{InitialNodes: 8})
 	m.EnableAutoReorder(2000)
 	rng := rand.New(rand.NewSource(20260705))
 

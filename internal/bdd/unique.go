@@ -34,6 +34,9 @@ const (
 	// does, so growth is triggered before the tail forms rather than
 	// after.
 	longChain = 8
+	// An allocation that finds the arena full collects garbage instead of
+	// growing the arena once dead nodes exceed gcFraction of it.
+	gcFraction = 0.25
 )
 
 func newSubtable() subtable {
@@ -151,7 +154,7 @@ func (m *Manager) allocNode() int32 {
 		return idx
 	}
 	if !m.noGC &&
-		m.deadCount > 2048 && float64(m.deadCount) > m.gcFraction*float64(len(m.nodes)) {
+		m.deadCount > 2048 && float64(m.deadCount) > gcFraction*float64(len(m.nodes)) {
 		m.gc(true, false)
 		if m.free != nilIndex {
 			idx := m.free

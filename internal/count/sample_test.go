@@ -127,9 +127,10 @@ func TestSampleFrequencies(t *testing.T) {
 
 // TestCountDeterminism: counts and sample streams must be bit-identical
 // whether the diagram was built on a default manager or on one whose
-// small arena and cache force growth, collections and evictions along the
-// way — canonicity makes the ROBDD, and therefore everything derived from
-// it, independent of the manager's memory history.
+// small arena, and the computed table sized from it, force growth,
+// collections and evictions along the way — canonicity makes the ROBDD,
+// and therefore everything derived from it, independent of the manager's
+// memory history.
 func TestCountDeterminism(t *testing.T) {
 	p := gauntlet.Params{Family: gauntlet.FamilyQueens, N: 6}
 	m1, f1, err := gauntlet.New(p, nil)
@@ -137,7 +138,7 @@ func TestCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m1.Deref(f1)
-	m4 := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64, CacheBits: 4, CacheMaxBits: 4})
+	m4 := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64})
 	f4, err := gauntlet.Build(m4, p)
 	if err != nil {
 		t.Fatal(err)

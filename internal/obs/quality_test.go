@@ -284,10 +284,7 @@ func TestManagerGaugesFollowObservedManager(t *testing.T) {
 	}
 	defer s.Close()
 	build := func(arena int) *bdd.Manager {
-		cfg := bdd.DefaultConfig()
-		cfg.InitialNodes = arena
-		cfg.Observer = s.Observer()
-		return bdd.NewWithConfig(8, cfg)
+		return bdd.NewWithConfig(8, bdd.Config{InitialNodes: arena, Observer: s.Observer()})
 	}
 	m1, m2 := build(1<<12), build(1<<10)
 	f := m1.And(m1.IthVar(0), m1.Or(m1.IthVar(1), m1.IthVar(2)))

@@ -304,7 +304,7 @@ func CheckCountInvariance(p gauntlet.Params) error {
 	}
 
 	// Rebuild on a manager with a small arena and cache.
-	ms := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64, CacheBits: 10})
+	ms := bdd.NewWithConfig(p.Vars(), bdd.Config{InitialNodes: 64})
 	fs, err := gauntlet.Build(ms, p)
 	if err != nil {
 		return fmt.Errorf("%s: %v", name, err)

@@ -6,16 +6,16 @@ import (
 	"bddkit/internal/bdd"
 )
 
-// TestRebuildDeterminism: a manager whose small arena and cache force
-// collections, growth and evictions must compute the same functions as a
-// default manager across the expression corpus, and rebuilding a function
-// on it must return the identical Ref (canonicity does not depend on the
-// manager's memory history).
+// TestRebuildDeterminism: a manager whose small arena, and the computed
+// table sized from it, force collections, growth and evictions must
+// compute the same functions as a default manager across the expression
+// corpus, and rebuilding a function on it must return the identical Ref
+// (canonicity does not depend on the manager's memory history).
 func TestRebuildDeterminism(t *testing.T) {
 	const vars = 12
 	const exprs = 40
 	m1 := bdd.New(vars)
-	m4 := bdd.NewWithConfig(vars, bdd.Config{InitialNodes: 64, CacheBits: 8, CacheMaxBits: 8})
+	m4 := bdd.NewWithConfig(vars, bdd.Config{InitialNodes: 64})
 	chk := NewChecker(11)
 
 	gen := NewGen(17, vars)

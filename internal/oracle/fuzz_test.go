@@ -145,10 +145,12 @@ func iteSequenceBody(t testing.TB, data []byte) {
 		data = data[:512]
 	}
 	const nv = 6
-	// A tiny pinned computed table keeps each exec fast: DebugCheck
-	// scans the whole cache, and at the default 2^18 entries that scan
-	// would dominate the harness and starve the fuzzer of throughput.
-	m := bdd.NewWithConfig(nv, bdd.Config{CacheBits: 8, CacheMaxBits: 8})
+	// A tiny arena keeps each exec fast: DebugCheck scans the arena and
+	// the whole computed table, which starts at two entries per arena
+	// slot, and at the default arena's 2^14 slots and 2^15 entries those
+	// scans would dominate the harness and starve the fuzzer of
+	// throughput.
+	m := bdd.NewWithConfig(nv, bdd.Config{InitialNodes: 128})
 	m.EnableAutoReorder(64)
 	vars := make([]int, nv)
 	for i := range vars {

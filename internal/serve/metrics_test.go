@@ -23,25 +23,7 @@ import (
 func TestMetricsScrapeDuringOps(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	h := s.Handler()
-	do := func(method, path string, body any) *httptest.ResponseRecorder {
-		var rd *bytes.Reader
-		switch b := body.(type) {
-		case nil:
-			rd = bytes.NewReader(nil)
-		case string:
-			rd = bytes.NewReader([]byte(b))
-		default:
-			buf, err := json.Marshal(b)
-			if err != nil {
-				t.Error(err)
-			}
-			rd = bytes.NewReader(buf)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
-		return rec
-	}
+	do := direct(t, s.Handler())
 	base := "/v1/tenants/alice"
 	if rec := do("PUT", base, nil); rec.Code != http.StatusCreated {
 		t.Fatalf("create: status %d", rec.Code)
@@ -98,5 +80,72 @@ func TestMetricsScrapeDuringOps(t *testing.T) {
 	}
 	if lookups, ok := p.Value("bdd_cache_lookups"); !ok || lookups == 0 {
 		t.Fatalf("idle tenant serves bdd_cache_lookups %v (present %v) after 2,000 ops", lookups, ok)
+	}
+}
+
+// direct returns a function that sends one request straight to h and
+// returns the recorded response; a non-string body is sent as JSON.
+func direct(t *testing.T, h http.Handler) func(method, path string, body any) *httptest.ResponseRecorder {
+	return func(method, path string, body any) *httptest.ResponseRecorder {
+		var rd *bytes.Reader
+		switch b := body.(type) {
+		case nil:
+			rd = bytes.NewReader(nil)
+		case string:
+			rd = bytes.NewReader([]byte(b))
+		default:
+			buf, err := json.Marshal(b)
+			if err != nil {
+				t.Error(err)
+			}
+			rd = bytes.NewReader(buf)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+		return rec
+	}
+}
+
+// TestTenantCacheWithinArena: a tenant's computed table is sized from its
+// node arena, which its quota bounds, so a small tenant gets a small
+// table. A tenant with quota 1,000 runs a burst of /ops requests, and
+// after each hundred its bdd_cache_entries must stay within the table's
+// ceiling of eight entries per slot of its bdd_arena_capacity.
+func TestTenantCacheWithinArena(t *testing.T) {
+	const perSlot = 8
+	s := New(Config{})
+	defer s.Close()
+	do := direct(t, s.Handler())
+	base := "/v1/tenants/small"
+	if rec := do("PUT", base, CreateTenantRequest{Quota: 1000}); rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	if rec := do("POST", base+"/netlist", multiplierNetlist(t, 4)); rec.Code != http.StatusOK {
+		t.Fatalf("netlist: status %d: %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 1000; i++ {
+		op := OpRequest{Op: []string{"and", "or", "xor"}[i%3], Result: fmt.Sprintf("r%d", i%4)}
+		a := i % 8
+		op.Args = []string{fmt.Sprintf("p%d", a), fmt.Sprintf("p%d", (a+1+i/8)%8)}
+		if rec := do("POST", base+"/ops", op); rec.Code != http.StatusOK {
+			t.Fatalf("op %d (%s): status %d: %s", i, op.Op, rec.Code, rec.Body)
+		}
+		if i%100 != 99 {
+			continue
+		}
+		p, err := obs.ParsePrometheus(do("GET", "/metrics", nil).Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, ok1 := p.Value("bdd_cache_entries")
+		capacity, ok2 := p.Value("bdd_arena_capacity")
+		if !ok1 || !ok2 || capacity == 0 {
+			t.Fatalf("after %d ops: bdd_cache_entries %v (present %v), bdd_arena_capacity %v (present %v)",
+				i+1, entries, ok1, capacity, ok2)
+		}
+		if entries > perSlot*capacity {
+			t.Fatalf("after %d ops: %v cache entries for a %v-slot arena, past %d per slot",
+				i+1, entries, capacity, perSlot)
+		}
 	}
 }
